@@ -4,7 +4,6 @@ from .diagram import (
     CausalDiagram,
     PolicySpace,
     augment_policy,
-    closure,
     d_separated,
     hat_name,
     manipulated,

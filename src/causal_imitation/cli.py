@@ -17,13 +17,13 @@ import numpy as np
 
 from . import experiments, fixtures
 from .diagram import CausalDiagram, PolicySpace, format_diagram, parse_diagram_text
-from .enumerators import list_id_subspaces
 from .errors import ParseError
-from .identify import format_formula, identify_policy
+from .identify import format_formula
 from .imitate import (
     DEFAULT_TOLERANCE,
     graphical_verdict,
     imitate_pipeline,
+    instruments,
     surrogate_candidates,
 )
 from .criteria import find_pi_backdoor
@@ -153,17 +153,12 @@ def _cmd_instruments(args) -> int:
     diagram, space0, reward0 = _load_graph(args.graph)
     space = _space_from_args(args, space0)
     reward = args.reward or reward0 or "Y"
-    lines = []
-    g_obs = diagram.with_observed({reward})
-    for subspace in list_id_subspaces(g_obs, space, {reward}):
-        for s in surrogate_candidates(diagram, subspace, reward):
-            formula = identify_policy(diagram, subspace, s)
-            if formula is not None:
-                lines.append(
-                    "instrument surrogate " + (" ".join(sorted(s)) or "-")
-                    + " subspace_inputs " + (" ".join(sorted(subspace.inputs)) or "-")
-                    + " matching " + format_formula(formula)
-                )
+    lines = [
+        "instrument surrogate " + (" ".join(sorted(s)) or "-")
+        + " subspace_inputs " + (" ".join(sorted(subspace.inputs)) or "-")
+        + " matching " + format_formula(formula)
+        for subspace, s, formula in instruments(diagram, space, reward)
+    ]
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 

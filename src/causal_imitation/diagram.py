@@ -210,24 +210,6 @@ def require_valid(diagram: CausalDiagram) -> None:
         raise ValueError("invalid diagram: " + "; ".join(problems))
 
 
-def closure(
-    diagram: CausalDiagram,
-    seed: Iterable[str],
-    relation: str = "ancestors",
-    inclusive: bool = True,
-) -> frozenset[str]:
-    """Reflexive-transitive closure along directed edges.
-
-    ``relation`` is ``"ancestors"`` (follow edges backwards) or
-    ``"descendants"`` (forwards); ``inclusive`` adds the seed itself.
-    """
-    if relation == "ancestors":
-        return diagram.ancestors(seed, inclusive)
-    if relation == "descendants":
-        return diagram.descendants(seed, inclusive)
-    raise ValueError(f"unknown relation {relation!r}")
-
-
 def mutilate(
     diagram: CausalDiagram,
     cut_incoming: Iterable[str] = (),

@@ -13,9 +13,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import fixtures
-from .enumerators import list_id_subspaces
-from .identify import IdFormula, identify_policy
-from .imitate import solve_policy, surrogate_candidates, verify_policy
+from .identify import IdFormula
+from .imitate import instruments, solve_policy, verify_policy
 from .scm import (
     Policy,
     conditional_policy,
@@ -32,12 +31,8 @@ def frontdoor_instrument() -> tuple[IdFormula, frozenset[str], frozenset[str]]:
     """First instrument the search finds for the latent-reward mediator
     chain; the graph-level work is shared by every instance."""
     case = fixtures.diagram_fixture("frontdoor_latent")
-    g_obs = case.diagram.with_observed({case.reward})
-    for subspace in list_id_subspaces(g_obs, case.space, {case.reward}):
-        for surrogate in surrogate_candidates(case.diagram, subspace, case.reward):
-            formula = identify_policy(case.diagram, subspace, surrogate)
-            if formula is not None:
-                return formula, surrogate, subspace.inputs
+    for subspace, surrogate, formula in instruments(case.diagram, case.space, case.reward):
+        return formula, surrogate, subspace.inputs
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 

@@ -87,16 +87,24 @@ def free_variables(formula: IdFormula) -> frozenset[str]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-def has_policy_factor(formula: IdFormula) -> bool:
+def find_policy_factor(formula: IdFormula) -> PolicyFactor | None:
+    """The first policy placeholder in the formula, or ``None``."""
     if isinstance(formula, PolicyFactor):
-        return True
+        return formula
     if isinstance(formula, Sum):
-        return has_policy_factor(formula.body)
+        return find_policy_factor(formula.body)
     if isinstance(formula, Product):
-        return any(has_policy_factor(t) for t in formula.terms)
+        for t in formula.terms:
+            ph = find_policy_factor(t)
+            if ph is not None:
+                return ph
     if isinstance(formula, Quotient):
-        return has_policy_factor(formula.num) or has_policy_factor(formula.den)
-    return False
+        return find_policy_factor(formula.num) or find_policy_factor(formula.den)
+    return None
+
+
+def has_policy_factor(formula: IdFormula) -> bool:
+    return find_policy_factor(formula) is not None
 
 
 def _sum(bound: Iterable[str], body: IdFormula) -> IdFormula:

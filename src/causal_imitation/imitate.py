@@ -22,10 +22,8 @@ from .enumerators import list_id_subspaces, list_min_separators
 from .identify import (
     IdFormula,
     PolicyFactor,
-    Product,
-    Quotient,
-    Sum,
     _eval,
+    find_policy_factor,
     free_variables,
     has_policy_factor,
     identify_policy,
@@ -80,26 +78,11 @@ class ImitationResult:
         return "\n".join(lines) + "\n"
 
 
-def _find_placeholder(formula: IdFormula) -> PolicyFactor | None:
-    if isinstance(formula, PolicyFactor):
-        return formula
-    if isinstance(formula, Sum):
-        return _find_placeholder(formula.body)
-    if isinstance(formula, Product):
-        for t in formula.terms:
-            ph = _find_placeholder(t)
-            if ph is not None:
-                return ph
-    if isinstance(formula, Quotient):
-        return _find_placeholder(formula.num) or _find_placeholder(formula.den)
-    return None
-
-
 def _linear_system(formula: IdFormula, observational: JointTable,
                    surrogate: Iterable[str]):
     """Coefficients A[s, pa, x] and target t[s] of the affine system
     sum_{pa,x} A[s,pa,x] pi[pa,x] = t[s]."""
-    ph = _find_placeholder(formula)
+    ph = find_policy_factor(formula)
     if ph is None:
         raise ValueError("formula has no policy placeholder")
     svars = tuple(sorted(frozenset(surrogate)))
@@ -125,16 +108,23 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     return coeff, t, ph, in_doms, k
 
 
+def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int, extra: int = 0):
+    """Equality rows A pi - r+ + r- = t and sum_x pi[pa, x] = 1 over the
+    columns (pi, r+, r-) followed by ``extra`` columns the caller uses."""
+    n_s, n_pi = a2.shape
+    a_eq = np.zeros((n_s + n_pa, n_pi + 2 * n_s + extra))
+    a_eq[:n_s, :n_pi] = a2
+    a_eq[:n_s, n_pi:n_pi + n_s] = -np.eye(n_s)
+    a_eq[:n_s, n_pi + n_s:n_pi + 2 * n_s] = np.eye(n_s)
+    for p in range(n_pa):
+        a_eq[n_s + p, p * k:(p + 1) * k] = 1.0
+    return a_eq, np.concatenate([t, np.ones(n_pa)])
+
+
 def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
     n_pi, n_s = n_pa * k, len(t)
     c = np.concatenate([np.zeros(n_pi), np.ones(2 * n_s)])
-    a_eq = np.zeros((n_s + n_pa, n_pi + 2 * n_s))
-    a_eq[:n_s, :n_pi] = a2
-    a_eq[:n_s, n_pi:n_pi + n_s] = -np.eye(n_s)
-    a_eq[:n_s, n_pi + n_s:] = np.eye(n_s)
-    for p in range(n_pa):
-        a_eq[n_s + p, p * k:(p + 1) * k] = 1.0
-    b_eq = np.concatenate([t, np.ones(n_pa)])
+    a_eq, b_eq = _matching_rows(a2, t, n_pa, k)
     bounds = [(0.0, 1.0)] * n_pi + [(0.0, None)] * (2 * n_s)
     res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
@@ -143,27 +133,22 @@ def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
 
 
 def _lp_closest(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int,
-                ref: np.ndarray, cap: float):
-    """Among policies with L1 residual <= cap, minimize L1 distance to ref."""
+                ref: np.ndarray, cap: float, weights: np.ndarray):
+    """Among policies with L1 residual <= cap, minimize the weighted L1
+    distance to ref; ``None`` when the LP fails."""
     n_pi, n_s = n_pa * k, len(t)
     n = n_pi + 2 * n_s + 2 * n_pi
-    c = np.concatenate([np.zeros(n_pi + 2 * n_s), np.ones(2 * n_pi)])
-    a_eq = np.zeros((n_s + n_pa + n_pi, n))
-    a_eq[:n_s, :n_pi] = a2
-    a_eq[:n_s, n_pi:n_pi + n_s] = -np.eye(n_s)
-    a_eq[:n_s, n_pi + n_s:n_pi + 2 * n_s] = np.eye(n_s)
-    for p in range(n_pa):
-        a_eq[n_s + p, p * k:(p + 1) * k] = 1.0
-    off = n_s + n_pa
-    a_eq[off:, :n_pi] = np.eye(n_pi)
-    a_eq[off:, n_pi + 2 * n_s:n_pi + 2 * n_s + n_pi] = -np.eye(n_pi)
-    a_eq[off:, n_pi + 2 * n_s + n_pi:] = np.eye(n_pi)
-    b_eq = np.concatenate([t, np.ones(n_pa), ref])
+    c = np.concatenate([np.zeros(n_pi + 2 * n_s), weights, weights])
+    a_match, b_match = _matching_rows(a2, t, n_pa, k, extra=2 * n_pi)
+    a_dist = np.zeros((n_pi, n))
+    a_dist[:, :n_pi] = np.eye(n_pi)
+    a_dist[:, n_pi + 2 * n_s:n_pi + 2 * n_s + n_pi] = -np.eye(n_pi)
+    a_dist[:, n_pi + 2 * n_s + n_pi:] = np.eye(n_pi)
     a_ub = np.zeros((1, n))
     a_ub[0, n_pi:n_pi + 2 * n_s] = 1.0
     bounds = [(0.0, 1.0)] * n_pi + [(0.0, None)] * (n - n_pi)
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=[cap],
-                  bounds=bounds, method="highs")
+    res = linprog(c, A_eq=np.vstack([a_match, a_dist]), b_eq=np.concatenate([b_match, ref]),
+                  A_ub=a_ub, b_ub=[cap], bounds=bounds, method="highs")
     if not res.success:
         return None
     return res.x[:n_pi]
@@ -175,15 +160,9 @@ def _as_policy(raw: np.ndarray, ph: PolicyFactor, in_doms: tuple[int, ...], k: i
     return Policy(ph.action, ph.inputs, k, in_doms, np.ascontiguousarray(table))
 
 
-def solve_policy(
-    formula: IdFormula,
-    observational: JointTable,
-    surrogate: Iterable[str],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Policy | Infeasible:
-    """Policy making the formula's surrogate distribution match the
-    observed one within ``tolerance`` (L1), else ``Infeasible`` with the
-    minimal achievable residual."""
+def _solve(formula: IdFormula, observational: JointTable, surrogate: Iterable[str],
+           tolerance: float) -> tuple[Policy | Infeasible, float]:
+    """``solve_policy``'s outcome together with its exact L1 residual."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s = len(t)
     n_pa = coeff.shape[1]
@@ -196,17 +175,30 @@ def solve_policy(
     best = _as_policy(raw, ph, in_doms, k)
     best_res = exact_residual(best)
     if best_res > tolerance:
-        return Infeasible(best_res)
+        return Infeasible(best_res), best_res
     ref = np.asarray(conditional_policy(observational, ph.action, ph.inputs).probs).reshape(-1)
     # an exactly feasible system gets a hard matching constraint so the
     # tie-break cannot smear a uniquely determined policy
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
-    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap)
+    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap, np.ones(n_pa * k))
     if raw2 is not None:
         cand = _as_policy(raw2, ph, in_doms, k)
-        if exact_residual(cand) <= max(tolerance, best_res):
-            return cand
-    return best
+        cand_res = exact_residual(cand)
+        if cand_res <= max(tolerance, best_res):
+            return cand, cand_res
+    return best, best_res
+
+
+def solve_policy(
+    formula: IdFormula,
+    observational: JointTable,
+    surrogate: Iterable[str],
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> Policy | Infeasible:
+    """Policy making the formula's surrogate distribution match the
+    observed one within ``tolerance`` (L1), else ``Infeasible`` with the
+    minimal achievable residual."""
+    return _solve(formula, observational, surrogate, tolerance)[0]
 
 
 def closest_imitating_policy(
@@ -223,10 +215,8 @@ def closest_imitating_policy(
     no weight).  Raises if no policy meets ``tolerance``.
     """
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
-    n_s = len(t)
     n_pa = coeff.shape[1]
-    n_pi = n_pa * k
-    a2 = coeff.reshape(n_s, n_pi)
+    a2 = coeff.reshape(len(t), n_pa * k)
     if (reference.inputs, reference.action) != (ph.inputs, ph.action):
         raise ValueError("reference policy does not match the formula placeholder")
     if in_doms:
@@ -235,27 +225,10 @@ def closest_imitating_policy(
         w_rows = np.ones(1)
     weights = np.repeat(w_rows, k) * 0.5
     ref = np.asarray(reference.probs).reshape(-1)
-    n = n_pi + 2 * n_s + 2 * n_pi
-    c = np.concatenate([np.zeros(n_pi + 2 * n_s), weights, weights])
-    a_eq = np.zeros((n_s + n_pa + n_pi, n))
-    a_eq[:n_s, :n_pi] = a2
-    a_eq[:n_s, n_pi:n_pi + n_s] = -np.eye(n_s)
-    a_eq[:n_s, n_pi + n_s:n_pi + 2 * n_s] = np.eye(n_s)
-    for p in range(n_pa):
-        a_eq[n_s + p, p * k:(p + 1) * k] = 1.0
-    off = n_s + n_pa
-    a_eq[off:, :n_pi] = np.eye(n_pi)
-    a_eq[off:, n_pi + 2 * n_s:n_pi + 2 * n_s + n_pi] = -np.eye(n_pi)
-    a_eq[off:, n_pi + 2 * n_s + n_pi:] = np.eye(n_pi)
-    b_eq = np.concatenate([t, np.ones(n_pa), ref])
-    a_ub = np.zeros((1, n))
-    a_ub[0, n_pi:n_pi + 2 * n_s] = 1.0
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=[tolerance],
-                  bounds=[(0.0, 1.0)] * n_pi + [(0.0, None)] * (n - n_pi),
-                  method="highs")
-    if not res.success:
+    raw = _lp_closest(a2, t, n_pa, k, ref, tolerance, weights)
+    if raw is None:
         raise ValueError("no policy imitates the surrogate distribution exactly")
-    policy = _as_policy(res.x[:n_pi], ph, in_doms, k)
+    policy = _as_policy(raw, ph, in_doms, k)
     dist = float(np.dot(weights, np.abs(np.asarray(policy.probs).reshape(-1) - ref)))
     return policy, dist
 
@@ -298,6 +271,19 @@ def surrogate_candidates(diagram: CausalDiagram, subspace: PolicySpace,
         yield frozenset({reward})
 
 
+def instruments(diagram: CausalDiagram, space: PolicySpace,
+                reward: str) -> Iterator[tuple[PolicySpace, frozenset[str], IdFormula]]:
+    """The instrument search: every identifiable policy subspace, then the
+    minimal surrogates within each, yielding ``(subspace, surrogate,
+    formula)`` for each pair whose surrogate distribution is identified."""
+    g_reward_obs = diagram.with_observed({reward})
+    for subspace in list_id_subspaces(g_reward_obs, space, {reward}):
+        for surrogate in surrogate_candidates(diagram, subspace, reward):
+            formula = identify_policy(diagram, subspace, surrogate)
+            if formula is not None:
+                yield subspace, surrogate, formula
+
+
 def imitate_pipeline(
     diagram: CausalDiagram,
     space: PolicySpace,
@@ -307,32 +293,25 @@ def imitate_pipeline(
 ) -> ImitationResult:
     """Full decision procedure: graphical criteria first, then the
     instrument search with the linear solver."""
-    pa = direct_parents_imitable(diagram, space)
-    if pa is not None:
-        policy = conditional_policy(observational, space.action, pa)
-        return ImitationResult("imitable-graphical", policy, frozenset(pa), 0.0)
-    z = find_pi_backdoor(diagram, space, reward)
-    if z is not None:
-        policy = conditional_policy(observational, space.action, z)
-        return ImitationResult("imitable-graphical", policy, frozenset(z), 0.0)
+    missing = diagram.observed - set(observational.variables)
+    if missing:
+        raise ValueError("the table has no column for observed node(s) " + " ".join(sorted(missing)))
+    _status, witness = graphical_verdict(diagram, space, reward)
+    if witness is not None:
+        policy = conditional_policy(observational, space.action, witness)
+        return ImitationResult("imitable-graphical", policy, frozenset(witness), 0.0)
 
-    g_reward_obs = diagram.with_observed({reward})
     best_residual: float | None = None
-    for subspace in list_id_subspaces(g_reward_obs, space, {reward}):
-        for surrogate in surrogate_candidates(diagram, subspace, reward):
-            formula = identify_policy(diagram, subspace, surrogate)
-            if formula is None:
-                continue
-            if not has_policy_factor(formula):
-                # the action cannot reach the surrogate: every policy works
-                policy = conditional_policy(observational, space.action, subspace.inputs)
-                return ImitationResult("p-imitable", policy, (surrogate, subspace), 0.0)
-            outcome = solve_policy(formula, observational, surrogate, tolerance)
-            if isinstance(outcome, Policy):
-                coeff_residual = solve_residual(formula, observational, surrogate, outcome)
-                return ImitationResult("p-imitable", outcome, (surrogate, subspace), coeff_residual)
-            if best_residual is None or outcome.residual < best_residual:
-                best_residual = outcome.residual
+    for subspace, surrogate, formula in instruments(diagram, space, reward):
+        if not has_policy_factor(formula):
+            # the action cannot reach the surrogate: every policy works
+            policy = conditional_policy(observational, space.action, subspace.inputs)
+            return ImitationResult("p-imitable", policy, (surrogate, subspace), 0.0)
+        outcome, residual = _solve(formula, observational, surrogate, tolerance)
+        if isinstance(outcome, Policy):
+            return ImitationResult("p-imitable", outcome, (surrogate, subspace), residual)
+        if best_residual is None or residual < best_residual:
+            best_residual = residual
     if best_residual is None:
         return ImitationResult("no-instrument-found", None, None, None)
     return ImitationResult("infeasible", None, None, best_residual)

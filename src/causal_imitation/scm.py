@@ -508,9 +508,12 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
             if pending is None:
                 raise ParseError("distribution row outside a mech block", lineno)
             try:
-                pending[4].append([float(t) for t in tokens])
+                row = [float(t) for t in tokens]
             except ValueError:
                 raise ParseError("malformed probability row", lineno) from None
+            if len(row) != domains[pending[1]]:
+                raise ParseError(f"expected {domains[pending[1]]} probabilities per row", lineno)
+            pending[4].append(row)
             continue
         flush()
         kind = tokens[0]
@@ -521,13 +524,18 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                 raise ParseError("expected 'domain <node> <k>'", lineno)
             if tokens[1] in domains:
                 raise ParseError(f"duplicate domain for {tokens[1]}", lineno)
+            if not tokens[2].isdecimal() or int(tokens[2]) < 1:
+                raise ParseError("domain size must be a positive integer", lineno)
             domains[tokens[1]] = int(tokens[2])
         elif kind == "exo":
             if len(tokens) < 3:
                 raise ParseError("expected 'exo <name> <p...>'", lineno)
             if tokens[1] in exogenous:
                 raise ParseError(f"duplicate exogenous {tokens[1]}", lineno)
-            exogenous[tokens[1]] = [float(t) for t in tokens[2:]]
+            try:
+                exogenous[tokens[1]] = [float(t) for t in tokens[2:]]
+            except ValueError:
+                raise ParseError("malformed exogenous probabilities", lineno) from None
         elif kind == "mech":
             if "given" not in tokens or "exo" not in tokens:
                 raise ParseError("expected 'mech <node> given <parents...> exo <names...>'", lineno)

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from causal_imitation import fixtures
+from causal_imitation import experiments, fixtures
 from causal_imitation.cli import format_distribution, main, parse_distribution_text
 from causal_imitation.diagram import format_diagram, parse_diagram_text
 from causal_imitation.errors import ParseError
 from causal_imitation.scm import format_scm, observational, parse_scm_file, parse_scm_text
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -80,6 +84,18 @@ def test_imitate_strict_exit_code(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("graph, scm, missing", [
+    ("frontdoor_confounded", "frontdoor_mix", "S"),
+    ("backdoor_observed", "highway_xor", "Y"),
+    ("highway_opaque", "frontdoor_mix", "Z"),
+])
+def test_imitate_rejects_table_missing_observed_nodes(capsys, graph, scm, missing):
+    rc = main(["imitate", "--graph", graph, "--scm", scm])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+
+
 def test_imitate_from_distribution_file(tmp_path, capsys):
     table = observational(fixtures.scm_fixture("frontdoor_mix"))
     path = tmp_path / "obs.dist"
@@ -120,6 +136,14 @@ def test_experiment_reports_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("kwargs, golden", [
+    ({"models": 200}, "frontdoor_study_m200.txt"),
+    ({"models": 100, "samples": 100_000}, "frontdoor_study_m100_s100000.txt"),
+])
+def test_frontdoor_study_report_bytes(kwargs, golden):
+    assert experiments.frontdoor_study(seed=0, **kwargs) == (DATA / golden).read_text()
+
+
 def test_experiment_highway(capsys):
     rc, out = run(capsys, "experiment", "highway-binary")
     assert rc == 0
@@ -155,6 +179,26 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("line, bad", [
+    (3, "domain X two"),
+    (3, "domain X 0"),
+    (5, "exo UW 0.9 heavy"),
+    (10, "  0.0 1.0 0.0"),
+])
+def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    (tmp_path / "g.graph").write_text(format_diagram(case.diagram, case.space))
+    lines = format_scm(fixtures.scm_fixture("frontdoor_mix"), "g.graph").splitlines()
+    lines[line - 1] = bad
+    path = tmp_path / "bad.scm"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        parse_scm_file(path)
+    assert exc.value.line == line
+    assert main(["simulate", "--scm", str(path), "--n", "1"]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_distribution_roundtrip():

@@ -7,7 +7,6 @@ from causal_imitation.diagram import (
     CausalDiagram,
     PolicySpace,
     augment_policy,
-    closure,
     d_separated,
     format_diagram,
     hat_name,
@@ -49,27 +48,27 @@ def test_validate_self_loop():
     assert any("self-loop" in p for p in validate(d))
 
 
-# ---------------------------------------------------------------------- closure
+# ---------------------------------------------------------------------- ancestors / descendants
 
 def test_descendants_chain():
     d = fig("frontdoor_latent").diagram
-    assert closure(d, {"X"}, "descendants") == {"X", "W", "S", "Y"}
+    assert d.descendants({"X"}) == {"X", "W", "S", "Y"}
 
 
 def test_ancestors_empty_seed():
     d = fig("highway_opaque").diagram
-    assert closure(d, set(), "ancestors") == frozenset()
+    assert d.ancestors(set()) == frozenset()
 
 
 def test_ancestors_reward():
     # transitive closure over the intro-highway edges, worked by hand
     d = fig("highway_opaque").diagram
-    assert closure(d, {"Y"}, "ancestors") == {"Y", "X", "Z", "L"}
+    assert d.ancestors({"Y"}) == {"Y", "X", "Z", "L"}
 
 
 def test_closure_unknown_node():
     with pytest.raises(ValueError):
-        closure(fig("chain_latent").diagram, {"Q"}, "ancestors")
+        fig("chain_latent").diagram.ancestors({"Q"})
 
 
 @given(st.integers(0, 2000), st.integers(2, 7))
