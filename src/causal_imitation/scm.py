@@ -2,7 +2,9 @@
 
 Every distribution in the project bottoms out here: joints are computed by
 exhaustive enumeration over exogenous configurations, so fixtures double as
-ground-truth oracles.  Mechanisms are stochastic tables (deterministic
+ground-truth oracles.  The enumeration is blocked and vectorized, and its
+values are still exact: bit for bit those of a loop over single
+configurations.  Mechanisms are stochastic tables (deterministic
 functions are the 0/1 special case); bidirected edges in the diagram are
 realized by shared exogenous variables.
 """
@@ -25,6 +27,7 @@ from .diagram import (
 from .errors import ParseError, TooLargeError
 
 CONFIG_CAP = 10**7
+_BLOCK_CELLS = 1 << 18
 ROW_TOL = 1e-12
 MASS_TOL = 1e-9
 
@@ -178,6 +181,16 @@ def conditional_policy(observational: JointTable, action: str, inputs: Iterable[
     return Policy(action, ins, k, doms, np.ascontiguousarray(rows))
 
 
+def _bad_rows(table: np.ndarray) -> np.ndarray:
+    """Mask of the rows along the last axis that are not distributions."""
+    return (table < -ROW_TOL).any(axis=-1) | ~np.isclose(table.sum(axis=-1), 1.0, atol=ROW_TOL)
+
+
+def _is_distribution(probs: np.ndarray) -> bool:
+    """``probs`` is nonnegative and sums to 1 within ``ROW_TOL``."""
+    return not (probs < -ROW_TOL).any() and abs(float(probs.sum()) - 1.0) <= ROW_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class Mechanism:
     """Stochastic table for one endogenous node.
@@ -194,8 +207,7 @@ class Mechanism:
     def __post_init__(self):
         if tuple(sorted(self.parents)) != self.parents or tuple(sorted(self.exo)) != self.exo:
             raise ValueError("mechanism parents and exo names must be sorted")
-        rows = self.table.sum(axis=-1)
-        if (self.table < -ROW_TOL).any() or not np.allclose(rows, 1.0, atol=ROW_TOL):
+        if _bad_rows(self.table).any():
             raise ValueError(f"mechanism rows for {self.node} must be distributions")
         self.table.setflags(write=False)
 
@@ -234,7 +246,7 @@ class DiscreteSCM:
         dom = dict(self.domains)
         exo_dom = {}
         for name, probs in self.exogenous:
-            if (probs < -ROW_TOL).any() or abs(float(probs.sum()) - 1.0) > ROW_TOL:
+            if not _is_distribution(probs):
                 raise ValueError(f"exogenous {name} is not a distribution")
             if name in dom:
                 raise ValueError(f"exogenous {name} clashes with an endogenous node")
@@ -293,30 +305,66 @@ class DiscreteSCM:
 
 
 def joint(scm: DiscreteSCM) -> JointTable:
-    """Exact joint over all endogenous nodes by exogenous enumeration."""
+    """Exact joint over all endogenous nodes by exogenous enumeration.
+
+    The exogenous configurations are enumerated in ``np.ndindex`` order over
+    the sorted exogenous names, in blocks of at most ``_BLOCK_CELLS``
+    configuration × endogenous cells, each block one broadcast product.
+    Every cell still sees the operations of a loop over single
+    configurations in the same order: the weight ``1.0 · p₁[u₁] · p₂[u₂] …``,
+    times each mechanism in sorted node order, added to the running total
+    configuration after configuration.  The values are therefore exact and
+    bit-identical to that loop.  A configuration of weight zero, which the
+    loop may skip, adds zeros here and changes no value.
+    """
     dom = dict(scm.domains)
     endo_vars = tuple(sorted(scm.diagram.nodes))
     endo_count = math.prod(dom[v] for v in endo_vars)
     exo_dims = tuple(len(p) for _, p in scm.exogenous)
     exo_names = tuple(name for name, _ in scm.exogenous)
-    if endo_count * max(1, math.prod(exo_dims)) > CONFIG_CAP:
+    n_configs = math.prod(exo_dims)
+    if endo_count * max(1, n_configs) > CONFIG_CAP:
         raise TooLargeError("joint enumeration exceeds the configuration cap")
     shape = tuple(dom[v] for v in endo_vars)
-    total = np.zeros(shape)
+    exo_dom = dict(zip(exo_names, exo_dims))
     mechs = {m.node: m for m in scm.mechanisms}
-    for exo_config in np.ndindex(*exo_dims) if exo_dims else [()]:
-        weight = 1.0
-        for (name, probs), value in zip(scm.exogenous, exo_config):
-            weight *= float(probs[value])
-        if weight == 0.0:
-            continue
-        acc = np.full(shape, weight)
-        exo_value = dict(zip(exo_names, exo_config))
-        for node in endo_vars:
-            m = mechs[node]
-            sl = m.table[(slice(None),) * len(m.parents) + tuple(exo_value[u] for u in m.exo)]
-            acc = acc * broadcast_to_vars(sl, m.parents + (node,), endo_vars)
-        total += acc
+    # Each mechanism as (exo names, exo sizes, table): the endogenous axes are
+    # aligned to endo_vars and the exogenous axes are folded into one last
+    # axis, which a block indexes with its configurations.  "" names that
+    # axis while aligning: it sorts first, and validation rejects empty node
+    # names.
+    factors = []
+    for node in endo_vars:
+        m = mechs[node]
+        k, e = len(m.parents), len(m.exo)
+        table = m.table.transpose(*range(k, k + e), *range(k), k + e)
+        table = table.reshape((-1,) + table.shape[e:])
+        table = broadcast_to_vars(table, ("",) + m.parents + (node,), ("",) + endo_vars)
+        factors.append((m.exo, tuple(exo_dom[u] for u in m.exo),
+                        table.transpose(*range(1, table.ndim), 0)))
+    step = max(1, _BLOCK_CELLS // endo_count)
+    total = np.zeros(shape)
+    for start in range(0, n_configs, step):
+        configs = np.arange(start, min(start + step, n_configs))
+        exo_value = dict(zip(exo_names, np.unravel_index(configs, exo_dims))) if exo_dims else {}
+        weight = np.ones(len(configs))
+        for name, probs in scm.exogenous:
+            weight *= probs[exo_value[name]]
+        # configurations last while multiplying, so numpy's inner loops run
+        # along them rather than along a short endogenous axis
+        block = np.empty(shape + (len(configs),))
+        block[...] = weight
+        for exo, sizes, table in factors:
+            if exo:
+                table = table[..., np.ravel_multi_index(tuple(exo_value[u] for u in exo), sizes)]
+            block *= table
+        # row 0 carries the running total; rows 1.. are this block's configurations
+        acc = np.empty((len(configs) + 1,) + shape)
+        acc[0] = total
+        acc[1:] = block.transpose(len(shape), *range(len(shape)))
+        # numpy reduces an outer axis row after row, but sums a lone reduced
+        # axis (a one-cell table: no endogenous node) pairwise
+        total = np.add.reduce(acc, axis=0) if total.size > 1 else np.add.accumulate(acc)[-1]
     return JointTable(endo_vars, shape, total)
 
 
@@ -485,17 +533,21 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
     domains: dict[str, int] = {}
     exogenous: dict[str, list[float]] = {}
     mechanisms: list[Mechanism] = []
-    pending: tuple[int, str, tuple[str, ...], tuple[str, ...], list[list[float]], int] | None = None
+    pending: tuple[int, str, tuple[str, ...], tuple[str, ...], list[list[float]], list[int], int] | None = None
 
     def flush():
         nonlocal pending
         if pending is None:
             return
-        lineno, node, parents, exo, rows, needed = pending
+        lineno, node, parents, exo, rows, row_lines, needed = pending
         if len(rows) != needed:
             raise ParseError(f"mechanism for {node} expects {needed} rows, got {len(rows)}", lineno)
+        table = np.array(rows, dtype=float)
+        bad = np.flatnonzero(_bad_rows(table))
+        if bad.size:
+            raise ParseError(f"mechanism rows for {node} must be distributions", row_lines[bad[0]])
         dom_sizes = tuple(domains[p] for p in parents) + tuple(len(exogenous[u]) for u in exo)
-        table = np.array(rows, dtype=float).reshape(dom_sizes + (domains[node],))
+        table = table.reshape(dom_sizes + (domains[node],))
         mechanisms.append(Mechanism(node, parents, exo, table))
         pending = None
 
@@ -514,6 +566,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
             if len(row) != domains[pending[1]]:
                 raise ParseError(f"expected {domains[pending[1]]} probabilities per row", lineno)
             pending[4].append(row)
+            pending[5].append(lineno)
             continue
         flush()
         kind = tokens[0]
@@ -536,6 +589,8 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                 exogenous[tokens[1]] = [float(t) for t in tokens[2:]]
             except ValueError:
                 raise ParseError("malformed exogenous probabilities", lineno) from None
+            if not _is_distribution(np.array(exogenous[tokens[1]])):
+                raise ParseError(f"exogenous {tokens[1]} is not a distribution", lineno)
         elif kind == "mech":
             if "given" not in tokens or "exo" not in tokens:
                 raise ParseError("expected 'mech <node> given <parents...> exo <names...>'", lineno)
@@ -554,7 +609,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
             needed = math.prod(
                 [domains[p] for p in parents] + [len(exogenous[u]) for u in exo]
             )
-            pending = (lineno, node, parents, exo, [], needed)
+            pending = (lineno, node, parents, exo, [], [], needed)
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
     flush()

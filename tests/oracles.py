@@ -2,17 +2,21 @@
 
 Nothing here shares code with the production algorithms: separation is
 decided by enumerating paths, policy effects by direct summation over every
-configuration, and enumerators by filtering all subsets.
+configuration, the exact joint one exogenous configuration at a time (with
+only the axis-alignment helper ``broadcast_to_vars`` borrowed), and
+enumerators by filtering all subsets.
 """
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 
 import numpy as np
 
 from causal_imitation.diagram import CausalDiagram, PolicySpace, d_separated
+from causal_imitation.errors import TooLargeError
 from causal_imitation.identify import identify_policy
-from causal_imitation.scm import DiscreteSCM, JointTable, Policy
+from causal_imitation.scm import CONFIG_CAP, DiscreteSCM, JointTable, Policy, broadcast_to_vars
 
 
 def subsets(items):
@@ -65,6 +69,35 @@ def brute_id_subspaces(diagram, space: PolicySpace, outcome) -> list[frozenset]:
         if identify_policy(diagram, PolicySpace(space.action, frozenset(s)), outcome) is not None:
             out.append(frozenset(s))
     return sorted(out, key=lambda s: tuple(sorted(s)))
+
+
+def joint_enumeration(scm: DiscreteSCM) -> JointTable:
+    """Exact joint over all endogenous nodes, one exogenous configuration at
+    a time: the loop that ``scm.joint`` vectorizes, kept as its reference."""
+    dom = dict(scm.domains)
+    endo_vars = tuple(sorted(scm.diagram.nodes))
+    endo_count = math.prod(dom[v] for v in endo_vars)
+    exo_dims = tuple(len(p) for _, p in scm.exogenous)
+    exo_names = tuple(name for name, _ in scm.exogenous)
+    if endo_count * max(1, math.prod(exo_dims)) > CONFIG_CAP:
+        raise TooLargeError("joint enumeration exceeds the configuration cap")
+    shape = tuple(dom[v] for v in endo_vars)
+    total = np.zeros(shape)
+    mechs = {m.node: m for m in scm.mechanisms}
+    for exo_config in np.ndindex(*exo_dims) if exo_dims else [()]:
+        weight = 1.0
+        for (name, probs), value in zip(scm.exogenous, exo_config):
+            weight *= float(probs[value])
+        if weight == 0.0:
+            continue
+        acc = np.full(shape, weight)
+        exo_value = dict(zip(exo_names, exo_config))
+        for node in endo_vars:
+            m = mechs[node]
+            sl = m.table[(slice(None),) * len(m.parents) + tuple(exo_value[u] for u in m.exo)]
+            acc = acc * broadcast_to_vars(sl, m.parents + (node,), endo_vars)
+        total += acc
+    return JointTable(endo_vars, shape, total)
 
 
 def policy_joint_enumeration(scm: DiscreteSCM, policy: Policy) -> JointTable:

@@ -185,7 +185,10 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     (3, "domain X two"),
     (3, "domain X 0"),
     (5, "exo UW 0.9 heavy"),
+    (5, "exo UW 0.5 0.1"),
+    (5, "exo UW nan 1.0"),
     (10, "  0.0 1.0 0.0"),
+    (10, "  0.5 0.1"),
 ])
 def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     case = fixtures.diagram_fixture("frontdoor_observed")

@@ -320,3 +320,29 @@ def test_pipeline_sound_on_random_environments():
             returned += 1
             assert verify_policy(scm, res.policy, {reward}) <= 1e-6, trial
     assert returned > 10
+
+
+def test_pipeline_sound_on_larger_random_environments():
+    # the same soundness check on 8-10 node diagrams
+    from causal_imitation.diagram import validate_space
+    from oracles import random_diagram
+
+    rng = np.random.default_rng(99)
+    returned = 0
+    for trial in range(60):
+        d = random_diagram(rng, int(rng.integers(8, 11)), p_bi=0.1, latent_fraction=0.3)
+        obs_nodes = sorted(d.observed)
+        candidates = [(x, y) for x in obs_nodes for y in sorted(d.descendants({x}, False))
+                      if y != x]
+        if not candidates:
+            continue
+        action, reward = candidates[int(rng.integers(len(candidates)))]
+        eligible = [z for z in obs_nodes if z not in (action, reward)
+                    and not validate_space(d, PolicySpace.create(action, {z}))]
+        space = PolicySpace.create(action, {z for z in eligible if rng.uniform() < 0.6})
+        scm = random_scm(d, seed=trial)
+        res = imitate_pipeline(d, space, observational(scm), reward)
+        if res.policy is not None:
+            returned += 1
+            assert verify_policy(scm, res.policy, {reward}) <= 1e-6, trial
+    assert returned >= 30

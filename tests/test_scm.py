@@ -5,6 +5,7 @@ from causal_imitation import fixtures
 from causal_imitation.diagram import CausalDiagram
 from causal_imitation.errors import TooLargeError
 from causal_imitation.scm import (
+    _BLOCK_CELLS,
     DiscreteSCM,
     Mechanism,
     Policy,
@@ -22,7 +23,7 @@ from causal_imitation.scm import (
     uniform_policy,
 )
 
-from oracles import policy_joint_enumeration
+from oracles import joint_enumeration, policy_joint_enumeration, random_diagram
 
 
 def test_intro_highway_expert_reward():
@@ -77,6 +78,37 @@ def test_policy_joint_matches_direct_enumeration():
         got = joint(intervene(m, pol))
         want = policy_joint_enumeration(m, pol)
         assert got.l1(want) < 1e-12, name
+
+
+def test_joint_bit_identical_to_enumeration():
+    # the vectorized joint performs each cell's operations in the order of
+    # the per-configuration loop, so equality is exact, not within a tolerance
+    models = [fixtures.scm_fixture(name) for name in fixtures.scm_names()]
+    models += [random_frontdoor(seed) for seed in range(200)]
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        d = random_diagram(rng, int(rng.integers(3, 9)), latent_fraction=0.3)
+        models += [random_scm(d, seed=trial, domains=k) for k in (2, 3)]
+    # zero-weight exogenous configurations in the middle of the enumeration
+    d = CausalDiagram.create(observed="AB", directed=[("A", "B")], bidirected=[("A", "B")])
+    models.append(DiscreteSCM.create(
+        d, {"A": 2, "B": 3}, {"U": [0.25, 0.0, 0.75], "V": [0.0, 1.0]},
+        [Mechanism("A", (), ("U", "V"), rng.dirichlet([1, 1], size=(3, 2))),
+         Mechanism("B", ("A",), ("U",), rng.dirichlet([1, 1, 1], size=(2, 3)))],
+    ))
+    # no endogenous node: the joint is a single cell summing 16 weights
+    models.append(DiscreteSCM.create(
+        CausalDiagram.create(observed=[]), {},
+        {f"U{i}": [p, 1.0 - p] for i, p in enumerate((0.1, 0.37, 0.5, 0.83))}, [],
+    ))
+    # 2**10 endogenous x 2**9 exogenous cells: more than one block
+    names = [f"N{i}" for i in range(10)]
+    chain = list(zip(names, names[1:]))
+    d = CausalDiagram.create(observed=names, directed=chain, bidirected=chain)
+    assert 2**10 * 2**9 > _BLOCK_CELLS
+    models.append(random_scm(d, seed=3))
+    for i, m in enumerate(models):
+        assert np.array_equal(joint(m).probs, joint_enumeration(m).probs), i
 
 
 def test_d_separation_implies_independence_in_fixture_models():
