@@ -28,6 +28,8 @@ from .imitate import (
 )
 from .criteria import find_pi_backdoor
 from .scm import (
+    MASS_TOL,
+    ROW_TOL,
     DiscreteSCM,
     JointTable,
     empirical_observational,
@@ -58,6 +60,8 @@ def parse_distribution_text(text: str) -> JointTable:
             p = float(tokens[-1])
         except ValueError:
             raise ParseError("malformed row", lineno) from None
+        if not (math.isfinite(p) and p >= -ROW_TOL):
+            raise ParseError(f"probability {tokens[-1]} is not a finite nonnegative number", lineno)
         if config in rows:
             raise ParseError(f"duplicate configuration {config}", lineno)
         rows[config] = p
@@ -73,6 +77,9 @@ def parse_distribution_text(text: str) -> JointTable:
     probs = np.zeros(domains)
     for config, p in rows.items():
         probs[tuple(config[i] for i in order)] = p
+    mass = float(probs.sum())
+    if not abs(mass - 1.0) <= MASS_TOL:
+        raise ParseError(f"probabilities sum to {mass}, not 1")
     return JointTable(variables, domains, probs)
 
 
@@ -108,6 +115,12 @@ def _space_from_args(args, default_space: PolicySpace | None) -> PolicySpace:
     return PolicySpace.create(action, ())
 
 
+def _problem(args) -> tuple[CausalDiagram, PolicySpace, str]:
+    """The diagram, policy space and reward named by the graph flags."""
+    diagram, space0, reward0 = _load_graph(args.graph)
+    return diagram, _space_from_args(args, space0), args.reward or reward0 or "Y"
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
         Path(args.out).write_text(text)
@@ -116,9 +129,7 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_check(args) -> int:
-    diagram, space0, reward0 = _load_graph(args.graph)
-    space = _space_from_args(args, space0)
-    reward = args.reward or reward0 or "Y"
+    diagram, space, reward = _problem(args)
     status, witness = graphical_verdict(diagram, space, reward)
     lines = [f"verdict {status}"]
     if witness is not None:
@@ -130,18 +141,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_backdoor(args) -> int:
-    diagram, space0, reward0 = _load_graph(args.graph)
-    space = _space_from_args(args, space0)
-    reward = args.reward or reward0 or "Y"
+    diagram, space, reward = _problem(args)
     z = find_pi_backdoor(diagram, space, reward, minimal=args.minimal)
     _emit(args, ("admissible " + (" ".join(sorted(z)) or "-") if z is not None else "admissible none") + "\n")
     return 0
 
 
 def _cmd_surrogates(args) -> int:
-    diagram, space0, reward0 = _load_graph(args.graph)
-    space = _space_from_args(args, space0)
-    reward = args.reward or reward0 or "Y"
+    diagram, space, reward = _problem(args)
     lines = []
     for s in surrogate_candidates(diagram, space, reward):
         lines.append("surrogate " + (" ".join(sorted(s)) or "-"))
@@ -150,9 +157,7 @@ def _cmd_surrogates(args) -> int:
 
 
 def _cmd_instruments(args) -> int:
-    diagram, space0, reward0 = _load_graph(args.graph)
-    space = _space_from_args(args, space0)
-    reward = args.reward or reward0 or "Y"
+    diagram, space, reward = _problem(args)
     lines = [
         "instrument surrogate " + (" ".join(sorted(s)) or "-")
         + " subspace_inputs " + (" ".join(sorted(subspace.inputs)) or "-")
@@ -164,9 +169,7 @@ def _cmd_instruments(args) -> int:
 
 
 def _cmd_imitate(args) -> int:
-    diagram, space0, reward0 = _load_graph(args.graph)
-    space = _space_from_args(args, space0)
-    reward = args.reward or reward0 or "Y"
+    diagram, space, reward = _problem(args)
     tolerance = DEFAULT_TOLERANCE
     if args.dist:
         table = parse_distribution_text(Path(args.dist).read_text())

@@ -250,12 +250,6 @@ class PolicySpace:
     def create(action: str, inputs: Iterable[str] = ()) -> "PolicySpace":
         return PolicySpace(action, frozenset(inputs))
 
-    def subspace(self, inputs: Iterable[str]) -> "PolicySpace":
-        sub = frozenset(inputs)
-        if not sub <= self.inputs:
-            raise ValueError("subspace inputs must be a subset of the space inputs")
-        return PolicySpace(self.action, sub)
-
 
 def validate_space(diagram: CausalDiagram, space: PolicySpace) -> list[str]:
     """Violations of the policy-space invariants against ``diagram``."""

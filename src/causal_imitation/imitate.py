@@ -81,7 +81,13 @@ class ImitationResult:
 def _linear_system(formula: IdFormula, observational: JointTable,
                    surrogate: Iterable[str]):
     """Coefficients A[s, pa, x] and target t[s] of the affine system
-    sum_{pa,x} A[s,pa,x] pi[pa,x] = t[s]."""
+    sum_{pa,x} A[s,pa,x] pi[pa,x] = t[s].
+
+    One evaluation gives every column: the policy slot is bound to the
+    identity over the n_pa * k policy cells, stacked along an extra axis
+    named ``""`` (it sorts first and cannot clash with a node).  That axis
+    is outermost in memory, so each column is summed in the same order as
+    an evaluation at its own one-hot policy, bit for bit."""
     ph = find_policy_factor(formula)
     if ph is None:
         raise ValueError("formula has no policy placeholder")
@@ -91,20 +97,17 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     domains = observational.domain_map()
     in_doms = tuple(domains[z] for z in ph.inputs)
     k = domains[ph.action]
-    n_pa = math.prod(in_doms) if in_doms else 1
-    n_s = math.prod(domains[v] for v in svars) if svars else 1
-    target_names = tuple(sorted(ph.inputs + (ph.action,)))
-    coeff = np.zeros((n_s, n_pa, k))
-    for pa_i in range(n_pa):
-        pa_config = np.unravel_index(pa_i, in_doms) if in_doms else ()
-        for x in range(k):
-            basis = np.zeros(in_doms + (k,))
-            basis[tuple(pa_config) + (x,)] = 1.0
-            axes = (target_names, broadcast_to_vars(basis, ph.inputs + (ph.action,), target_names))
-            vs, arr = _eval(formula, observational, axes, domains)
-            arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
-            coeff[:, pa_i, x] = arr.reshape(-1)
+    n_pa = math.prod(in_doms)
+    domains[""] = n_pa * k
+    axes = ("",) + ph.inputs + (ph.action,)
+    target_names = tuple(sorted(axes))
+    basis = np.eye(n_pa * k).reshape((n_pa * k,) + in_doms + (k,))
+    policy_axes = (target_names, broadcast_to_vars(basis, axes, target_names))
+    vs, arr = _eval(formula, observational, policy_axes, domains)
+    arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
     t = observational.marginal(svars).probs.reshape(-1)
+    # C order, as the loop filled it: the residual's matrix product reads it
+    coeff = np.ascontiguousarray(np.moveaxis(arr, 0, -1)).reshape(len(t), n_pa, k)
     return coeff, t, ph, in_doms, k
 
 
@@ -315,11 +318,3 @@ def imitate_pipeline(
     if best_residual is None:
         return ImitationResult("no-instrument-found", None, None, None)
     return ImitationResult("infeasible", None, None, best_residual)
-
-
-def solve_residual(formula: IdFormula, observational: JointTable,
-                   surrogate: Iterable[str], policy: Policy) -> float:
-    """L1 residual of a policy against the formula's matching constraint."""
-    coeff, t, _ph, _in, k = _linear_system(formula, observational, surrogate)
-    a2 = coeff.reshape(len(t), -1)
-    return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())

@@ -67,14 +67,9 @@ class JointTable:
         if (self.probs < -ROW_TOL).any():
             raise ValueError("negative probability")
         mass = float(self.probs.sum())
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"table mass {mass} is not 1")
         self.probs.setflags(write=False)
-
-    @staticmethod
-    def create(variables: Iterable[str], domains: Mapping[str, int], probs: np.ndarray) -> "JointTable":
-        vs = tuple(sorted(variables))
-        return JointTable(vs, tuple(domains[v] for v in vs), np.ascontiguousarray(probs, dtype=float))
 
     def domain_of(self, var: str) -> int:
         return self.domains[self.variables.index(var)]
@@ -278,15 +273,6 @@ class DiscreteSCM:
                             f"exogenous {name} confounds {a} and {b} but the diagram "
                             f"declares no bidirected edge between them"
                         )
-
-    def domain_of(self, node: str) -> int:
-        return dict(self.domains)[node]
-
-    def mechanism(self, node: str) -> Mechanism:
-        for m in self.mechanisms:
-            if m.node == node:
-                return m
-        raise KeyError(node)
 
     def equals(self, other: "DiscreteSCM") -> bool:
         if self.diagram != other.diagram or self.domains != other.domains:

@@ -15,7 +15,7 @@ import numpy as np
 
 from causal_imitation.diagram import CausalDiagram, PolicySpace, d_separated
 from causal_imitation.errors import TooLargeError
-from causal_imitation.identify import identify_policy
+from causal_imitation.identify import _eval, find_policy_factor, free_variables, identify_policy
 from causal_imitation.scm import CONFIG_CAP, DiscreteSCM, JointTable, Policy, broadcast_to_vars
 
 
@@ -98,6 +98,36 @@ def joint_enumeration(scm: DiscreteSCM) -> JointTable:
             acc = acc * broadcast_to_vars(sl, m.parents + (node,), endo_vars)
         total += acc
     return JointTable(endo_vars, shape, total)
+
+
+def linear_system_by_basis(formula, observational: JointTable, surrogate):
+    """Coefficients A[s, pa, x] and target t[s] of the policy formula's
+    affine system, one evaluation per one-hot policy: the loop that
+    ``imitate._linear_system`` replaces by a single evaluation."""
+    ph = find_policy_factor(formula)
+    if ph is None:
+        raise ValueError("formula has no policy placeholder")
+    svars = tuple(sorted(frozenset(surrogate)))
+    if frozenset(free_variables(formula)) != frozenset(svars):
+        raise ValueError("formula free variables do not match the surrogate set")
+    domains = observational.domain_map()
+    in_doms = tuple(domains[z] for z in ph.inputs)
+    k = domains[ph.action]
+    n_pa = math.prod(in_doms) if in_doms else 1
+    n_s = math.prod(domains[v] for v in svars) if svars else 1
+    target_names = tuple(sorted(ph.inputs + (ph.action,)))
+    coeff = np.zeros((n_s, n_pa, k))
+    for pa_i in range(n_pa):
+        pa_config = np.unravel_index(pa_i, in_doms) if in_doms else ()
+        for x in range(k):
+            basis = np.zeros(in_doms + (k,))
+            basis[tuple(pa_config) + (x,)] = 1.0
+            axes = (target_names, broadcast_to_vars(basis, ph.inputs + (ph.action,), target_names))
+            vs, arr = _eval(formula, observational, axes, domains)
+            arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
+            coeff[:, pa_i, x] = arr.reshape(-1)
+    t = observational.marginal(svars).probs.reshape(-1)
+    return coeff, t, ph, in_doms, k
 
 
 def policy_joint_enumeration(scm: DiscreteSCM, policy: Policy) -> JointTable:

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,8 @@ def test_simulate_rejects_zero_rows(capsys):
 def test_experiment_reports_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["experiment", "frontdoor-study", "--models", "12", "--out", str(out1)]) == 0
-    assert main(["experiment", "frontdoor-study", "--models", "12", "--out", str(out2)]) == 0
+    assert main(["experiment", "frontdoor-study", "--models", "12", "--workers", "2",
+                 "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -214,3 +216,23 @@ def test_distribution_roundtrip():
 def test_distribution_requires_all_rows():
     with pytest.raises(ParseError, match="every configuration"):
         parse_distribution_text("A B\n0 0 0.5\n1 1 0.5\n")
+
+
+@pytest.mark.parametrize("value, message, line", [
+    ("nan", "probability nan is not a finite nonnegative number", 7),
+    ("inf", "probability inf is not a finite nonnegative number", 7),
+    ("-0.0625", "probability -0.0625 is not a finite nonnegative number", 7),
+    ("0.5", "probabilities sum to 1.4375, not 1", None),
+])
+def test_distribution_rejects_bad_probabilities(tmp_path, capsys, value, message, line):
+    # a uniform 16-row S W X Y table with its sixth row replaced
+    rows = [" ".join(str(v) for v in np.unravel_index(i, (2, 2, 2, 2)))
+            + " " + (value if i == 5 else "0.0625") for i in range(16)]
+    text = "S W X Y\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_distribution_text(text)
+    assert exc.value.line == line
+    path = tmp_path / "bad.dist"
+    path.write_text(text)
+    assert main(["imitate", "--graph", "frontdoor_observed", "--dist", str(path)]) == 2
+    assert message in capsys.readouterr().err

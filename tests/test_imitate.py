@@ -1,16 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
 from causal_imitation import fixtures
 from causal_imitation.diagram import PolicySpace
-from causal_imitation.identify import identify_policy
+from causal_imitation.errors import UnsupportedConditionalError
+from causal_imitation.identify import evaluate, has_policy_factor, identify_policy
 from causal_imitation.imitate import (
     Infeasible,
+    _linear_system,
     closest_imitating_policy,
     graphical_verdict,
     imitate_pipeline,
+    instruments,
     solve_policy,
-    solve_residual,
     verify_policy,
 )
 from causal_imitation.scm import (
@@ -18,6 +22,7 @@ from causal_imitation.scm import (
     DiscreteSCM,
     Policy,
     conditional_policy,
+    empirical_observational,
     intervene,
     joint,
     observational,
@@ -147,13 +152,77 @@ def test_closest_imitating_policy_backdoor_segment():
         raw = rng.uniform(size=(2, 2)) + 1e-3
         ref = Policy.create("X", 2, raw / raw.sum(-1, keepdims=True), ("Z",), (2,))
         pol2, dist2 = closest_imitating_policy(formula, obs, {"Y"}, ref)
-        assert solve_residual(formula, obs, {"Y"}, pol2) < 1e-7
+        assert evaluate(formula, obs, pol2).l1(obs.marginal(["Y"])) < 1e-7
         w = obs.marginal(["Z"]).probs
         dist_solved = 0.5 * float(
             (w[:, None] * np.abs(np.asarray(solved.probs) - np.asarray(ref.probs))).sum()
         )
         assert dist2 <= dist_solved + 1e-9
     assert checked > 5
+
+
+def test_linear_system_bit_identical_to_basis_loop():
+    # one evaluation at the stacked identity policy gives the coefficients
+    # of one evaluation per one-hot policy, bit for bit
+    from causal_imitation.diagram import validate_space
+    from causal_imitation.experiments import frontdoor_instrument
+    from oracles import linear_system_by_basis, random_diagram
+
+    def assert_same(formula, obs, surrogate):
+        try:
+            want = linear_system_by_basis(formula, obs, surrogate)
+        except UnsupportedConditionalError as exc:
+            with pytest.raises(UnsupportedConditionalError, match=re.escape(str(exc))):
+                _linear_system(formula, obs, surrogate)
+            return
+        got = _linear_system(formula, obs, surrogate)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    def check_instruments(diagram, space, reward, obs) -> int:
+        checked = 0
+        for _subspace, surrogate, formula in instruments(diagram, space, reward):
+            if has_policy_factor(formula):
+                assert_same(formula, obs, surrogate)
+                checked += 1
+        return checked
+
+    formula, surrogate, _inputs = frontdoor_instrument()
+    for i in range(100):
+        scm = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,)))
+        assert_same(formula, observational(scm), surrogate)
+        sampled = empirical_observational(scm, 100_000, np.random.SeedSequence(entropy=0, spawn_key=(i, 1)))
+        assert_same(formula, sampled, surrogate)
+
+    # 7-10 nodes with 2-3 policy inputs; with the column axis innermost in
+    # memory, 17 of these 48 systems differ in their last bits
+    rng = np.random.default_rng(0)
+    checked = 0
+    for trial in range(40):
+        d = random_diagram(rng, int(rng.integers(7, 11)), latent_fraction=0.3)
+        obs_nodes = sorted(d.observed)
+        candidates = [(x, y) for x in obs_nodes for y in sorted(d.descendants({x}, False))]
+        if not candidates:
+            continue
+        action, reward = candidates[int(rng.integers(len(candidates)))]
+        eligible = [z for z in obs_nodes if z not in (action, reward)
+                    and not validate_space(d, PolicySpace.create(action, {z}))]
+        if len(eligible) < 2:
+            continue
+        k = min(len(eligible), int(rng.integers(2, 4)))
+        space = PolicySpace.create(action, rng.choice(eligible, size=k, replace=False).tolist())
+        checked += check_instruments(d, space, reward, observational(random_scm(d, seed=trial)))
+    assert checked >= 40
+
+    checked = 0
+    for name in fixtures.diagram_names():
+        case = fixtures.diagram_fixture(name)
+        for model in fixtures.scm_names():
+            scm = fixtures.scm_fixture(model)
+            for obs in (observational(scm), empirical_observational(scm, 1000, np.random.SeedSequence(0))):
+                if case.diagram.observed <= set(obs.variables):
+                    checked += check_instruments(case.diagram, case.space, case.reward, obs)
+    assert checked >= 10
 
 
 def test_closest_imitating_policy_infeasible_raises():

@@ -7,6 +7,7 @@ from causal_imitation.errors import TooLargeError
 from causal_imitation.scm import (
     _BLOCK_CELLS,
     DiscreteSCM,
+    JointTable,
     Mechanism,
     Policy,
     conditional_policy,
@@ -201,6 +202,11 @@ def test_joint_size_cap():
     m = random_scm(d, seed=0, domains=8)
     with pytest.raises(TooLargeError):
         joint(m)
+
+
+def test_joint_table_rejects_nan_mass():
+    with pytest.raises(ValueError, match="table mass nan is not 1"):
+        JointTable(("A",), (2,), np.array([0.5, np.nan]))
 
 
 def test_undeclared_confounder_rejected():
