@@ -60,6 +60,8 @@ def parse_distribution_text(text: str) -> JointTable:
             p = float(tokens[-1])
         except ValueError:
             raise ParseError("malformed row", lineno) from None
+        if min(config) < 0:
+            raise ParseError(f"configuration {config} has a negative value", lineno)
         if not (math.isfinite(p) and p >= -ROW_TOL):
             raise ParseError(f"probability {tokens[-1]} is not a finite nonnegative number", lineno)
         if config in rows:
@@ -308,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.n < 1:
         parser.error("--n must be >= 1")
+    if args.command in ("imitate", "experiment") and args.samples < 0:
+        parser.error("--samples must be >= 0")
+    if args.command == "experiment" and args.workers < 1:
+        parser.error("--workers must be >= 1")
     try:
         return args.func(args)
     except ParseError as exc:

@@ -7,7 +7,6 @@ instance order regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import numpy as np
@@ -66,6 +65,9 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     frontdoor_instrument()
     args = [(seed, i, samples) for i in range(models)]
     if workers > 1:
+        # imported here, so that commands without a pool do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_frontdoor_instance, args, chunksize=max(1, models // (8 * workers))))
     else:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .criteria import direct_parents_imitable, find_pi_backdoor
 from .diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
@@ -109,6 +108,14 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     # C order, as the loop filled it: the residual's matrix product reads it
     coeff = np.ascontiguousarray(np.moveaxis(arr, 0, -1)).reshape(len(t), n_pa, k)
     return coeff, t, ph, in_doms, k
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported at the first call: importing
+    scipy.optimize takes longer than most commands, which solve no LP."""
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
 
 
 def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int, extra: int = 0):

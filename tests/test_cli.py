@@ -1,4 +1,8 @@
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +15,7 @@ from causal_imitation.errors import ParseError
 from causal_imitation.scm import format_scm, observational, parse_scm_file, parse_scm_text
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -124,6 +129,20 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "-5"],
+     "--samples must be >= 0"),
+    (["experiment", "frontdoor-study", "--samples", "-1"], "--samples must be >= 0"),
+    (["experiment", "highway-binary", "--samples", "-1"], "--samples must be >= 0"),
+    (["experiment", "frontdoor-study", "--models", "2", "--workers", "0"], "--workers must be >= 1"),
+])
+def test_bad_flags_rejected_by_parser(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_simulate_rejects_zero_rows(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--scm", "frontdoor_mix", "--n", "0"])
@@ -174,6 +193,32 @@ def test_fixture_list_and_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
+GUARDED = ("scipy.optimize", "concurrent.futures.process")
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["check", "--graph", "frontdoor_latent"], []),
+    (["instruments", "--graph", "frontdoor_observed"], []),
+    (["experiment", "highway-binary"], []),
+    (["imitate", "--graph", "highway_binary", "--scm", "highway_golden"], []),
+    (["fixture", "--list"], []),
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"], ["scipy.optimize"]),
+])
+def test_commands_import_only_what_they_use(argv, loaded):
+    # a fresh interpreter per command: the modules a command loads are part
+    # of its start-up cost, and only a solved LP needs scipy.optimize
+    code = (
+        "import json, sys\n"
+        "from causal_imitation.cli import main\n"
+        f"rc = main({argv!r})\n"
+        f"print(json.dumps([rc, [m for m in {GUARDED!r} if m in sys.modules]]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("node A obs\nnode A obs\n")
@@ -216,6 +261,18 @@ def test_distribution_roundtrip():
 def test_distribution_requires_all_rows():
     with pytest.raises(ParseError, match="every configuration"):
         parse_distribution_text("A B\n0 0 0.5\n1 1 0.5\n")
+
+
+def test_distribution_rejects_negative_value(tmp_path, capsys):
+    # four rows that would fill a 2x2 table if -1 indexed from the end
+    text = "A B\n0 0 0.25\n0 1 0.25\n1 0 0.25\n-1 1 0.25\n"
+    with pytest.raises(ParseError, match="negative value") as exc:
+        parse_distribution_text(text)
+    assert exc.value.line == 5
+    path = tmp_path / "neg.dist"
+    path.write_text(text)
+    assert main(["imitate", "--graph", "highway_binary", "--dist", str(path)]) == 2
+    assert "line 5:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, message, line", [

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from causal_imitation import fixtures
+from causal_imitation import fixtures, imitate
 from causal_imitation.diagram import PolicySpace
 from causal_imitation.errors import UnsupportedConditionalError
 from causal_imitation.identify import evaluate, has_policy_factor, identify_policy
@@ -62,6 +62,24 @@ def test_lp_agrees_with_closed_form():
         assert abs(solved.probs[1] - alpha) < 1e-9
         checked += 1
     assert checked > 5
+
+
+@pytest.mark.parametrize("seed, lps", [(0, 1), (4, 2)])
+def test_lps_go_through_module_linprog(monkeypatch, seed, lps):
+    # the benchmark's tracer times the LP layer by rebinding imitate.linprog
+    calls = []
+    solve = imitate.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(imitate, "linprog", counting)
+    solved = solve_policy(_frontdoor_formula(), observational(random_frontdoor(seed)), {"S"}, 1e-9)
+    # an infeasible instance stops after the residual LP; a feasible one
+    # adds the tie-break LP
+    assert isinstance(solved, Policy) == (lps == 2)
+    assert calls == ["highs"] * lps
 
 
 def test_point_mass_solution_for_mix_fixture():
