@@ -314,6 +314,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--samples must be >= 0")
     if args.command == "experiment" and args.workers < 1:
         parser.error("--workers must be >= 1")
+    if args.command == "experiment" and args.models < 1:
+        parser.error("--models must be >= 1")
+    if args.command in ("imitate", "simulate", "experiment") and args.seed < 0:
+        parser.error("--seed must be >= 0")
     try:
         return args.func(args)
     except ParseError as exc:

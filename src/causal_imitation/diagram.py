@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Container, Iterable
 
 from .errors import ParseError
 
@@ -57,58 +57,45 @@ class CausalDiagram:
         return frozenset(self.nodes) - self.observed
 
     @cached_property
-    def _parents(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.directed:
-            if b in out and a in out:
-                out[b].add(a)
-        return {n: frozenset(v) for n, v in out.items()}
-
-    @cached_property
-    def _children(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
+    def _adjacency(self) -> dict[str, tuple[frozenset[str], frozenset[str], frozenset[str]]]:
+        """Per node: (parents, children, siblings)."""
+        out: dict[str, tuple[set[str], set[str], set[str]]] = {
+            n: (set(), set(), set()) for n in self.nodes
+        }
         for a, b in self.directed:
             if a in out and b in out:
-                out[a].add(b)
-        return {n: frozenset(v) for n, v in out.items()}
-
-    @cached_property
-    def _siblings(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
+                out[b][0].add(a)
+                out[a][1].add(b)
         for a, b in self.bidirected:
             if a in out and b in out:
-                out[a].add(b)
-                out[b].add(a)
-        return {n: frozenset(v) for n, v in out.items()}
+                out[a][2].add(b)
+                out[b][2].add(a)
+        # most nodes lack one of the three relations; sharing one empty set
+        # keeps a diagram's cache about as small as a single relation's was
+        empty: frozenset[str] = frozenset()
+        return {n: tuple(frozenset(x) if x else empty for x in sets) for n, sets in out.items()}
 
     def parents(self, node: str) -> frozenset[str]:
-        return self._parents[node]
+        return self._adjacency[node][0]
 
     def children(self, node: str) -> frozenset[str]:
-        return self._children[node]
+        return self._adjacency[node][1]
 
     def siblings(self, node: str) -> frozenset[str]:
         """Nodes joined to ``node`` by a bidirected edge."""
-        return self._siblings[node]
+        return self._adjacency[node][2]
 
     def has_node(self, node: str) -> bool:
-        return node in self._parents
+        return node in self._adjacency
 
     def _closure(self, seed: Iterable[str], step, inclusive: bool) -> frozenset[str]:
-        seen: set[str] = set()
-        stack = list(seed)
-        for n in stack:
+        seeds = frozenset(seed)
+        for n in seeds:
             if not self.has_node(n):
                 raise ValueError(f"unknown node {n!r}")
-        while stack:
-            n = stack.pop()
-            for m in step(n):
-                if m not in seen:
-                    seen.add(m)
-                    stack.append(m)
-        if inclusive:
-            seen.update(seed)
-        return frozenset(seen)
+        if not inclusive:
+            seeds = frozenset(m for n in seeds for m in step(n))
+        return frozenset(_reach(seeds, step))
 
     def ancestors(self, seed: Iterable[str], inclusive: bool = True) -> frozenset[str]:
         return self._closure(seed, self.parents, inclusive)
@@ -160,7 +147,7 @@ class CausalDiagram:
         Returns (children map, hidden node names).  Hidden names cannot clash
         with declared nodes because they contain a space.
         """
-        ch: dict[str, set[str]] = {n: set(self._children[n]) for n in self.nodes}
+        ch: dict[str, set[str]] = {n: set(self.children(n)) for n in self.nodes}
         hidden = set()
         for a, b in sorted(self.bidirected):
             h = f"{a} {b} <->"
@@ -171,6 +158,20 @@ class CausalDiagram:
 
 # ---------------------------------------------------------------------------
 # Graph operations
+
+
+def _reach(seeds: Iterable[str], step: Callable[[str], Iterable[str]],
+           stop: Container[str] = ()) -> set[str]:
+    """The seeds plus every node reached from them by repeated ``step``,
+    never entering a node in ``stop``."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for m in step(stack.pop()):
+            if m not in seen and m not in stop:
+                seen.add(m)
+                stack.append(m)
+    return seen
 
 
 def validate(diagram: CausalDiagram) -> list[str]:
@@ -265,9 +266,7 @@ def validate_space(diagram: CausalDiagram, space: PolicySpace) -> list[str]:
             problems.append(f"input {z} is latent")
     if space.action in space.inputs:
         problems.append("action cannot be its own input")
-    known = [z for z in space.inputs if diagram.has_node(z)]
-    cut = mutilate(diagram, cut_incoming={space.action})
-    forbidden = cut.descendants({space.action}) & frozenset(known)
+    forbidden = diagram.descendants({space.action}) & space.inputs
     for z in sorted(forbidden):
         problems.append(f"input {z} is a descendant of the action")
     return problems
@@ -320,15 +319,7 @@ def _moral_adjacency(
     for p, chs in children.items():
         for c in chs:
             parents.setdefault(c, set()).add(p)
-    # ancestors of the anchor in the expanded DAG
-    anc: set[str] = set()
-    stack = list(anchor)
-    while stack:
-        n = stack.pop()
-        if n in anc:
-            continue
-        anc.add(n)
-        stack.extend(parents.get(n, ()))
+    anc = _reach(anchor, lambda n: parents.get(n, ()))
     adj: dict[str, set[str]] = {n: set() for n in anc}
     for n in anc:
         ps = [p for p in parents.get(n, ()) if p in anc]
@@ -340,21 +331,6 @@ def _moral_adjacency(
                 adj[p].add(q)
                 adj[q].add(p)
     return adj
-
-
-def _separated_in(adj: dict[str, set[str]], a: set[str], b: set[str], cut: set[str]) -> bool:
-    seen = set(x for x in a if x in adj and x not in cut)
-    stack = list(seen)
-    targets = set(b)
-    while stack:
-        n = stack.pop()
-        if n in targets:
-            return False
-        for m in adj[n]:
-            if m not in seen and m not in cut:
-                seen.add(m)
-                stack.append(m)
-    return not (seen & targets)
 
 
 def d_separated(
@@ -377,7 +353,7 @@ def d_separated(
     if not aset or not bset:
         return True
     adj = _moral_adjacency(diagram, aset | bset | cset)
-    return _separated_in(adj, set(aset), set(bset), set(cset))
+    return not (_reach(aset, adj.__getitem__, cset) & bset)
 
 
 # ---------------------------------------------------------------------------

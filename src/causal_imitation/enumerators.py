@@ -12,20 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .diagram import CausalDiagram, PolicySpace, _moral_adjacency
+from .diagram import CausalDiagram, PolicySpace, _moral_adjacency, _reach
 from .identify import identify_policy
-
-
-def _component(adj: dict[str, set[str]], start: str, removed: frozenset[str]) -> set[str]:
-    comp = {start}
-    stack = [start]
-    while stack:
-        n = stack.pop()
-        for m in adj[n]:
-            if m not in removed and m not in comp:
-                comp.add(m)
-                stack.append(m)
-    return comp
 
 
 def _neighborhood(adj: dict[str, set[str]], comp: set[str]) -> frozenset[str]:
@@ -38,9 +26,8 @@ def _neighborhood(adj: dict[str, set[str]], comp: set[str]) -> frozenset[str]:
 def _trim(adj: dict[str, set[str]], a: str, b: str, sep: frozenset[str]) -> frozenset[str]:
     """Shrink a separator to an inclusion-minimal one: keep the boundary of
     a's component, then the boundary of b's component of what remains."""
-    s1 = _neighborhood(adj, _component(adj, a, sep))
-    s2 = _neighborhood(adj, _component(adj, b, s1))
-    return s2
+    s1 = _neighborhood(adj, _reach({a}, adj.__getitem__, sep))
+    return _neighborhood(adj, _reach({b}, adj.__getitem__, s1))
 
 
 def list_min_separators(diagram: CausalDiagram, a: str, b: str,
@@ -55,7 +42,7 @@ def list_min_separators(diagram: CausalDiagram, a: str, b: str,
     candidates = frozenset(restrict) & frozenset(adj) - {a, b}
 
     def separates(cut: frozenset[str]) -> bool:
-        return b not in _component(adj, a, cut)
+        return b not in _reach({a}, adj.__getitem__, cut)
 
     found: set[frozenset[str]] = set()
     stack = [frozenset()]

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
-from .diagram import CausalDiagram, PolicySpace, mutilate, manipulated, require_valid_space
+from .diagram import CausalDiagram, PolicySpace, _reach, mutilate, manipulated, require_valid_space
 from .errors import TooLargeError, UnsupportedConditionalError
 from .projection import project
 from .scm import CONFIG_CAP, JointTable, Policy, broadcast_to_vars
@@ -181,18 +181,10 @@ def c_components(diagram: CausalDiagram) -> tuple[frozenset[str], ...]:
     seen: set[str] = set()
     comps = []
     for start in diagram.nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            for m in diagram.siblings(n):
-                if m not in comp:
-                    comp.add(m)
-                    stack.append(m)
-        seen |= comp
-        comps.append(frozenset(comp))
+        if start not in seen:
+            comp = frozenset(_reach({start}, diagram.siblings))
+            seen |= comp
+            comps.append(comp)
     return tuple(sorted(comps, key=min))
 
 
@@ -254,19 +246,17 @@ def _id(y: frozenset[str], x: frozenset[str], dist: _Dist, g: CausalDiagram,
     if len(g_comps) == 1:
         raise _NotIdentifiable
     pos = {n: i for i, n in enumerate(order)}
+
+    def factorized(comp: frozenset[str]) -> IdFormula:
+        """Product over comp of P(vi | its predecessors in the order)."""
+        return _product([dist.conditional_expr(vi, frozenset(n for n in v if pos[n] < pos[vi]))
+                         for vi in sorted(comp, key=pos.get)])
+
     if s_comp in g_comps:
-        terms = []
-        for vi in sorted(s_comp, key=pos.get):
-            preds = frozenset(n for n in v if pos[n] < pos[vi])
-            terms.append(dist.conditional_expr(vi, preds))
-        return _sum(s_comp - y, _product(terms))
+        return _sum(s_comp - y, factorized(s_comp))
     for comp in g_comps:
         if s_comp < comp:
-            terms = []
-            for vi in sorted(comp, key=pos.get):
-                preds = frozenset(n for n in v if pos[n] < pos[vi])
-                terms.append(dist.conditional_expr(vi, preds))
-            new_dist = _Dist(tuple(n for n in order if n in comp), _product(terms))
+            new_dist = _Dist(tuple(n for n in order if n in comp), factorized(comp))
             return _id(y, x & comp, new_dist, g.induced(comp), order)
     raise AssertionError("single component of G - x not inside any component of G")
 

@@ -8,27 +8,7 @@ semi-Markovian: every node observed.
 """
 from __future__ import annotations
 
-from .diagram import CausalDiagram, require_valid
-
-
-def _latent_interior_reach(
-    children: dict[str, frozenset[str]], start: str, latent: frozenset[str]
-) -> frozenset[str]:
-    """Observed nodes reachable from ``start`` along directed paths whose
-    interior nodes are all latent (``start`` itself may be anything)."""
-    hits: set[str] = set()
-    seen: set[str] = set()
-    stack = list(children.get(start, ()))
-    while stack:
-        n = stack.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        if n in latent:
-            stack.extend(children.get(n, ()))
-        else:
-            hits.add(n)
-    return frozenset(hits)
+from .diagram import CausalDiagram, _reach, require_valid
 
 
 def project(diagram: CausalDiagram) -> CausalDiagram:
@@ -38,9 +18,14 @@ def project(diagram: CausalDiagram) -> CausalDiagram:
     latent = diagram.latent | hidden
     obs = sorted(diagram.observed)
 
+    def hits(start: str) -> set[str]:
+        """Observed ends of the directed paths out of ``start`` whose
+        interior nodes are all latent."""
+        return _reach(children[start], lambda n: children[n] if n in latent else ()) - latent
+
     directed = set()
     for s in obs:
-        for e in _latent_interior_reach(children, s, latent):
+        for e in hits(s):
             if e != s:
                 directed.add((s, e))
 
@@ -49,7 +34,7 @@ def project(diagram: CausalDiagram) -> CausalDiagram:
     # latent interiors.
     bidirected = set()
     for root in sorted(latent):
-        reach = sorted(_latent_interior_reach(children, root, latent))
+        reach = sorted(hits(root))
         for i, a in enumerate(reach):
             for b in reach[i + 1 :]:
                 bidirected.add((a, b))

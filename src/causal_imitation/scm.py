@@ -118,11 +118,8 @@ class Policy:
             raise ValueError("inputs must be sorted")
         if self.probs.shape != self.input_domains + (self.action_domain,):
             raise ValueError("policy table shape mismatch")
-        if (self.probs < -ROW_TOL).any():
-            raise ValueError("negative policy probability")
-        rows = self.probs.sum(axis=-1)
-        if not np.allclose(rows, 1.0, atol=ROW_TOL):
-            raise ValueError("policy rows must each sum to 1")
+        if _bad_rows(self.probs).any():
+            raise ValueError(f"policy rows for {self.action} must be distributions")
         self.probs.setflags(write=False)
 
     @staticmethod
@@ -177,13 +174,15 @@ def conditional_policy(observational: JointTable, action: str, inputs: Iterable[
 
 
 def _bad_rows(table: np.ndarray) -> np.ndarray:
-    """Mask of the rows along the last axis that are not distributions."""
-    return (table < -ROW_TOL).any(axis=-1) | ~np.isclose(table.sum(axis=-1), 1.0, atol=ROW_TOL)
+    """Mask of the rows along the last axis that are not distributions: an
+    entry below ``-ROW_TOL``, or a sum not within ``ROW_TOL`` of 1 (NaN
+    included)."""
+    return (table < -ROW_TOL).any(axis=-1) | ~(np.abs(table.sum(axis=-1) - 1.0) <= ROW_TOL)
 
 
 def _is_distribution(probs: np.ndarray) -> bool:
     """``probs`` is nonnegative and sums to 1 within ``ROW_TOL``."""
-    return not (probs < -ROW_TOL).any() and abs(float(probs.sum()) - 1.0) <= ROW_TOL
+    return not _bad_rows(probs).any()
 
 
 @dataclass(frozen=True, eq=False)

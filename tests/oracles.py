@@ -1,10 +1,11 @@
 """Independent brute-force oracles the implementation is checked against.
 
-Nothing here shares code with the production algorithms: separation is
-decided by enumerating paths, policy effects by direct summation over every
-configuration, the exact joint one exogenous configuration at a time (with
-only the axis-alignment helper ``broadcast_to_vars`` borrowed), and
-enumerators by filtering all subsets.
+Nothing here shares code with the production algorithms: separation,
+ancestry and latent projection are decided by enumerating paths,
+c-components by merging blocks pairwise, policy effects by direct summation
+over every configuration, the exact joint one exogenous configuration at a
+time (with only the axis-alignment helper ``broadcast_to_vars`` borrowed),
+and enumerators by filtering all subsets.
 """
 from __future__ import annotations
 
@@ -53,6 +54,64 @@ def d_separated_paths(diagram: CausalDiagram, a_set, b_set, c_set) -> bool:
         return False
 
     return not any(active_from(a, None, frozenset({a})) for a in sorted(a_set))
+
+
+def directed_paths(diagram: CausalDiagram, start: str) -> list[tuple[str, ...]]:
+    """Every directed path out of ``start``, the one-node path included."""
+    out = [(start,)]
+    for a, b in sorted(diagram.directed):
+        if a == start:
+            out += [(start,) + p for p in directed_paths(diagram, b)]
+    return out
+
+
+def brute_ancestors(diagram: CausalDiagram, seed, inclusive=True) -> frozenset[str]:
+    seed = frozenset(seed)
+    return frozenset(n for n in diagram.nodes for p in directed_paths(diagram, n)
+                     if p[-1] in seed and (inclusive or len(p) > 1))
+
+
+def brute_descendants(diagram: CausalDiagram, seed, inclusive=True) -> frozenset[str]:
+    return frozenset(p[-1] for s in seed for p in directed_paths(diagram, s)
+                     if inclusive or len(p) > 1)
+
+
+def brute_c_components(diagram: CausalDiagram) -> tuple[frozenset[str], ...]:
+    """Singletons merged two at a time across bidirected edges until no
+    bidirected edge joins two blocks."""
+    blocks = [frozenset({n}) for n in diagram.nodes]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in combinations(range(len(blocks)), 2):
+            if any({a, b} & blocks[i] and {a, b} & blocks[j] for a, b in diagram.bidirected):
+                blocks[i] |= blocks.pop(j)
+                merged = True
+                break
+    return tuple(sorted(blocks, key=min))
+
+
+def brute_project(diagram: CausalDiagram) -> CausalDiagram:
+    """Latent projection from its definition: a -> b for a directed path
+    from a to b with latent interior; a <-> b when a latent node has such
+    paths to both, or a bidirected edge joins two nodes that are a and b or
+    reach them by such paths."""
+    latent = diagram.latent
+
+    def hits(start):
+        return {p[-1] for p in directed_paths(diagram, start)
+                if len(p) > 1 and p[-1] not in latent and all(n in latent for n in p[1:-1])}
+
+    def stands_for(end):
+        return hits(end) if end in latent else {end}
+
+    obs = sorted(diagram.observed)
+    directed = {(a, b) for a in obs for b in hits(a)}
+    forks = [(hits(r), hits(r)) for r in latent]
+    forks += [(stands_for(u), stands_for(w)) for u, w in diagram.bidirected]
+    bidirected = {(min(a, b), max(a, b)) for left, right in forks
+                  for a in left for b in right if a != b}
+    return CausalDiagram(tuple(obs), frozenset(obs), frozenset(directed), frozenset(bidirected))
 
 
 def brute_min_separators(diagram, a, b, restrict) -> list[frozenset]:

@@ -135,6 +135,11 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
     (["experiment", "frontdoor-study", "--samples", "-1"], "--samples must be >= 0"),
     (["experiment", "highway-binary", "--samples", "-1"], "--samples must be >= 0"),
     (["experiment", "frontdoor-study", "--models", "2", "--workers", "0"], "--workers must be >= 1"),
+    (["experiment", "frontdoor-study", "--models", "0"], "--models must be >= 1"),
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "10",
+      "--seed", "-1"], "--seed must be >= 0"),
+    (["simulate", "--scm", "frontdoor_mix", "--n", "5", "--seed", "-1"], "--seed must be >= 0"),
+    (["experiment", "frontdoor-study", "--models", "2", "--seed", "-1"], "--seed must be >= 0"),
 ])
 def test_bad_flags_rejected_by_parser(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -236,6 +241,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     (5, "exo UW nan 1.0"),
     (10, "  0.0 1.0 0.0"),
     (10, "  0.5 0.1"),
+    (10, "  1.0 0.000009"),
 ])
 def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     case = fixtures.diagram_fixture("frontdoor_observed")

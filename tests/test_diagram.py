@@ -18,7 +18,7 @@ from causal_imitation.diagram import (
 )
 from causal_imitation.errors import ParseError
 
-from oracles import d_separated_paths, random_diagram
+from oracles import brute_ancestors, brute_descendants, d_separated_paths, random_diagram
 
 
 def fig(name):
@@ -81,6 +81,16 @@ def test_closure_monotone_and_idempotent(seed, n):
     a, b = d.ancestors(small), d.ancestors(big)
     assert a <= b
     assert d.ancestors(a) == a
+
+
+@given(st.integers(0, 2000), st.integers(2, 8))
+def test_closure_matches_path_enumeration(seed, n):
+    rng = np.random.default_rng(seed)
+    d = random_diagram(rng, n, latent_fraction=0.3)
+    seed_set = set(rng.choice(sorted(d.nodes), size=rng.integers(0, n), replace=False))
+    for inclusive in (True, False):
+        assert d.ancestors(seed_set, inclusive) == brute_ancestors(d, seed_set, inclusive)
+        assert d.descendants(seed_set, inclusive) == brute_descendants(d, seed_set, inclusive)
 
 
 # ---------------------------------------------------------------------- mutilate

@@ -1,0 +1,56 @@
+"""Static checks on the library source: no dead imports, no orphaned helpers.
+
+Both are read off the syntax tree, so they hold without importing anything.
+``__init__.py`` is skipped for imports: everything it imports is the
+package's public surface.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "causal_imitation"
+MODULES = sorted(SRC.glob("*.py"))
+TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+
+
+def _referenced(statements) -> set[str]:
+    """Names loaded, attribute names read and names imported anywhere in
+    ``statements``."""
+    out = set()
+    for stmt in statements:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name)
+    return out
+
+
+@pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in bound if name not in used] == []
+
+
+def test_every_private_function_has_a_caller():
+    orphans = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or not node.name.startswith("_"):
+                continue
+            if node.name.startswith("__"):
+                continue
+            elsewhere = [stmt for t in TREES.values() for stmt in t.body if stmt is not node]
+            if node.name not in _referenced(elsewhere):
+                orphans.append(f"{module}:{node.name}")
+    assert orphans == []

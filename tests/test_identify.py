@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from causal_imitation import fixtures
 from causal_imitation.diagram import CausalDiagram, PolicySpace
@@ -28,7 +29,7 @@ from causal_imitation.scm import (
     uniform_policy,
 )
 
-from oracles import policy_joint_enumeration
+from oracles import brute_c_components, policy_joint_enumeration, random_diagram
 
 
 def _det(parent_doms, fn):
@@ -58,6 +59,14 @@ def test_c_components_of_projected_mediator_graph():
 def test_c_components_reject_latent():
     with pytest.raises(ValueError):
         c_components(fixtures.diagram_fixture("frontdoor_latent").diagram)
+
+
+@given(st.integers(0, 2000), st.integers(1, 8))
+def test_c_components_match_pairwise_merging(seed, n):
+    rng = np.random.default_rng(seed)
+    d = random_diagram(rng, n, latent_fraction=0.3)
+    for g in (d.with_observed(d.latent), project(d)):
+        assert c_components(g) == brute_c_components(g)
 
 
 # ------------------------------------------------------------- atomic identification

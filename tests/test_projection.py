@@ -6,7 +6,7 @@ from causal_imitation.diagram import CausalDiagram, d_separated, validate
 from causal_imitation.projection import project
 from causal_imitation.scm import joint, random_scm
 
-from oracles import conditionally_independent, random_diagram, subsets
+from oracles import brute_project, conditionally_independent, random_diagram, subsets
 
 
 def test_semi_markovian_fixed_point():
@@ -54,6 +54,13 @@ def test_projection_of_sideinfo_fixture():
     h = project(case.diagram.with_observed({"Y"}))
     assert h.directed == {("Z", "X"), ("Z", "W"), ("Z", "Y"), ("X", "Y")}
     assert h.bidirected == {("W", "X"), ("Y", "Z"), ("W", "Y"), ("W", "Z")}
+
+
+@given(st.integers(0, 3000), st.integers(1, 8))
+def test_projection_matches_path_enumeration(seed, n):
+    rng = np.random.default_rng(seed)
+    d = random_diagram(rng, n, latent_fraction=0.3)
+    assert project(d) == brute_project(d)
 
 
 @given(st.integers(0, 3000))
