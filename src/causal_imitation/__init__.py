@@ -24,8 +24,6 @@ from .identify import (
 from .criteria import (
     direct_parents_imitable,
     find_pi_backdoor,
-    is_instrument,
-    is_surrogate,
     test_pi_backdoor,
 )
 from .enumerators import list_id_subspaces, list_min_separators

@@ -85,13 +85,6 @@ def parse_distribution_text(text: str) -> JointTable:
     return JointTable(variables, domains, probs)
 
 
-def format_distribution(table: JointTable) -> str:
-    lines = [" ".join(table.variables)]
-    for config in np.ndindex(*table.domains):
-        lines.append(" ".join(str(v) for v in config) + f" {float(table.probs[config]):.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None, str | None]:
     if value in fixtures.DIAGRAM_TEXT:
         case = fixtures.diagram_fixture(value)

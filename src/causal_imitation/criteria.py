@@ -7,16 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .diagram import (
-    CausalDiagram,
-    PolicySpace,
-    augment_policy,
-    d_separated,
-    hat_name,
-    mutilate,
-    require_valid_space,
-)
-from .identify import identify_policy
+from .diagram import CausalDiagram, PolicySpace, d_separated, mutilate, require_valid_space
 
 
 def direct_parents_imitable(diagram: CausalDiagram, space: PolicySpace) -> frozenset[str] | None:
@@ -71,34 +62,3 @@ def find_pi_backdoor(diagram: CausalDiagram, space: PolicySpace, reward: str,
         zstar = frozenset(kept)
     return frozenset(zstar)
 
-
-def is_surrogate(diagram: CausalDiagram, space: PolicySpace, reward: str,
-                 surrogate: Iterable[str]) -> bool:
-    """Does ``surrogate`` screen the reward off from the decision node in
-    the policy-augmented diagram?
-
-    A set containing the (observed) reward itself trivially qualifies: it
-    mediates everything, including the reward.
-    """
-    s = frozenset(surrogate)
-    unknown = {n for n in s | {reward} if not diagram.has_node(n)}
-    if unknown:
-        raise ValueError(f"unknown nodes {sorted(unknown)}")
-    if not s <= diagram.observed:
-        raise ValueError("surrogate sets must be observed")
-    if reward in s:
-        return True
-    aug = augment_policy(diagram, space)
-    return d_separated(aug, {hat_name(space.action)}, {reward}, s)
-
-
-def is_instrument(diagram: CausalDiagram, space: PolicySpace, reward: str,
-                  surrogate: Iterable[str], subspace: PolicySpace) -> bool:
-    """True iff ``surrogate`` is a surrogate for the subspace and the
-    surrogate's interventional distribution is identifiable over it."""
-    if subspace.action != space.action or not subspace.inputs <= space.inputs:
-        raise ValueError("subspace must share the action and restrict the inputs")
-    s = frozenset(surrogate)
-    if not is_surrogate(diagram, subspace, reward, s):
-        return False
-    return identify_policy(diagram, subspace, s) is not None

@@ -262,15 +262,11 @@ def _id(y: frozenset[str], x: frozenset[str], dist: _Dist, g: CausalDiagram,
 
 
 @lru_cache(maxsize=None)
-def _identify_atomic_cached(diagram: CausalDiagram, action: str,
+def _identify_atomic_cached(h: CausalDiagram, action: str,
                             outcome: frozenset[str]) -> IdFormula | None:
-    if not outcome <= diagram.observed:
-        return None
-    if action in outcome:
-        raise ValueError("outcome must not contain the action")
-    if action not in diagram.observed:
-        raise ValueError(f"action {action!r} must be an observed node")
-    h = project(diagram)
+    """The identification of ``identify_atomic`` on a semi-Markovian
+    diagram ``h`` (a latent projection).  The caller has checked that the
+    action is observed and that the outcome is observed without it."""
     order = h.topological_order()
     try:
         formula = _id(outcome, frozenset({action}), _Dist(order, None), h, order)
@@ -289,7 +285,14 @@ def identify_atomic(diagram: CausalDiagram, action: str,
                     outcome: Iterable[str]) -> IdFormula | None:
     """Formula for P(outcome | do(action)) valid in every model of the
     diagram, or ``None``.  The action value stays a free variable."""
-    return _identify_atomic_cached(diagram, action, frozenset(outcome))
+    outcome = frozenset(outcome)
+    if not outcome <= diagram.observed:
+        return None
+    if action in outcome:
+        raise ValueError("outcome must not contain the action")
+    if action not in diagram.observed:
+        raise ValueError(f"action {action!r} must be an observed node")
+    return _identify_atomic_cached(project(diagram), action, outcome)
 
 
 @lru_cache(maxsize=None)

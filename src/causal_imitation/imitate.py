@@ -143,12 +143,12 @@ def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
 
 
 def _lp_closest(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int,
-                ref: np.ndarray, cap: float, weights: np.ndarray):
-    """Among policies with L1 residual <= cap, minimize the weighted L1
-    distance to ref; ``None`` when the LP fails."""
+                ref: np.ndarray, cap: float):
+    """Among policies with L1 residual <= cap, minimize the L1 distance to
+    ref; ``None`` when the LP fails."""
     n_pi, n_s = n_pa * k, len(t)
     n = n_pi + 2 * n_s + 2 * n_pi
-    c = np.concatenate([np.zeros(n_pi + 2 * n_s), weights, weights])
+    c = np.concatenate([np.zeros(n_pi + 2 * n_s), np.ones(2 * n_pi)])
     a_match, b_match = _matching_rows(a2, t, n_pa, k, extra=2 * n_pi)
     a_dist = np.zeros((n_pi, n))
     a_dist[:, :n_pi] = np.eye(n_pi)
@@ -190,7 +190,7 @@ def _solve(formula: IdFormula, observational: JointTable, surrogate: Iterable[st
     # an exactly feasible system gets a hard matching constraint so the
     # tie-break cannot smear a uniquely determined policy
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
-    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap, np.ones(n_pa * k))
+    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap)
     if raw2 is not None:
         cand = _as_policy(raw2, ph, in_doms, k)
         cand_res = exact_residual(cand)
@@ -209,38 +209,6 @@ def solve_policy(
     observed one within ``tolerance`` (L1), else ``Infeasible`` with the
     minimal achievable residual."""
     return _solve(formula, observational, surrogate, tolerance)[0]
-
-
-def closest_imitating_policy(
-    formula: IdFormula,
-    observational: JointTable,
-    surrogate: Iterable[str],
-    reference: Policy,
-    tolerance: float = 1e-9,
-) -> tuple[Policy, float]:
-    """Among exactly imitating policies, the one closest to ``reference``.
-
-    Distance is total variation per input row, weighted by the observed
-    input-configuration probabilities (rows the expert never visits carry
-    no weight).  Raises if no policy meets ``tolerance``.
-    """
-    coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
-    n_pa = coeff.shape[1]
-    a2 = coeff.reshape(len(t), n_pa * k)
-    if (reference.inputs, reference.action) != (ph.inputs, ph.action):
-        raise ValueError("reference policy does not match the formula placeholder")
-    if in_doms:
-        w_rows = observational.marginal(ph.inputs).probs.reshape(-1)
-    else:
-        w_rows = np.ones(1)
-    weights = np.repeat(w_rows, k) * 0.5
-    ref = np.asarray(reference.probs).reshape(-1)
-    raw = _lp_closest(a2, t, n_pa, k, ref, tolerance, weights)
-    if raw is None:
-        raise ValueError("no policy imitates the surrogate distribution exactly")
-    policy = _as_policy(raw, ph, in_doms, k)
-    dist = float(np.dot(weights, np.abs(np.asarray(policy.probs).reshape(-1) - ref)))
-    return policy, dist
 
 
 def verify_policy(scm: DiscreteSCM, policy: Policy, target: Iterable[str]) -> float:

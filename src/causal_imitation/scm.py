@@ -20,7 +20,6 @@ from .diagram import (
     CausalDiagram,
     PolicySpace,
     manipulated,
-    mutilate,
     require_valid,
     require_valid_space,
 )
@@ -87,12 +86,6 @@ class JointTable:
         ds = tuple(d for v, d in zip(self.variables, self.domains) if v in ks)
         return JointTable(vs, ds, self.probs.sum(axis=drop) if drop else self.probs.copy())
 
-    def prob(self, assignment: Mapping[str, int]) -> float:
-        if set(assignment) != set(self.variables):
-            return float(self.marginal(assignment).prob(assignment))
-        idx = tuple(assignment[v] for v in self.variables)
-        return float(self.probs[idx])
-
     def expectation(self, var: str) -> float:
         m = self.marginal([var])
         return float(np.dot(m.probs, np.arange(m.domains[0])))
@@ -140,20 +133,6 @@ class Policy:
 
     def space(self) -> PolicySpace:
         return PolicySpace.create(self.action, self.inputs)
-
-
-def uniform_policy(action: str, action_domain: int,
-                   inputs: Iterable[str] = (), input_domains: Iterable[int] = ()) -> Policy:
-    ins = tuple(inputs)
-    doms = tuple(input_domains)
-    probs = np.full(doms + (action_domain,), 1.0 / action_domain)
-    return Policy.create(action, action_domain, probs, ins, doms)
-
-
-def point_mass_policy(action: str, action_domain: int, value: int) -> Policy:
-    probs = np.zeros((action_domain,))
-    probs[value] = 1.0
-    return Policy.create(action, action_domain, probs)
 
 
 def conditional_policy(observational: JointTable, action: str, inputs: Iterable[str]) -> Policy:
@@ -204,12 +183,6 @@ class Mechanism:
         if _bad_rows(self.table).any():
             raise ValueError(f"mechanism rows for {self.node} must be distributions")
         self.table.setflags(write=False)
-
-
-def _constant_mechanism(node: str, domain: int, value: int) -> Mechanism:
-    table = np.zeros((domain,))
-    table[value] = 1.0
-    return Mechanism(node, (), (), table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,21 +245,6 @@ class DiscreteSCM:
                             f"exogenous {name} confounds {a} and {b} but the diagram "
                             f"declares no bidirected edge between them"
                         )
-
-    def equals(self, other: "DiscreteSCM") -> bool:
-        if self.diagram != other.diagram or self.domains != other.domains:
-            return False
-        if len(self.exogenous) != len(other.exogenous) or len(self.mechanisms) != len(other.mechanisms):
-            return False
-        for (na, pa), (nb, pb) in zip(self.exogenous, other.exogenous):
-            if na != nb or not np.array_equal(pa, pb):
-                return False
-        for ma, mb in zip(self.mechanisms, other.mechanisms):
-            if (ma.node, ma.parents, ma.exo) != (mb.node, mb.parents, mb.exo):
-                return False
-            if not np.array_equal(ma.table, mb.table):
-                return False
-        return True
 
 
 def joint(scm: DiscreteSCM) -> JointTable:
@@ -358,32 +316,20 @@ def observational(scm: DiscreteSCM) -> JointTable:
     return joint(scm).marginal(scm.diagram.observed)
 
 
-def intervene(scm: DiscreteSCM, do: Mapping[str, int] | Policy) -> DiscreteSCM:
-    """Submodel under an atomic assignment or a policy intervention."""
+def intervene(scm: DiscreteSCM, policy: Policy) -> DiscreteSCM:
+    """Submodel under a policy intervention.  An atomic do(X=x) is the
+    policy with no inputs and a point mass at x."""
     dom = dict(scm.domains)
-    if isinstance(do, Policy):
-        space = do.space()
-        require_valid_space(scm.diagram, space)
-        if do.action_domain != dom[do.action]:
-            raise ValueError("policy action domain does not match the model")
-        for z, k in zip(do.inputs, do.input_domains):
-            if dom[z] != k:
-                raise ValueError(f"policy input domain for {z} does not match the model")
-        new_diagram = manipulated(scm.diagram, space)
-        new_mech = Mechanism(do.action, do.inputs, (), np.array(do.probs))
-        mechs = tuple(new_mech if m.node == do.action else m for m in scm.mechanisms)
-        return DiscreteSCM(new_diagram, scm.domains, scm.exogenous, mechs)
-    for node, value in do.items():
-        if node not in dom:
-            raise ValueError(f"unknown node {node!r}")
-        if not (0 <= value < dom[node]):
-            raise ValueError(f"value {value} outside the domain of {node}")
-    new_diagram = mutilate(scm.diagram, cut_incoming=do.keys())
-    mechs = tuple(
-        _constant_mechanism(m.node, dom[m.node], do[m.node]) if m.node in do else m
-        for m in scm.mechanisms
-    )
-    return DiscreteSCM(new_diagram, scm.domains, scm.exogenous, mechs)
+    space = policy.space()
+    require_valid_space(scm.diagram, space)
+    if policy.action_domain != dom[policy.action]:
+        raise ValueError("policy action domain does not match the model")
+    for z, k in zip(policy.inputs, policy.input_domains):
+        if dom[z] != k:
+            raise ValueError(f"policy input domain for {z} does not match the model")
+    new_mech = Mechanism(policy.action, policy.inputs, (), np.array(policy.probs))
+    mechs = tuple(new_mech if m.node == policy.action else m for m in scm.mechanisms)
+    return DiscreteSCM(manipulated(scm.diagram, space), scm.domains, scm.exogenous, mechs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,13 +348,6 @@ def sample(scm: DiscreteSCM, n: int, seed: int = 0) -> Dataset:
     picks = rng.choice(flat.size, size=n, p=flat)
     rows = np.stack(np.unravel_index(picks, obs.domains), axis=1)
     return Dataset(obs.variables, rows)
-
-
-def empirical_table(ds: Dataset, domains: Mapping[str, int]) -> JointTable:
-    shape = tuple(domains[v] for v in ds.variables)
-    counts = np.zeros(shape)
-    np.add.at(counts, tuple(ds.rows[:, i] for i in range(ds.rows.shape[1])), 1.0)
-    return JointTable(ds.variables, shape, counts / len(ds.rows))
 
 
 def empirical_observational(scm: DiscreteSCM, n: int, seed) -> JointTable:

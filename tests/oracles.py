@@ -5,7 +5,9 @@ ancestry and latent projection are decided by enumerating paths,
 c-components by merging blocks pairwise, policy effects by direct summation
 over every configuration, the exact joint one exogenous configuration at a
 time (with only the axis-alignment helper ``broadcast_to_vars`` borrowed),
-and enumerators by filtering all subsets.
+enumerators by filtering all subsets, and surrogates and instruments from
+the paper's definitions.  ``do`` builds an atomic intervention from the
+library's policy intervention.
 """
 from __future__ import annotations
 
@@ -14,10 +16,10 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from causal_imitation.diagram import CausalDiagram, PolicySpace, d_separated
+from causal_imitation.diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
 from causal_imitation.errors import TooLargeError
 from causal_imitation.identify import _eval, find_policy_factor, free_variables, identify_policy
-from causal_imitation.scm import CONFIG_CAP, DiscreteSCM, JointTable, Policy, broadcast_to_vars
+from causal_imitation.scm import CONFIG_CAP, DiscreteSCM, JointTable, Policy, broadcast_to_vars, intervene
 
 
 def subsets(items):
@@ -130,6 +132,40 @@ def brute_id_subspaces(diagram, space: PolicySpace, outcome) -> list[frozenset]:
     return sorted(out, key=lambda s: tuple(sorted(s)))
 
 
+def is_surrogate(diagram: CausalDiagram, space: PolicySpace, reward: str, surrogate) -> bool:
+    """The paper's surrogate: an observed set that screens the reward off
+    from the decision node in the policy-augmented diagram.  A set holding
+    the (observed) reward itself trivially qualifies."""
+    s = frozenset(surrogate)
+    unknown = {n for n in s | {reward} if not diagram.has_node(n)}
+    if unknown:
+        raise ValueError(f"unknown nodes {sorted(unknown)}")
+    if not s <= diagram.observed:
+        raise ValueError("surrogate sets must be observed")
+    if reward in s:
+        return True
+    aug = augment_policy(diagram, space)
+    return d_separated_paths(aug, {hat_name(space.action)}, {reward}, s)
+
+
+def is_instrument(diagram: CausalDiagram, space: PolicySpace, reward: str, surrogate,
+                  subspace: PolicySpace) -> bool:
+    """The paper's instrument: a surrogate for a subspace of ``space``
+    whose interventional distribution is identifiable over that subspace."""
+    if subspace.action != space.action or not subspace.inputs <= space.inputs:
+        raise ValueError("subspace must share the action and restrict the inputs")
+    s = frozenset(surrogate)
+    return is_surrogate(diagram, subspace, reward, s) and identify_policy(diagram, subspace, s) is not None
+
+
+def do(scm: DiscreteSCM, node: str, value: int) -> DiscreteSCM:
+    """The atomic intervention do(node=value): the policy with no inputs
+    and a point mass at ``value``."""
+    probs = np.zeros(dict(scm.domains)[node])
+    probs[value] = 1.0
+    return intervene(scm, Policy.create(node, len(probs), probs))
+
+
 def joint_enumeration(scm: DiscreteSCM) -> JointTable:
     """Exact joint over all endogenous nodes, one exogenous configuration at
     a time: the loop that ``scm.joint`` vectorizes, kept as its reference."""
@@ -231,11 +267,14 @@ def conditionally_independent(table: JointTable, a_set, b_set, c_set, tol=1e-9) 
     ac = table.marginal(a_set + c_set)
     bc = table.marginal(b_set + c_set)
     c = table.marginal(c_set)
-    names = abc.variables
+
+    def at(t: JointTable, val) -> float:
+        return float(t.probs[tuple(val[v] for v in t.variables)])
+
     for conf in np.ndindex(*abc.domains):
-        val = dict(zip(names, conf))
-        lhs = abc.probs[conf] * c.prob({k: val[k] for k in c_set})
-        rhs = ac.prob({k: val[k] for k in a_set + c_set}) * bc.prob({k: val[k] for k in b_set + c_set})
+        val = dict(zip(abc.variables, conf))
+        lhs = abc.probs[conf] * at(c, val)
+        rhs = at(ac, val) * at(bc, val)
         if abs(lhs - rhs) > tol:
             return False
     return True

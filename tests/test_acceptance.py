@@ -30,6 +30,7 @@ from oracles import (
     brute_id_subspaces,
     brute_min_separators,
     d_separated_paths,
+    do,
     subsets,
 )
 
@@ -249,7 +250,7 @@ def test_criterion_10_footnote_variant():
     obs = observational(scm)
     # brute-force grid oracle over the one-parameter policy simplex
     grid = np.linspace(0.0, 1.0, 100_001)
-    do_tables = [joint(intervene(scm, {"X": x})).marginal(["Y"]).probs for x in (0, 1)]
+    do_tables = [joint(do(scm, "X", x)).marginal(["Y"]).probs for x in (0, 1)]
     target = obs.marginal(["Y"]).probs
     mixes = np.outer(1.0 - grid, do_tables[0]) + np.outer(grid, do_tables[1])
     residuals = np.abs(mixes - target).sum(axis=1)

@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from causal_imitation import fixtures
-from causal_imitation.criteria import (
-    direct_parents_imitable,
-    find_pi_backdoor,
-    is_instrument,
-    is_surrogate,
-)
+from causal_imitation.criteria import direct_parents_imitable, find_pi_backdoor
 from causal_imitation.criteria import test_pi_backdoor as pi_backdoor_admissible
 from causal_imitation.diagram import CausalDiagram, PolicySpace, validate_space
 from causal_imitation.scm import conditional_policy, intervene, joint, random_scm
 
-from oracles import random_diagram, subsets
+from oracles import is_instrument, is_surrogate, random_diagram, subsets
 
 
 def fig(name):

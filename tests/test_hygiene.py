@@ -1,10 +1,12 @@
-"""Static checks on the library source: no dead imports, no orphaned helpers.
+"""Static checks on the library source: no dead imports, no orphaned helpers,
+no public function or method that only the tests call.
 
-Both are read off the syntax tree, so they hold without importing anything.
+All are read off the syntax tree, so they hold without importing anything.
 ``__init__.py`` is skipped for imports: everything it imports is the
-package's public surface.
+package's public surface, and an import there counts as a reference.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,19 +16,21 @@ MODULES = sorted(SRC.glob("*.py"))
 TREES = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
 
 
-def _referenced(statements) -> set[str]:
+def _references(statements):
     """Names loaded, attribute names read and names imported anywhere in
-    ``statements``."""
-    out = set()
+    ``statements``, once per occurrence."""
     for stmt in statements:
         for node in ast.walk(stmt):
             if isinstance(node, ast.Name):
-                out.add(node.id)
+                yield node.id
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                yield node.attr
             elif isinstance(node, ast.alias):
-                out.add(node.name)
-    return out
+                yield node.name
+
+
+def _referenced(statements) -> set[str]:
+    return set(_references(statements))
 
 
 @pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
@@ -53,4 +57,21 @@ def test_every_private_function_has_a_caller():
             elsewhere = [stmt for t in TREES.values() for stmt in t.body if stmt is not node]
             if node.name not in _referenced(elsewhere):
                 orphans.append(f"{module}:{node.name}")
+    assert orphans == []
+
+
+def test_every_public_function_and_method_has_a_caller():
+    # a public name that only the tests reach is a second path the library
+    # keeps alive: its job belongs in the tests or in the one shipped path
+    everywhere = Counter(_references(stmt for tree in TREES.values() for stmt in tree.body))
+    defs = []
+    for module, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{module}:{node.name}", node))
+            elif isinstance(node, ast.ClassDef):
+                defs += [(f"{module}:{node.name}.{item.name}", item)
+                         for item in node.body if isinstance(item, ast.FunctionDef)]
+    orphans = [label for label, node in defs if not node.name.startswith("_")
+               and everywhere[node.name] == Counter(_references([node]))[node.name]]
     assert orphans == []

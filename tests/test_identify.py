@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from causal_imitation import fixtures
+from causal_imitation import fixtures, identify
 from causal_imitation.diagram import CausalDiagram, PolicySpace
 from causal_imitation.errors import UnsupportedConditionalError
 from causal_imitation.identify import (
@@ -26,10 +26,9 @@ from causal_imitation.scm import (
     joint,
     observational,
     random_scm,
-    uniform_policy,
 )
 
-from oracles import brute_c_components, policy_joint_enumeration, random_diagram
+from oracles import brute_c_components, do, policy_joint_enumeration, random_diagram
 
 
 def _det(parent_doms, fn):
@@ -117,7 +116,7 @@ def test_bow_two_model_witness():
         for gs in product((0, 1), repeat=4):
             m = model(fx, gs)
             obs = observational(m).probs.reshape(-1)
-            effects = [joint(intervene(m, {"X": x})).marginal(["S"]).probs[1] for x in (0, 1)]
+            effects = [joint(do(m, "X", x)).marginal(["S"]).probs[1] for x in (0, 1)]
             entries.append((obs, effects))
     witnesses = [
         (a, b)
@@ -131,8 +130,8 @@ def test_bow_two_model_witness():
     m1 = model((0, 1), (0, 1, 1, 0))
     m2 = model((0, 1), (0, 0, 0, 0))
     assert observational(m1).l1(observational(m2)) < 1e-12
-    e1 = joint(intervene(m1, {"X": 0})).marginal(["S"]).probs[1]
-    e2 = joint(intervene(m2, {"X": 0})).marginal(["S"]).probs[1]
+    e1 = joint(do(m1, "X", 0)).marginal(["S"]).probs[1]
+    e2 = joint(do(m2, "X", 0)).marginal(["S"]).probs[1]
     assert abs(e1 - e2) == 0.5
 
 
@@ -168,6 +167,23 @@ def test_latent_outcome_policy_not_identifiable():
     assert identify_policy(case.diagram, case.space, {"Y"}) is None
 
 
+def test_policy_query_projects_once(monkeypatch):
+    # the atomic core works on the projection it is handed: a fresh policy
+    # query projects the diagram once
+    calls = []
+    monkeypatch.setattr(identify, "project", lambda d: calls.append(d) or project(d))
+    atomic = 0
+    for name in fixtures.diagram_names():
+        case = fixtures.diagram_fixture(name)
+        identify._identify_policy_cached.cache_clear()
+        identify._identify_atomic_cached.cache_clear()
+        calls.clear()
+        formula = identify_policy(case.diagram, case.space, case.diagram.observed - {case.space.action})
+        assert len(calls) == 1, name
+        atomic += formula is None or has_policy_factor(formula)
+    assert atomic >= 5
+
+
 # ------------------------------------------------------------- evaluation
 
 def test_evaluate_plain_marginal():
@@ -184,7 +200,7 @@ def test_evaluate_policy_assembly_matches_model():
     for seed in range(8):
         scm = random_scm(case.diagram.with_observed({"Y"}), seed=seed)
         obs = joint(scm).marginal(case.diagram.observed)
-        pol = uniform_policy("X", 2)
+        pol = Policy.create("X", 2, np.full(2, 0.5))
         got = evaluate(formula, obs, policy=pol)
         want = joint(intervene(scm, pol)).marginal(["S"])
         assert got.l1(want) < 1e-9
@@ -207,7 +223,7 @@ def test_evaluate_argument_validation():
     with pytest.raises(ValueError, match="mass"):
         evaluate(formula, obs)  # the do-variable is left free
     with pytest.raises(ValueError, match="policy"):
-        evaluate(formula, obs, policy=uniform_policy("X", 2), fixed={"X": 0})
+        evaluate(formula, obs, policy=Policy.create("X", 2, np.full(2, 0.5)), fixed={"X": 0})
     case = fixtures.diagram_fixture("frontdoor_confounded")
     pf = identify_policy(case.diagram, PolicySpace.create("X", ()), {"S"})
     with pytest.raises(ValueError, match="policy"):
@@ -247,7 +263,7 @@ def test_widened_do_set_is_averaged_out():
         obs = observational(scm)
         for x in (0, 1):
             got = evaluate(formula, obs, fixed={"C": x})
-            want = joint(intervene(scm, {"C": x})).marginal(["F"])
+            want = joint(do(scm, "C", x)).marginal(["F"])
             assert got.l1(want) < 1e-9
 
 
@@ -277,7 +293,7 @@ def test_atomic_identification_random_sweep():
             table = observational(scm)
             for x in (0, 1):
                 got = evaluate(formula, table, fixed={action: x})
-                want = joint(intervene(scm, {action: x})).marginal(sorted(outcome))
+                want = joint(do(scm, action, x)).marginal(sorted(outcome))
                 assert got.l1(want) <= 1e-9, (trial, m, x)
                 compared += 1
     assert compared > 200

@@ -10,7 +10,6 @@ from causal_imitation.identify import evaluate, has_policy_factor, identify_poli
 from causal_imitation.imitate import (
     Infeasible,
     _linear_system,
-    closest_imitating_policy,
     graphical_verdict,
     imitate_pipeline,
     instruments,
@@ -23,12 +22,13 @@ from causal_imitation.scm import (
     Policy,
     conditional_policy,
     empirical_observational,
-    intervene,
     joint,
     observational,
     random_frontdoor,
     random_scm,
 )
+
+from oracles import do
 
 
 def _frontdoor_formula():
@@ -37,7 +37,7 @@ def _frontdoor_formula():
 
 
 def _do_values(scm):
-    return [joint(intervene(scm, {"X": x})).marginal(["S"]).probs[1] for x in (0, 1)]
+    return [joint(do(scm, "X", x)).marginal(["S"]).probs[1] for x in (0, 1)]
 
 
 def mix_alpha(scm):
@@ -146,11 +146,18 @@ def test_solver_requires_placeholder():
         solve_policy(Factor(("Y",)), obs, {"Y"})
 
 
-# ------------------------------------------------------------- nearest-policy utility
+# ------------------------------------------------------------- tie-break LP
 
-def test_closest_imitating_policy_backdoor_segment():
-    # covariate-conditioned problems admit a solution segment; the utility
-    # picks the feasible point nearest a reference, weighted by P(z)
+def _lp_system(formula, obs, surrogate):
+    """The tie-break LP's inputs: A as a matrix, t, n_pa and k, plus the
+    placeholder and input domains for turning a solution into a policy."""
+    coeff, t, ph, in_doms, k = _linear_system(formula, obs, surrogate)
+    return coeff.reshape(len(t), -1), t, coeff.shape[1], k, ph, in_doms
+
+
+def test_lp_closest_backdoor_segment():
+    # covariate-conditioned problems admit a solution segment; the tie-break
+    # LP picks the feasible point nearest a reference in L1
     case = fixtures.diagram_fixture("backdoor_observed")
     formula = identify_policy(case.diagram, case.space, {"Y"})
     rng = np.random.default_rng(4)
@@ -162,20 +169,19 @@ def test_closest_imitating_policy_backdoor_segment():
         if not isinstance(solved, Policy):
             continue
         checked += 1
+        a2, t, n_pa, k, ph, in_doms = _lp_system(formula, obs, {"Y"})
         # the solved policy itself must be recoverable at distance ~0
-        pol, dist = closest_imitating_policy(formula, obs, {"Y"}, solved)
-        assert dist < 1e-6
+        solved_flat = np.asarray(solved.probs).reshape(-1)
+        raw = imitate._lp_closest(a2, t, n_pa, k, solved_flat, 1e-9)
+        assert np.abs(raw - solved_flat).sum() < 1e-6
         # a random reference: the result must stay feasible and beat the
         # solved policy's distance to that reference
-        raw = rng.uniform(size=(2, 2)) + 1e-3
-        ref = Policy.create("X", 2, raw / raw.sum(-1, keepdims=True), ("Z",), (2,))
-        pol2, dist2 = closest_imitating_policy(formula, obs, {"Y"}, ref)
+        ref = rng.uniform(size=(2, 2)) + 1e-3
+        ref = (ref / ref.sum(-1, keepdims=True)).reshape(-1)
+        raw2 = imitate._lp_closest(a2, t, n_pa, k, ref, 1e-9)
+        pol2 = imitate._as_policy(raw2, ph, in_doms, k)
         assert evaluate(formula, obs, pol2).l1(obs.marginal(["Y"])) < 1e-7
-        w = obs.marginal(["Z"]).probs
-        dist_solved = 0.5 * float(
-            (w[:, None] * np.abs(np.asarray(solved.probs) - np.asarray(ref.probs))).sum()
-        )
-        assert dist2 <= dist_solved + 1e-9
+        assert np.abs(raw2 - ref).sum() <= np.abs(solved_flat - ref).sum() + 1e-9
     assert checked > 5
 
 
@@ -243,16 +249,16 @@ def test_linear_system_bit_identical_to_basis_loop():
     assert checked >= 10
 
 
-def test_closest_imitating_policy_infeasible_raises():
+def test_lp_closest_infeasible_returns_none():
     formula = _frontdoor_formula()
     for seed in range(40):
         scm = random_frontdoor(seed)
         if 0.0 <= mix_alpha(scm) <= 1.0:
             continue
         obs = observational(scm)
-        ref = conditional_policy(obs, "X", ())
-        with pytest.raises(ValueError, match="exactly"):
-            closest_imitating_policy(formula, obs, {"S"}, ref)
+        a2, t, n_pa, k, _ph, _in_doms = _lp_system(formula, obs, {"S"})
+        ref = np.asarray(conditional_policy(obs, "X", ()).probs)
+        assert imitate._lp_closest(a2, t, n_pa, k, ref, 1e-9) is None
         return
     raise AssertionError("no infeasible seed found")
 
@@ -333,6 +339,36 @@ def test_graphical_verdict():
     assert graphical_verdict(case.diagram, case.space, "Y") == ("not-imitable-graphical", None)
     case = fixtures.diagram_fixture("highway_adjustable")
     assert graphical_verdict(case.diagram, case.space, "Y") == ("imitable-graphical", frozenset({"Z"}))
+
+
+# ------------------------------------------------------- instruments against the definition
+
+def test_instruments_meet_the_paper_definition():
+    # each (subspace, surrogate) the search yields is an instrument by the
+    # paper's definition, yielded once, with identify_policy's formula
+    from causal_imitation.diagram import validate_space
+    from oracles import is_instrument, random_diagram
+
+    rng = np.random.default_rng(31)
+    yielded = 0
+    for trial in range(200):
+        d = random_diagram(rng, int(rng.integers(5, 9)), latent_fraction=0.3)
+        obs_nodes = sorted(d.observed)
+        candidates = [(x, y) for x in obs_nodes for y in sorted(d.descendants({x}, False))]
+        if not candidates:
+            continue
+        action, reward = candidates[int(rng.integers(len(candidates)))]
+        eligible = [z for z in obs_nodes if z not in (action, reward)
+                    and not validate_space(d, PolicySpace.create(action, {z}))]
+        space = PolicySpace.create(action, {z for z in eligible if rng.uniform() < 0.6})
+        seen = set()
+        for subspace, surrogate, formula in instruments(d, space, reward):
+            assert is_instrument(d, space, reward, surrogate, subspace), trial
+            assert (subspace, surrogate) not in seen, trial
+            seen.add((subspace, surrogate))
+            assert formula == identify_policy(d, subspace, surrogate), trial
+        yielded += len(seen)
+    assert yielded > 150
 
 
 # ------------------------------------------------------- monotonicity and transfer
