@@ -69,6 +69,8 @@ def parse_distribution_text(text: str) -> JointTable:
         rows[config] = p
     if header is None:
         raise ParseError("empty distribution file")
+    if not rows:
+        raise ParseError("distribution file has no rows")
     order = sorted(range(len(header)), key=lambda i: header[i])
     variables = tuple(header[i] for i in order)
     if len(set(variables)) != len(variables):

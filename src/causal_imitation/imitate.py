@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -110,33 +111,122 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     return coeff, t, ph, in_doms, k
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported at the first call: importing
-    scipy.optimize takes longer than most commands, which solve no LP."""
-    from scipy.optimize import linprog
+@lru_cache(maxsize=1)
+def _highs():
+    """The HiGHS binding scipy ships and the one solver every LP runs on,
+    set up with the options ``scipy.optimize.linprog(method="highs")``
+    passes.  Importing the binding imports ``scipy.optimize``, which takes
+    longer than most commands, and those solve no LP."""
+    from scipy.optimize._highspy import _core
+    from scipy.optimize._linprog_util import _check_result
 
-    return linprog(*args, **kwargs)
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    solver = _core._Highs()
+    solver.passOptions(options)
+    return _core, solver, _check_result
 
 
-def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int, extra: int = 0):
-    """Equality rows A pi - r+ + r- = t and sum_x pi[pa, x] = 1 over the
-    columns (pi, r+, r-) followed by ``extra`` columns the caller uses."""
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method="highs"):
+    """``scipy.optimize.linprog(..., method="highs")`` on HiGHS (Huangfu &
+    Hall, Math. Prog. Comp. 10, 2018) without scipy's per-call wrapper:
+    the same model, options and success test, so ``x``, ``fun`` and
+    ``success`` are bit-identical.  ``A_eq`` and the optional ``A_ub`` are
+    ``csc_array``s and ``bounds`` is an (n, 2) array.  Every LP gets a
+    cleared solver: a warm start could return another optimal vertex."""
+    if method != "highs":
+        raise ValueError(f"unknown LP method {method!r}")
+    core, solver, check_result = _highs()
+    from scipy.optimize import OptimizeResult
+
+    c = np.asarray(c, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
+    b_ub = np.asarray(b_ub if A_ub is not None else [], dtype=float)
+    a = A_eq if A_ub is None else _stack_rows(A_ub, A_eq)
+    if not all(np.isfinite(v).all() for v in (c, a.data, b_ub, b_eq)):
+        raise ValueError("LP coefficients must not contain inf or nan")
+    n_ub = len(b_ub)
+    # inequality rows first, each -inf <= row <= b_ub, as scipy orders them
+    row_lower = np.concatenate([np.full(n_ub, -core.kHighsInf), b_eq])
+    row_upper = np.concatenate([b_ub, b_eq])
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = a.indptr
+    lp.a_matrix_.index_ = a.indices
+    lp.a_matrix_.value_ = a.data
+    lp.col_cost_ = c
+    lp.col_lower_ = bounds[:, 0]
+    lp.col_upper_ = bounds[:, 1]
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    solver.clearSolver()
+    ran = solver.passModel(lp) != core.HighsStatus.kError and solver.run() != core.HighsStatus.kError
+    status = solver.getModelStatus()
+    message = solver.modelStatusToString(status)
+    if not ran or status != core.HighsModelStatus.kOptimal:
+        return OptimizeResult(x=None, fun=None, success=False, message=message)
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    fun = solver.getInfo().objective_function_value
+    slack = row_upper - solution.row_value
+    checked, message = check_result(x, fun, 0, slack[:n_ub], slack[n_ub:], bounds, 1e-9, message, None)
+    return OptimizeResult(x=x, fun=fun, success=checked == 0, message=message)
+
+
+def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
+    """The matrix with the given entries as a ``csc_array``: zero entries
+    dropped and rows sorted within each column, as ``csc_array(dense)``
+    stores it."""
+    from scipy.sparse import csc_array
+
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=shape[1]))])
+    return csc_array((vals[order], rows[order], indptr), shape=shape)
+
+
+def _stack_rows(top, bottom):
+    """``top``'s rows over ``bottom``'s, both ``csc_array``s."""
+    parts = [(m.indices + offset, np.repeat(np.arange(m.shape[1]), np.diff(m.indptr)), m.data)
+             for m, offset in ((top, 0), (bottom, top.shape[0]))]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    return _csc(rows, cols, vals, (top.shape[0] + bottom.shape[0], top.shape[1]))
+
+
+def _bounds(n_pi: int, n: int) -> np.ndarray:
+    """Policy cells in [0, 1], the other columns in [0, inf)."""
+    bounds = np.zeros((n, 2))
+    bounds[:, 1] = np.inf
+    bounds[:n_pi, 1] = 1.0
+    return bounds
+
+
+def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
+    """Entries (rows, columns, values) of the equality rows
+    A pi - r+ + r- = t and sum_x pi[pa, x] = 1 over the columns
+    (pi, r+, r-), and their right-hand side."""
     n_s, n_pi = a2.shape
-    a_eq = np.zeros((n_s + n_pa, n_pi + 2 * n_s + extra))
-    a_eq[:n_s, :n_pi] = a2
-    a_eq[:n_s, n_pi:n_pi + n_s] = -np.eye(n_s)
-    a_eq[:n_s, n_pi + n_s:n_pi + 2 * n_s] = np.eye(n_s)
-    for p in range(n_pa):
-        a_eq[n_s + p, p * k:(p + 1) * k] = 1.0
-    return a_eq, np.concatenate([t, np.ones(n_pa)])
+    r, p = np.arange(n_s), np.arange(n_pi)
+    rows = np.concatenate([np.repeat(r, n_pi), r, r, n_s + p // k])
+    cols = np.concatenate([np.tile(p, n_s), n_pi + r, n_pi + n_s + r, p])
+    vals = np.concatenate([a2.reshape(-1), np.full(n_s, -1.0), np.ones(n_s), np.ones(n_pi)])
+    return (rows, cols, vals), np.concatenate([t, np.ones(n_pa)])
 
 
 def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
     n_pi, n_s = n_pa * k, len(t)
+    n = n_pi + 2 * n_s
     c = np.concatenate([np.zeros(n_pi), np.ones(2 * n_s)])
-    a_eq, b_eq = _matching_rows(a2, t, n_pa, k)
-    bounds = [(0.0, 1.0)] * n_pi + [(0.0, None)] * (2 * n_s)
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    entries, b_eq = _matching_rows(a2, t, n_pa, k)
+    a_eq = _csc(*entries, (n_s + n_pa, n))
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=_bounds(n_pi, n), method="highs")
     if not res.success:
         raise RuntimeError(f"residual LP failed: {res.message}")
     return res.x[:n_pi], float(res.fun)
@@ -149,16 +239,17 @@ def _lp_closest(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int,
     n_pi, n_s = n_pa * k, len(t)
     n = n_pi + 2 * n_s + 2 * n_pi
     c = np.concatenate([np.zeros(n_pi + 2 * n_s), np.ones(2 * n_pi)])
-    a_match, b_match = _matching_rows(a2, t, n_pa, k, extra=2 * n_pi)
-    a_dist = np.zeros((n_pi, n))
-    a_dist[:, :n_pi] = np.eye(n_pi)
-    a_dist[:, n_pi + 2 * n_s:n_pi + 2 * n_s + n_pi] = -np.eye(n_pi)
-    a_dist[:, n_pi + 2 * n_s + n_pi:] = np.eye(n_pi)
-    a_ub = np.zeros((1, n))
-    a_ub[0, n_pi:n_pi + 2 * n_s] = 1.0
-    bounds = [(0.0, 1.0)] * n_pi + [(0.0, None)] * (n - n_pi)
-    res = linprog(c, A_eq=np.vstack([a_match, a_dist]), b_eq=np.concatenate([b_match, ref]),
-                  A_ub=a_ub, b_ub=[cap], bounds=bounds, method="highs")
+    (rows, cols, vals), b_match = _matching_rows(a2, t, n_pa, k)
+    # distance rows pi - d+ + d- = ref under the matching rows
+    p, top, d = np.arange(n_pi), n_s + n_pa, n_pi + 2 * n_s
+    a_eq = _csc(np.concatenate([rows, top + p, top + p, top + p]),
+                np.concatenate([cols, p, d + p, d + n_pi + p]),
+                np.concatenate([vals, np.ones(n_pi), np.full(n_pi, -1.0), np.ones(n_pi)]),
+                (top + n_pi, n))
+    # one inequality row: the residual columns sum to at most cap
+    a_ub = _csc(np.zeros(2 * n_s, dtype=int), n_pi + np.arange(2 * n_s), np.ones(2 * n_s), (1, n))
+    res = linprog(c, A_eq=a_eq, b_eq=np.concatenate([b_match, ref]),
+                  A_ub=a_ub, b_ub=[cap], bounds=_bounds(n_pi, n), method="highs")
     if not res.success:
         return None
     return res.x[:n_pi]
@@ -215,9 +306,16 @@ def verify_policy(scm: DiscreteSCM, policy: Policy, target: Iterable[str]) -> fl
     """L1 distance between the target's distribution under the policy and
     under the expert, computed exactly in the true model."""
     ts = tuple(sorted(frozenset(target)))
-    base = joint(scm).marginal(ts)
+    base = _expert_marginal(scm, ts)
     post = joint(intervene(scm, policy)).marginal(ts)
     return base.l1(post)
+
+
+@lru_cache(maxsize=1)
+def _expert_marginal(scm: DiscreteSCM, ts: tuple[str, ...]) -> JointTable:
+    """The target's distribution under the expert.  Callers verify several
+    policies on one model in a row; models hash by identity."""
+    return joint(scm).marginal(ts)
 
 
 def graphical_verdict(diagram: CausalDiagram, space: PolicySpace,

@@ -15,6 +15,7 @@ import math
 from itertools import chain, combinations
 
 import numpy as np
+from scipy.optimize import linprog as linprog_scipy  # the public LP solver imitate.linprog must match
 
 from causal_imitation.diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
 from causal_imitation.errors import TooLargeError
@@ -28,9 +29,11 @@ def subsets(items):
 
 
 def d_separated_paths(diagram: CausalDiagram, a_set, b_set, c_set) -> bool:
-    """Path-enumeration d-separation: search for one active path."""
+    """Path-enumeration d-separation: search for one active path.  An(C),
+    which opens colliders, comes from ``brute_ancestors``, not from the
+    library's reachability walk."""
     a_set, b_set, c_set = frozenset(a_set), frozenset(b_set), frozenset(c_set)
-    anc_c = diagram.ancestors(c_set, inclusive=True)
+    anc_c = brute_ancestors(diagram, c_set)
     adj: dict[str, list[tuple[str, bool, bool]]] = {n: [] for n in diagram.nodes}
     for u, v in diagram.directed:
         adj[u].append((v, False, True))   # leaving u at the tail, head at v

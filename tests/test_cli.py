@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causal_imitation import experiments, fixtures
 from causal_imitation.cli import main, parse_distribution_text
@@ -288,6 +288,67 @@ def test_distribution_roundtrip_random_tables(data):
     again = parse_distribution_text(format_distribution(table))
     assert (again.variables, again.domains) == (table.variables, table.domains)
     assert again.probs.tobytes() == table.probs.tobytes()
+
+
+# tokens a distribution file may hold, good and bad: values, probabilities,
+# non-finite and overflowing numbers, other numerals, comments and whitespace
+_TOKENS = ["0", "1", "2", "-1", "-0", "+1", "1_0", "0.25", "0.5", "1.0", "1e-13", "-1e-13", "nan", "inf",
+           "-inf", "1e400", "0x1", "\u0663", "9" * 5000, "#", "a#b", "A", "B", "\t", "\x0c", "\x85"]
+_token = st.one_of(st.sampled_from(_TOKENS), st.integers(-3, 1 << 70).map(str),
+                   st.floats().map(repr), st.text(max_size=3))
+_line = st.lists(_token, max_size=5).map(" ".join)
+
+
+@st.composite
+def _edited_distribution_text(draw) -> str:
+    """A valid file of up to three variables with up to two lines dropped,
+    doubled, inserted or given a token from ``_TOKENS``."""
+    n = draw(st.integers(1, 3))
+    domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    names = draw(st.lists(st.sampled_from("ABCD"), min_size=n, max_size=n))
+    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=math.prod(domains),
+                                     max_size=math.prod(domains))), dtype=float)
+    lines = [" ".join(names)] + [" ".join(map(str, c)) + f" {p!r}"
+                                 for c, p in zip(np.ndindex(*domains), weights / weights.sum())]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "double", "insert", "token"]))
+        if edit == "drop":
+            lines.pop(i)
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        elif edit == "insert":
+            lines.insert(i, draw(_line))
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_token)
+            lines[i] = " ".join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(_line, max_size=12).map("\n".join), _edited_distribution_text()))
+def test_distribution_parser_fuzz(text):
+    # any text parses into a valid table or raises ParseError, nothing else
+    try:
+        table = parse_distribution_text(text)
+    except ParseError:
+        return
+    assert isinstance(table, JointTable)
+    assert table.variables == tuple(sorted(set(table.variables)))
+    assert table.probs.shape == table.domains
+    assert np.isfinite(table.probs).all() and abs(table.probs.sum() - 1.0) <= 1e-9
+
+
+def test_distribution_requires_a_row(tmp_path, capsys):
+    with pytest.raises(ParseError, match="no rows"):
+        parse_distribution_text("A B  # a header alone\n")
+    path = tmp_path / "header.dist"
+    path.write_text("A B\n")
+    assert main(["imitate", "--graph", "highway_binary", "--dist", str(path)]) == 2
+    assert "no rows" in capsys.readouterr().err
 
 
 def test_distribution_requires_all_rows():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from causal_imitation import fixtures
+from causal_imitation import diagram as diagram_module, fixtures
 from causal_imitation.diagram import (
     CausalDiagram,
     PolicySpace,
@@ -234,6 +234,29 @@ def test_d_separation_matches_path_oracle(seed):
     b = {n for n, l in zip(nodes, labels) if l == 1}
     c = {n for n, l in zip(nodes, labels) if l == 2}
     assert d_separated(d, a, b, c) == d_separated_paths(d, a, b, c)
+
+
+def test_separation_oracle_runs_no_library_walk(monkeypatch):
+    # the oracle takes An(C) from enumerated directed paths, so a fault in
+    # the library's walk, say at colliders, cannot hide in the oracle too
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(60):
+        d = random_diagram(rng, int(rng.integers(3, 7)), latent_fraction=0.3)
+        nodes = sorted(d.nodes)
+        labels = rng.integers(0, 4, size=len(nodes))
+        a, b, c = ({n for n, l in zip(nodes, labels) if l == i} for i in range(3))
+        if a and b:
+            cases.append((d, a, b, c, d_separated(d, a, b, c)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a library walk")
+
+    monkeypatch.setattr(diagram_module, "_reach", refuse)
+    monkeypatch.setattr(CausalDiagram, "ancestors", refuse)
+    monkeypatch.setattr(CausalDiagram, "descendants", refuse)
+    for d, a, b, c, expected in cases:
+        assert d_separated_paths(d, a, b, c) == expected
 
 
 # ---------------------------------------------------------------------- text format

@@ -185,43 +185,13 @@ def test_lp_closest_backdoor_segment():
     assert checked > 5
 
 
-def test_linear_system_bit_identical_to_basis_loop():
-    # one evaluation at the stacked identity policy gives the coefficients
-    # of one evaluation per one-hot policy, bit for bit
+def _random_instrument_cases():
+    """(diagram, space, reward, exact table) for random 7-10-node models
+    with 2-3 policy inputs."""
     from causal_imitation.diagram import validate_space
-    from causal_imitation.experiments import frontdoor_instrument
-    from oracles import linear_system_by_basis, random_diagram
+    from oracles import random_diagram
 
-    def assert_same(formula, obs, surrogate):
-        try:
-            want = linear_system_by_basis(formula, obs, surrogate)
-        except UnsupportedConditionalError as exc:
-            with pytest.raises(UnsupportedConditionalError, match=re.escape(str(exc))):
-                _linear_system(formula, obs, surrogate)
-            return
-        got = _linear_system(formula, obs, surrogate)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert got[2:] == want[2:]
-
-    def check_instruments(diagram, space, reward, obs) -> int:
-        checked = 0
-        for _subspace, surrogate, formula in instruments(diagram, space, reward):
-            if has_policy_factor(formula):
-                assert_same(formula, obs, surrogate)
-                checked += 1
-        return checked
-
-    formula, surrogate, _inputs = frontdoor_instrument()
-    for i in range(100):
-        scm = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,)))
-        assert_same(formula, observational(scm), surrogate)
-        sampled = empirical_observational(scm, 100_000, np.random.SeedSequence(entropy=0, spawn_key=(i, 1)))
-        assert_same(formula, sampled, surrogate)
-
-    # 7-10 nodes with 2-3 policy inputs; with the column axis innermost in
-    # memory, 17 of these 48 systems differ in their last bits
     rng = np.random.default_rng(0)
-    checked = 0
     for trial in range(40):
         d = random_diagram(rng, int(rng.integers(7, 11)), latent_fraction=0.3)
         obs_nodes = sorted(d.observed)
@@ -235,18 +205,63 @@ def test_linear_system_bit_identical_to_basis_loop():
             continue
         k = min(len(eligible), int(rng.integers(2, 4)))
         space = PolicySpace.create(action, rng.choice(eligible, size=k, replace=False).tolist())
-        checked += check_instruments(d, space, reward, observational(random_scm(d, seed=trial)))
-    assert checked >= 40
+        yield d, space, reward, observational(random_scm(d, seed=trial))
 
-    checked = 0
+
+def _fixture_instrument_cases():
+    """(diagram, space, reward, table) for every bundled pair whose model
+    observes the diagram's nodes, with the exact and a 1000-sample table."""
     for name in fixtures.diagram_names():
         case = fixtures.diagram_fixture(name)
         for model in fixtures.scm_names():
             scm = fixtures.scm_fixture(model)
             for obs in (observational(scm), empirical_observational(scm, 1000, np.random.SeedSequence(0))):
                 if case.diagram.observed <= set(obs.variables):
-                    checked += check_instruments(case.diagram, case.space, case.reward, obs)
-    assert checked >= 10
+                    yield case.diagram, case.space, case.reward, obs
+
+
+def _policy_instruments(diagram, space, reward):
+    """(surrogate, formula) of each instrument whose formula has a policy factor."""
+    return [(surrogate, formula) for _subspace, surrogate, formula in instruments(diagram, space, reward)
+            if has_policy_factor(formula)]
+
+
+def test_linear_system_bit_identical_to_basis_loop():
+    # one evaluation at the stacked identity policy gives the coefficients
+    # of one evaluation per one-hot policy, bit for bit
+    from causal_imitation.experiments import frontdoor_instrument
+    from oracles import linear_system_by_basis
+
+    def assert_same(formula, obs, surrogate):
+        try:
+            want = linear_system_by_basis(formula, obs, surrogate)
+        except UnsupportedConditionalError as exc:
+            with pytest.raises(UnsupportedConditionalError, match=re.escape(str(exc))):
+                _linear_system(formula, obs, surrogate)
+            return
+        got = _linear_system(formula, obs, surrogate)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+
+    def check_instruments(cases) -> int:
+        checked = 0
+        for diagram, space, reward, obs in cases:
+            for surrogate, formula in _policy_instruments(diagram, space, reward):
+                assert_same(formula, obs, surrogate)
+                checked += 1
+        return checked
+
+    formula, surrogate, _inputs = frontdoor_instrument()
+    for i in range(100):
+        scm = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,)))
+        assert_same(formula, observational(scm), surrogate)
+        sampled = empirical_observational(scm, 100_000, np.random.SeedSequence(entropy=0, spawn_key=(i, 1)))
+        assert_same(formula, sampled, surrogate)
+
+    # with the column axis innermost in memory, 17 of these 48 systems
+    # differ in their last bits
+    assert check_instruments(_random_instrument_cases()) >= 40
+    assert check_instruments(_fixture_instrument_cases()) >= 10
 
 
 def test_lp_closest_infeasible_returns_none():
@@ -263,6 +278,145 @@ def test_lp_closest_infeasible_returns_none():
     raise AssertionError("no infeasible seed found")
 
 
+# ------------------------------------------------------------- the LP layer
+
+def _capture_lps(monkeypatch, run) -> list:
+    """(args, kwargs) of every LP that ``run()`` solves through imitate.linprog."""
+    lps = []
+    solve = imitate.linprog
+
+    def record(*args, **kwargs):
+        lps.append((args, kwargs))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(imitate, "linprog", record)
+    try:
+        run()
+    finally:
+        monkeypatch.setattr(imitate, "linprog", solve)
+    return lps
+
+
+def _outcome(res):
+    """x, fun and success of an LP result, in a form compared bit for bit."""
+    return (None if res.x is None else res.x.tobytes(),
+            None if res.fun is None else float(res.fun).hex(), bool(res.success))
+
+
+def _oracle_outcome(args, kwargs):
+    """The public scipy.optimize.linprog on the same LP with dense rows,
+    which scipy turns into CSC itself; checks on the way that the CSC rows
+    hold what csc_array(dense) holds."""
+    from scipy.sparse import csc_array
+    from oracles import linprog_scipy
+
+    dense = dict(kwargs)
+    for key in ("A_ub", "A_eq"):
+        if kwargs.get(key) is not None:
+            dense[key] = kwargs[key].toarray()
+            want = csc_array(dense[key])
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(kwargs[key], part), getattr(want, part)), (key, part)
+    return _outcome(linprog_scipy(*args, **dense))
+
+
+def _study_lps(monkeypatch):
+    from causal_imitation.experiments import frontdoor_study
+
+    return (_capture_lps(monkeypatch, lambda: frontdoor_study(60))
+            + _capture_lps(monkeypatch, lambda: frontdoor_study(60, samples=100_000)))
+
+
+def _instrument_lps(monkeypatch, cases):
+    def run():
+        for diagram, space, reward, obs in cases:
+            for surrogate, formula in _policy_instruments(diagram, space, reward):
+                try:
+                    solve_policy(formula, obs, surrogate)
+                except UnsupportedConditionalError:
+                    pass
+
+    return _capture_lps(monkeypatch, run)
+
+
+def _infeasible_tie_break_lp(monkeypatch):
+    formula = _frontdoor_formula()
+    for seed in range(40):
+        scm = random_frontdoor(seed)
+        if not 0.0 <= mix_alpha(scm) <= 1.0:
+            obs = observational(scm)
+            a2, t, n_pa, k, _ph, _in_doms = _lp_system(formula, obs, {"S"})
+            ref = np.asarray(conditional_policy(obs, "X", ()).probs)
+            [lp] = _capture_lps(monkeypatch, lambda: imitate._lp_closest(a2, t, n_pa, k, ref, 1e-9))
+            return lp
+    raise AssertionError("no infeasible seed found")
+
+
+def test_linprog_bit_identical_to_scipy(monkeypatch):
+    # imitate.linprog drives HiGHS through scipy's private binding; x, fun
+    # and success must equal the public linprog's on every LP the package
+    # builds, or a change in that binding shows here first
+    groups = {
+        "study": _study_lps(monkeypatch),
+        "random": _instrument_lps(monkeypatch, list(_random_instrument_cases())),
+        "fixtures": _instrument_lps(monkeypatch, list(_fixture_instrument_cases())),
+        "infeasible": [_infeasible_tie_break_lp(monkeypatch)],
+    }
+    failed = 0
+    for group, lps in groups.items():
+        for args, kwargs in lps:
+            got = _outcome(imitate.linprog(*args, **kwargs))
+            assert got == _oracle_outcome(args, kwargs), group
+            failed += not got[2]
+    assert len(groups["study"]) > 150 and len(groups["random"]) > 40 and len(groups["fixtures"]) > 10
+    assert failed == 1  # only the infeasible tie-break LP
+
+
+def test_linprog_reused_solver_leaks_no_state(monkeypatch):
+    # A, B, A, B on the one solver: the largest random-model LP and the
+    # infeasible tie-break LP each give the same bits the second time
+    lp_a = max(_instrument_lps(monkeypatch, _random_instrument_cases()), key=lambda lp: len(lp[0][0]))
+    lp_b = _infeasible_tie_break_lp(monkeypatch)
+    lps = [lp_a, lp_b, lp_a, lp_b]
+    got = [_outcome(imitate.linprog(*args, **kwargs)) for args, kwargs in lps]
+    assert got == [_oracle_outcome(args, kwargs) for args, kwargs in lps]
+    assert got[:2] == got[2:] and got[0][2] and not got[1][2]
+
+
+def test_linprog_solver_keeps_the_linprog_highs_options():
+    # the options scipy.optimize.linprog(method="highs") passes, still set
+    # after the reused solver has been cleared and run
+    solve_policy(_frontdoor_formula(), observational(random_frontdoor(0)), {"S"})
+    core, solver, _check_result = imitate._highs()
+    keys = ("presolve", "simplex_strategy", "highs_debug_level", "log_to_console", "output_flag")
+    assert {key: solver.getOptionValue(key)[1] for key in keys} == {
+        "presolve": "on",
+        "simplex_strategy": int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        "highs_debug_level": int(core.HighsDebugLevel.kHighsDebugLevelNone),
+        "log_to_console": False,
+        "output_flag": False,
+    }
+
+
+@pytest.mark.parametrize("field", ["c", "A_eq", "b_eq", "A_ub", "b_ub"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_linprog_rejects_non_finite_data(field, bad):
+    from scipy.sparse import csc_array
+    from oracles import linprog_scipy
+
+    lp = dict(c=np.array([1.0, 2.0]), A_eq=csc_array(np.array([[1.0, 1.0]])), b_eq=np.array([1.0]),
+              A_ub=csc_array(np.array([[1.0, -1.0]])), b_ub=np.array([0.5]),
+              bounds=np.array([[0.0, 1.0], [0.0, np.inf]]))
+    assert _outcome(imitate.linprog(**lp)) == _outcome(linprog_scipy(**lp))
+    if field.startswith("A"):
+        lp[field] = csc_array(np.array([[1.0, bad]]))
+    else:
+        lp[field] = np.concatenate([[bad], lp[field][1:]])
+    for solve in (imitate.linprog, linprog_scipy):
+        with pytest.raises(ValueError, match="inf"):
+            solve(**lp)
+
+
 # ------------------------------------------------------------- verify_policy
 
 def test_backdoor_policy_verifies_exactly():
@@ -277,6 +431,25 @@ def test_cloning_residual_on_intro_highway():
     scm = fixtures.scm_fixture("highway_xor")
     pol = conditional_policy(observational(scm), "X", ())
     assert abs(verify_policy(scm, pol, {"Y"}) - 1.0) < 1e-12
+
+
+def test_verify_policy_computes_the_expert_marginal_once_per_model(monkeypatch):
+    # the study verifies the solved and the cloning policy on one model
+    from causal_imitation.scm import intervene
+
+    calls = []
+    exact = imitate.joint
+    monkeypatch.setattr(imitate, "joint", lambda scm: calls.append(scm) or exact(scm))
+    scm = random_frontdoor(3)
+    policies = [conditional_policy(observational(scm), "X", ()), Policy.create("X", 2, [0.25, 0.75])]
+    got = [verify_policy(scm, p, {"Y"}) for p in policies]
+    assert len(calls) == 3  # the expert once, then each policy
+    assert got == [exact(scm).marginal(["Y"]).l1(exact(intervene(scm, p)).marginal(["Y"])) for p in policies]
+    # another model, or another target, is computed afresh
+    other = random_frontdoor(3)
+    assert verify_policy(other, policies[0], {"Y"}) == got[0]
+    verify_policy(other, policies[0], {"S", "Y"})
+    assert len(calls) == 7 and calls[3] is other
 
 
 # ------------------------------------------------------------- pipeline
