@@ -24,7 +24,7 @@ from .identify import (
 from .criteria import (
     direct_parents_imitable,
     find_pi_backdoor,
-    test_pi_backdoor,
+    pi_backdoor_admissible,
 )
 from .enumerators import list_id_subspaces, list_min_separators
 from .scm import (

@@ -21,6 +21,7 @@ from .errors import ParseError
 from .identify import format_formula
 from .imitate import (
     DEFAULT_TOLERANCE,
+    _sampled_tolerance,
     graphical_verdict,
     imitate_pipeline,
     instruments,
@@ -174,7 +175,7 @@ def _cmd_imitate(args) -> int:
         scm = _load_scm(args.scm)
         if args.samples:
             table = empirical_observational(scm, args.samples, np.random.SeedSequence(entropy=args.seed))
-            tolerance = 3.0 / math.sqrt(args.samples)
+            tolerance = _sampled_tolerance(args.samples)
         else:
             table = observational(scm)
     else:

@@ -21,8 +21,8 @@ def direct_parents_imitable(diagram: CausalDiagram, space: PolicySpace) -> froze
     return None
 
 
-def test_pi_backdoor(diagram: CausalDiagram, space: PolicySpace, reward: str,
-                     zset: Iterable[str]) -> bool:
+def pi_backdoor_admissible(diagram: CausalDiagram, space: PolicySpace, reward: str,
+                           zset: Iterable[str]) -> bool:
     """Does ``zset`` satisfy the policy backdoor criterion: a subset of the
     policy inputs separating reward from action once the action's outgoing
     edges are removed?"""
@@ -52,12 +52,12 @@ def find_pi_backdoor(diagram: CausalDiagram, space: PolicySpace, reward: str,
     require_valid_space(diagram, space)
     zstar = (diagram.ancestors({reward, space.action}, inclusive=True)
              & space.inputs) - {reward}
-    if not test_pi_backdoor(diagram, space, reward, zstar):
+    if not pi_backdoor_admissible(diagram, space, reward, zstar):
         return None
     if minimal:
         kept = set(zstar)
         for z in sorted(zstar):
-            if test_pi_backdoor(diagram, space, reward, kept - {z}):
+            if pi_backdoor_admissible(diagram, space, reward, kept - {z}):
                 kept.discard(z)
         zstar = frozenset(kept)
     return frozenset(zstar)

@@ -71,13 +71,15 @@ def list_id_subspaces(diagram: CausalDiagram, space: PolicySpace,
     target = frozenset(outcome)
 
     def helper(lower: frozenset[str], upper: frozenset[str]) -> Iterator[PolicySpace]:
-        if identify_policy(diagram, PolicySpace(space.action, lower), target) is None:
-            return
+        # lower is known identifiable and the exclude branch keeps it, so
+        # every space is asked about once
         if lower == upper:
             yield PolicySpace(space.action, lower)
             return
         v = min(upper - lower)
-        yield from helper(lower | {v}, upper)
+        if identify_policy(diagram, PolicySpace(space.action, lower | {v}), target) is not None:
+            yield from helper(lower | {v}, upper)
         yield from helper(lower, upper - {v})
 
-    yield from helper(frozenset(), space.inputs)
+    if identify_policy(diagram, PolicySpace(space.action, frozenset()), target) is not None:
+        yield from helper(frozenset(), space.inputs)

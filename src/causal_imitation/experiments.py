@@ -6,14 +6,13 @@ instance order regardless of worker count.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from . import fixtures
 from .identify import IdFormula
-from .imitate import instruments, solve_policy, verify_policy
+from .imitate import _sampled_tolerance, instruments, solve_policy, verify_policy
 from .scm import (
     Policy,
     conditional_policy,
@@ -46,7 +45,7 @@ def _frontdoor_instance(args: tuple[int, int, int]) -> tuple[int, bool, float | 
         table = empirical_observational(
             scm_i, samples, np.random.SeedSequence(entropy=base_seed, spawn_key=(index, 1))
         )
-        solved = solve_policy(formula, table, surrogate, 3.0 / math.sqrt(samples))
+        solved = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))
     else:
         table, solved = exact, exact_solution
     l1_ci = None

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -67,7 +66,6 @@ class Quotient:
 IdFormula = Union[Factor, PolicyFactor, Constant, Sum, Product, Quotient]
 
 
-@lru_cache(maxsize=None)
 def free_variables(formula: IdFormula) -> frozenset[str]:
     if isinstance(formula, Factor):
         return frozenset(formula.vars) | frozenset(formula.given)
@@ -261,9 +259,8 @@ def _id(y: frozenset[str], x: frozenset[str], dist: _Dist, g: CausalDiagram,
     raise AssertionError("single component of G - x not inside any component of G")
 
 
-@lru_cache(maxsize=None)
-def _identify_atomic_cached(h: CausalDiagram, action: str,
-                            outcome: frozenset[str]) -> IdFormula | None:
+def _identify_projected(h: CausalDiagram, action: str,
+                        outcome: frozenset[str]) -> IdFormula | None:
     """The identification of ``identify_atomic`` on a semi-Markovian
     diagram ``h`` (a latent projection).  The caller has checked that the
     action is observed and that the outcome is observed without it."""
@@ -292,12 +289,14 @@ def identify_atomic(diagram: CausalDiagram, action: str,
         raise ValueError("outcome must not contain the action")
     if action not in diagram.observed:
         raise ValueError(f"action {action!r} must be an observed node")
-    return _identify_atomic_cached(project(diagram), action, outcome)
+    return _identify_projected(project(diagram), action, outcome)
 
 
-@lru_cache(maxsize=None)
-def _identify_policy_cached(diagram: CausalDiagram, space: PolicySpace,
-                            outcome: frozenset[str]) -> IdFormula | None:
+def identify_policy(diagram: CausalDiagram, space: PolicySpace,
+                    outcome: Iterable[str]) -> IdFormula | None:
+    """Formula for P(outcome | do(pi)) for every policy over the space, with
+    a placeholder standing for pi, or ``None`` when not identifiable."""
+    outcome = frozenset(outcome)
     require_valid_space(diagram, space)
     if space.action in outcome:
         raise ValueError("outcome must not contain the action")
@@ -310,18 +309,11 @@ def _identify_policy_cached(diagram: CausalDiagram, space: PolicySpace,
         # the action cannot reach the outcome: the policy is irrelevant
         return Factor(tuple(sorted(outcome)))
     zset = anc - {space.action} - outcome
-    sub = _identify_atomic_cached(h, space.action, frozenset(outcome | zset))
+    sub = _identify_projected(h, space.action, outcome | zset)
     if sub is None:
         return None
     placeholder = PolicyFactor(space.action, tuple(sorted(space.inputs)))
     return _sum({space.action} | zset, _product([sub, placeholder]))
-
-
-def identify_policy(diagram: CausalDiagram, space: PolicySpace,
-                    outcome: Iterable[str]) -> IdFormula | None:
-    """Formula for P(outcome | do(pi)) for every policy over the space, with
-    a placeholder standing for pi, or ``None`` when not identifiable."""
-    return _identify_policy_cached(diagram, space, frozenset(outcome))
 
 
 # ---------------------------------------------------------------------------

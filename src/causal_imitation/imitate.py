@@ -41,6 +41,11 @@ from .scm import (
 DEFAULT_TOLERANCE = 1e-6
 
 
+def _sampled_tolerance(samples: int) -> float:
+    """L1 matching tolerance for a table estimated from ``samples`` draws."""
+    return 3.0 / math.sqrt(samples)
+
+
 @dataclass(frozen=True)
 class Infeasible:
     """No policy meets the tolerance; carries the best achievable residual."""

@@ -218,7 +218,11 @@ class DiscreteSCM:
             if name in dom:
                 raise ValueError(f"exogenous {name} clashes with an endogenous node")
             exo_dom[name] = len(probs)
-        by_node = {m.node: m for m in self.mechanisms}
+        by_node: dict[str, Mechanism] = {}
+        for m in self.mechanisms:
+            if m.node in by_node:
+                raise ValueError(f"duplicate mechanism for {m.node}")
+            by_node[m.node] = m
         if set(by_node) != set(self.diagram.nodes):
             raise ValueError("mechanisms must cover exactly the diagram nodes")
         attached: dict[str, list[str]] = {name: [] for name in exo_dom}
@@ -456,7 +460,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
     resolved by the file-level loader)."""
     domains: dict[str, int] = {}
     exogenous: dict[str, list[float]] = {}
-    mechanisms: list[Mechanism] = []
+    mechanisms: dict[str, Mechanism] = {}
     pending: tuple[int, str, tuple[str, ...], tuple[str, ...], list[list[float]], list[int], int] | None = None
 
     def flush():
@@ -472,7 +476,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
             raise ParseError(f"mechanism rows for {node} must be distributions", row_lines[bad[0]])
         dom_sizes = tuple(domains[p] for p in parents) + tuple(len(exogenous[u]) for u in exo)
         table = table.reshape(dom_sizes + (domains[node],))
-        mechanisms.append(Mechanism(node, parents, exo, table))
+        mechanisms[node] = Mechanism(node, parents, exo, table)
         pending = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -520,6 +524,8 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                 raise ParseError("expected 'mech <node> given <parents...> exo <names...>'", lineno)
             gi, ei = tokens.index("given"), tokens.index("exo")
             node = tokens[1]
+            if node in mechanisms:
+                raise ParseError(f"duplicate mechanism for {node}", lineno)
             parents = tuple(tokens[gi + 1:ei])
             exo = tuple(tokens[ei + 1:])
             for p in parents:
@@ -537,7 +543,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
     flush()
-    return DiscreteSCM.create(diagram, domains, exogenous, mechanisms)
+    return DiscreteSCM.create(diagram, domains, exogenous, mechanisms.values())
 
 
 def parse_scm_file(path) -> DiscreteSCM:

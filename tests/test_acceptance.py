@@ -11,7 +11,7 @@ import numpy as np
 
 from causal_imitation import fixtures
 from causal_imitation.criteria import find_pi_backdoor
-from causal_imitation.criteria import test_pi_backdoor as pi_backdoor_admissible
+from causal_imitation.criteria import pi_backdoor_admissible
 from causal_imitation.diagram import PolicySpace, augment_policy, d_separated
 from causal_imitation.enumerators import list_id_subspaces, list_min_separators
 from causal_imitation.identify import evaluate, identify_atomic, identify_policy

@@ -254,6 +254,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     (10, "  0.0 1.0 0.0"),
     (10, "  0.5 0.1"),
     (10, "  1.0 0.000009"),
+    (13, "mech W given X exo UW"),
 ])
 def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     case = fixtures.diagram_fixture("frontdoor_observed")

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from causal_imitation import fixtures
 from causal_imitation.criteria import direct_parents_imitable, find_pi_backdoor
-from causal_imitation.criteria import test_pi_backdoor as pi_backdoor_admissible
+from causal_imitation.criteria import pi_backdoor_admissible
 from causal_imitation.diagram import CausalDiagram, PolicySpace, validate_space
 from causal_imitation.scm import conditional_policy, intervene, joint, random_scm
 

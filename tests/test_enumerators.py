@@ -1,7 +1,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from causal_imitation import fixtures
+from causal_imitation import enumerators, fixtures
 from causal_imitation.diagram import (
     CausalDiagram,
     PolicySpace,
@@ -109,24 +109,59 @@ def test_subspaces_match_brute_force_on_fixtures():
             brute_id_subspaces(g_obs, case.space, {case.reward}), name
 
 
-@given(st.integers(0, 400))
-@settings(max_examples=25)
-def test_subspaces_match_brute_force_random(seed):
+def _random_subspace_problem(seed):
+    """A diagram, a space over every eligible input and an outcome set, or
+    ``None`` when the draw leaves too few observed nodes or no outcome."""
     rng = np.random.default_rng(seed)
     d = random_diagram(rng, 6, latent_fraction=0.25)
     obs = sorted(d.observed)
     if len(obs) < 3:
-        return
+        return None
     action = obs[int(rng.integers(len(obs)))]
     outcome = {o for o in obs if o != action and rng.uniform() < 0.4}
     if not outcome:
-        return
+        return None
     eligible = [z for z in obs if z not in outcome and z != action
                 and not validate_space(d, PolicySpace.create(action, {z}))]
-    space = PolicySpace.create(action, eligible)
+    return d, PolicySpace.create(action, eligible), outcome
+
+
+@given(st.integers(0, 400))
+@settings(max_examples=25)
+def test_subspaces_match_brute_force_random(seed):
+    problem = _random_subspace_problem(seed)
+    if problem is None:
+        return
+    d, space, outcome = problem
     got = [s.inputs for s in list_id_subspaces(d, space, outcome)]
     assert len(got) == len(set(got))
     assert sorted(got, key=lambda s: tuple(sorted(s))) == brute_id_subspaces(d, space, outcome)
+
+
+def test_list_id_subspaces_identifies_each_subspace_once(monkeypatch):
+    queries = []
+
+    def counted(diagram, space, outcome):
+        queries.append((space, frozenset(outcome)))
+        return identify_policy(diagram, space, outcome)
+
+    monkeypatch.setattr(enumerators, "identify_policy", counted)
+    problems = [_random_subspace_problem(seed) for seed in range(40)]
+    for name in fixtures.diagram_names():
+        case = fig(name)
+        problems.append((case.diagram.with_observed({case.reward}), case.space, {case.reward}))
+    asked = 0
+    for d, space, outcome in filter(None, problems):
+        queries.clear()
+        got = [s.inputs for s in list_id_subspaces(d, space, outcome)]
+        assert len(queries) == len(set(queries)), (d, space)
+        asked += len(queries)
+        # include-branch first: a member's presence outranks its absence,
+        # taken over the inputs in sorted order
+        order = sorted(space.inputs)
+        expected = sorted(brute_id_subspaces(d, space, outcome), key=lambda s: [v not in s for v in order])
+        assert got == expected, (d, space)
+    assert asked > 50
 
 
 def test_pruning_monotonicity_on_fixtures():

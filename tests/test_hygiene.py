@@ -1,5 +1,5 @@
 """Static checks on the library source: no dead imports, no orphaned helpers,
-no public function or method that only the tests call.
+no public function or method that only the tests call, no unbounded cache.
 
 All are read off the syntax tree, so they hold without importing anything.
 ``__init__.py`` is skipped for imports: everything it imports is the
@@ -75,3 +75,28 @@ def test_every_public_function_and_method_has_a_caller():
     orphans = [label for label, node in defs if not node.name.startswith("_")
                and everywhere[node.name] == Counter(_references([node]))[node.name]]
     assert orphans == []
+
+
+
+def _unbounded_caches(tree):
+    """Line numbers of ``functools.cache`` and of ``lru_cache`` with
+    ``maxsize=None``, however they are imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(a.name == "cache" for a in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+        elif isinstance(node, ast.Call) and "lru_cache" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None)):
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if any(isinstance(s, ast.Constant) and s.value is None for s in sizes):
+                yield node.lineno
+
+
+def test_no_unbounded_cache():
+    # a cache without a bound lives as long as the process and grows with
+    # every new input; what a computation needs is passed in, not kept
+    found = [f"{module}:{line}" for module, tree in TREES.items() for line in _unbounded_caches(tree)]
+    assert found == []

@@ -168,15 +168,13 @@ def test_latent_outcome_policy_not_identifiable():
 
 
 def test_policy_query_projects_once(monkeypatch):
-    # the atomic core works on the projection it is handed: a fresh policy
-    # query projects the diagram once
+    # the atomic core works on the projection it is handed: a policy query
+    # projects the diagram once
     calls = []
     monkeypatch.setattr(identify, "project", lambda d: calls.append(d) or project(d))
     atomic = 0
     for name in fixtures.diagram_names():
         case = fixtures.diagram_fixture(name)
-        identify._identify_policy_cached.cache_clear()
-        identify._identify_atomic_cached.cache_clear()
         calls.clear()
         formula = identify_policy(case.diagram, case.space, case.diagram.observed - {case.space.action})
         assert len(calls) == 1, name

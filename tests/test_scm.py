@@ -229,6 +229,17 @@ def test_mechanism_parent_mismatch_rejected():
         DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
 
 
+def test_duplicate_mechanism_rejected():
+    d = CausalDiagram.create(observed="AB", directed=[("A", "B")])
+    mechs = [
+        Mechanism("A", (), (), np.array([0.5, 0.5])),
+        Mechanism("B", ("A",), (), np.array([[0.5, 0.5], [0.5, 0.5]])),
+        Mechanism("B", ("A",), (), np.array([[1.0, 0.0], [0.0, 1.0]])),
+    ]
+    with pytest.raises(ValueError, match="duplicate mechanism for B"):
+        DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         Policy.create("X", 2, np.array([0.7, 0.7]))
