@@ -42,7 +42,6 @@ from .scm import (
 )
 from .imitate import (
     ImitationResult,
-    Infeasible,
     imitate_pipeline,
     solve_policy,
     verify_policy,

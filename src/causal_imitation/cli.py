@@ -21,6 +21,8 @@ from .errors import ParseError
 from .identify import format_formula
 from .imitate import (
     DEFAULT_TOLERANCE,
+    _format_instrument,
+    _format_nodes,
     _sampled_tolerance,
     graphical_verdict,
     imitate_pipeline,
@@ -131,7 +133,7 @@ def _cmd_check(args) -> int:
     status, witness = graphical_verdict(diagram, space, reward)
     lines = [f"verdict {status}"]
     if witness is not None:
-        zs = " ".join(sorted(witness)) or "-"
+        zs = _format_nodes(witness)
         lines.append(f"witness {zs}")
         lines.append(f"prescription pi({space.action}|{zs}) = P({space.action}|{zs})")
     _emit(args, "\n".join(lines) + "\n")
@@ -141,15 +143,13 @@ def _cmd_check(args) -> int:
 def _cmd_backdoor(args) -> int:
     diagram, space, reward = _problem(args)
     z = find_pi_backdoor(diagram, space, reward, minimal=args.minimal)
-    _emit(args, ("admissible " + (" ".join(sorted(z)) or "-") if z is not None else "admissible none") + "\n")
+    _emit(args, ("admissible " + _format_nodes(z) if z is not None else "admissible none") + "\n")
     return 0
 
 
 def _cmd_surrogates(args) -> int:
     diagram, space, reward = _problem(args)
-    lines = []
-    for s in surrogate_candidates(diagram, space, reward):
-        lines.append("surrogate " + (" ".join(sorted(s)) or "-"))
+    lines = ["surrogate " + _format_nodes(s) for s in surrogate_candidates(diagram, space, reward)]
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -157,9 +157,7 @@ def _cmd_surrogates(args) -> int:
 def _cmd_instruments(args) -> int:
     diagram, space, reward = _problem(args)
     lines = [
-        "instrument surrogate " + (" ".join(sorted(s)) or "-")
-        + " subspace_inputs " + (" ".join(sorted(subspace.inputs)) or "-")
-        + " matching " + format_formula(formula)
+        f"instrument {_format_instrument(s, subspace)} matching {format_formula(formula)}"
         for subspace, s, formula in instruments(diagram, space, reward)
     ]
     _emit(args, "\n".join(lines) + ("\n" if lines else ""))

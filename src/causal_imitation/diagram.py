@@ -183,18 +183,13 @@ def validate(diagram: CausalDiagram) -> list[str]:
     for n in diagram.nodes:
         if not n:
             problems.append("empty node name")
-    for a, b in sorted(diagram.directed):
-        for end in (a, b):
-            if end not in declared:
-                problems.append(f"unknown node {end!r} in edge {a} -> {b}")
-        if a == b:
-            problems.append(f"self-loop {a} -> {b}")
-    for a, b in sorted(diagram.bidirected):
-        for end in (a, b):
-            if end not in declared:
-                problems.append(f"unknown node {end!r} in edge {a} <-> {b}")
-        if a == b:
-            problems.append(f"self-loop {a} <-> {b}")
+    for arrow, edges in (("->", diagram.directed), ("<->", diagram.bidirected)):
+        for a, b in sorted(edges):
+            for end in (a, b):
+                if end not in declared:
+                    problems.append(f"unknown node {end!r} in edge {a} {arrow} {b}")
+            if a == b:
+                problems.append(f"self-loop {a} {arrow} {b}")
     if not problems:
         try:
             diagram.topological_order()

@@ -6,13 +6,11 @@ instance order regardless of worker count.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import fixtures
 from .identify import IdFormula
-from .imitate import _sampled_tolerance, instruments, solve_policy, verify_policy
+from .imitate import _l1_to_expert, _sampled_tolerance, instruments, solve_policy
 from .scm import (
     Policy,
     conditional_policy,
@@ -24,36 +22,35 @@ from .scm import (
 )
 
 
-@lru_cache(maxsize=1)
-def frontdoor_instrument() -> tuple[IdFormula, frozenset[str], frozenset[str]]:
-    """First instrument the search finds for the latent-reward mediator
-    chain; the graph-level work is shared by every instance."""
+def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:
+    """Formula and surrogate of the first instrument the search finds for
+    the latent-reward mediator chain; every instance of the study uses it."""
     case = fixtures.diagram_fixture("frontdoor_latent")
-    for subspace, surrogate, formula in instruments(case.diagram, case.space, case.reward):
-        return formula, surrogate, subspace.inputs
+    for _subspace, surrogate, formula in instruments(case.diagram, case.space, case.reward):
+        return formula, surrogate
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
-def _frontdoor_instance(args: tuple[int, int, int]) -> tuple[int, bool, float | None, float]:
-    base_seed, index, samples = args
-    formula, surrogate, _inputs = frontdoor_instrument()
+def _frontdoor_instance(
+    args: tuple[IdFormula, frozenset[str], int, int, int],
+) -> tuple[int, bool, float | None, float]:
+    formula, surrogate, base_seed, index, samples = args
     scm_i = random_frontdoor(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
-    exact = observational(scm_i)
-    exact_solution = solve_policy(formula, exact, surrogate, 1e-9)
-    flag = isinstance(exact_solution, Policy)
+    # one exact joint gives the observed table and the expert's reward
+    full = joint(scm_i)
+    exact = full.marginal(scm_i.diagram.observed)
+    expert = full.marginal(("Y",))
+    exact_solution = solve_policy(formula, exact, surrogate, 1e-9)[0]
     if samples:
         table = empirical_observational(
             scm_i, samples, np.random.SeedSequence(entropy=base_seed, spawn_key=(index, 1))
         )
-        solved = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))
+        solved = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))[0]
     else:
         table, solved = exact, exact_solution
-    l1_ci = None
-    if isinstance(solved, Policy):
-        l1_ci = verify_policy(scm_i, solved, {"Y"})
-    cloning = conditional_policy(table, "X", ())
-    l1_bc = verify_policy(scm_i, cloning, {"Y"})
-    return index, flag, l1_ci, l1_bc
+    l1_ci = None if solved is None else _l1_to_expert(scm_i, expert, solved)
+    l1_bc = _l1_to_expert(scm_i, expert, conditional_policy(table, "X", ()))
+    return index, exact_solution is not None, l1_ci, l1_bc
 
 
 def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int = 1) -> str:
@@ -61,8 +58,8 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     the reward L1 of the solved policy versus behavior cloning."""
     if models < 1:
         raise ValueError("models must be >= 1")
-    frontdoor_instrument()
-    args = [(seed, i, samples) for i in range(models)]
+    formula, surrogate = frontdoor_instrument()
+    args = [(formula, surrogate, seed, i, samples) for i in range(models)]
     if workers > 1:
         # imported here, so that commands without a pool do not pay for it
         from concurrent.futures import ProcessPoolExecutor

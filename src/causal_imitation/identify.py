@@ -42,11 +42,6 @@ class PolicyFactor:
 
 
 @dataclass(frozen=True)
-class Constant:
-    value: float
-
-
-@dataclass(frozen=True)
 class Sum:
     bound: tuple[str, ...]
     body: "IdFormula"
@@ -63,7 +58,7 @@ class Quotient:
     den: "IdFormula"
 
 
-IdFormula = Union[Factor, PolicyFactor, Constant, Sum, Product, Quotient]
+IdFormula = Union[Factor, PolicyFactor, Sum, Product, Quotient]
 
 
 def free_variables(formula: IdFormula) -> frozenset[str]:
@@ -71,8 +66,6 @@ def free_variables(formula: IdFormula) -> frozenset[str]:
         return frozenset(formula.vars) | frozenset(formula.given)
     if isinstance(formula, PolicyFactor):
         return frozenset({formula.action}) | frozenset(formula.inputs)
-    if isinstance(formula, Constant):
-        return frozenset()
     if isinstance(formula, Sum):
         return free_variables(formula.body) - frozenset(formula.bound)
     if isinstance(formula, Product):
@@ -117,12 +110,8 @@ def _product(terms: Iterable[IdFormula]) -> IdFormula:
     for t in terms:
         if isinstance(t, Product):
             flat.extend(t.terms)
-        elif isinstance(t, Constant) and t.value == 1.0:
-            continue
         else:
             flat.append(t)
-    if not flat:
-        return Constant(1.0)
     if len(flat) == 1:
         return flat[0]
     return Product(tuple(flat))
@@ -142,8 +131,6 @@ def format_formula(formula: IdFormula) -> str:
             if node.inputs:
                 return f"pi({ren.get(node.action, node.action)}|{','.join(ren.get(v, v) for v in node.inputs)})"
             return f"pi({ren.get(node.action, node.action)})"
-        if isinstance(node, Constant):
-            return repr(node.value)
         if isinstance(node, Sum):
             ren2 = dict(ren)
             names = []
@@ -343,8 +330,6 @@ def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, i
         if policy_axes is None:
             raise ValueError("formula contains a policy placeholder but no policy was supplied")
         return policy_axes
-    if isinstance(node, Constant):
-        return (), np.asarray(node.value, dtype=float)
     if isinstance(node, Sum):
         vs, arr = _eval(node.body, obs, policy_axes, domains)
         drop = tuple(i for i, v in enumerate(vs) if v in node.bound)

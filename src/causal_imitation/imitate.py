@@ -46,13 +46,6 @@ def _sampled_tolerance(samples: int) -> float:
     return 3.0 / math.sqrt(samples)
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    """No policy meets the tolerance; carries the best achievable residual."""
-
-    residual: float
-
-
 @dataclass(frozen=True, eq=False)
 class ImitationResult:
     status: str  # imitable-graphical | p-imitable | no-instrument-found | infeasible
@@ -63,24 +56,29 @@ class ImitationResult:
     def report(self) -> str:
         lines = [f"status {self.status}"]
         if isinstance(self.witness, frozenset):
-            lines.append("witness conditioning " + (" ".join(sorted(self.witness)) or "-"))
+            lines.append("witness conditioning " + _format_nodes(self.witness))
         elif isinstance(self.witness, tuple):
-            surrogate, subspace = self.witness
-            lines.append(
-                "witness surrogate " + (" ".join(sorted(surrogate)) or "-")
-                + " subspace_inputs " + (" ".join(sorted(subspace.inputs)) or "-")
-            )
+            lines.append("witness " + _format_instrument(*self.witness))
         if self.residual is not None:
             lines.append(f"residual {self.residual:.12g}")
         if self.policy is not None:
             p = self.policy
-            lines.append("policy " + p.action + " given " + (" ".join(p.inputs) or "-"))
+            lines.append("policy " + p.action + " given " + _format_nodes(p.inputs))
             rows = np.asarray(p.probs).reshape(-1, p.action_domain)
             for config, row in zip(np.ndindex(*p.input_domains) if p.inputs else [()], rows):
                 prefix = " ".join(str(v) for v in config)
                 lines.append("  " + (prefix + " | " if prefix else "") +
                              " ".join(f"{v:.12g}" for v in row))
         return "\n".join(lines) + "\n"
+
+
+def _format_nodes(nodes: Iterable[str]) -> str:
+    """A node set as text: sorted names joined by spaces, ``-`` when empty."""
+    return " ".join(sorted(nodes)) or "-"
+
+
+def _format_instrument(surrogate: frozenset[str], subspace: PolicySpace) -> str:
+    return f"surrogate {_format_nodes(surrogate)} subspace_inputs {_format_nodes(subspace.inputs)}"
 
 
 def _linear_system(formula: IdFormula, observational: JointTable,
@@ -136,15 +134,13 @@ def _highs():
     return _core, solver, _check_result
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, method="highs"):
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     """``scipy.optimize.linprog(..., method="highs")`` on HiGHS (Huangfu &
     Hall, Math. Prog. Comp. 10, 2018) without scipy's per-call wrapper:
     the same model, options and success test, so ``x``, ``fun`` and
     ``success`` are bit-identical.  ``A_eq`` and the optional ``A_ub`` are
     ``csc_array``s and ``bounds`` is an (n, 2) array.  Every LP gets a
     cleared solver: a warm start could return another optimal vertex."""
-    if method != "highs":
-        raise ValueError(f"unknown LP method {method!r}")
     core, solver, check_result = _highs()
     from scipy.optimize import OptimizeResult
 
@@ -231,7 +227,7 @@ def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
     c = np.concatenate([np.zeros(n_pi), np.ones(2 * n_s)])
     entries, b_eq = _matching_rows(a2, t, n_pa, k)
     a_eq = _csc(*entries, (n_s + n_pa, n))
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=_bounds(n_pi, n), method="highs")
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=_bounds(n_pi, n))
     if not res.success:
         raise RuntimeError(f"residual LP failed: {res.message}")
     return res.x[:n_pi], float(res.fun)
@@ -254,7 +250,7 @@ def _lp_closest(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int,
     # one inequality row: the residual columns sum to at most cap
     a_ub = _csc(np.zeros(2 * n_s, dtype=int), n_pi + np.arange(2 * n_s), np.ones(2 * n_s), (1, n))
     res = linprog(c, A_eq=a_eq, b_eq=np.concatenate([b_match, ref]),
-                  A_ub=a_ub, b_ub=[cap], bounds=_bounds(n_pi, n), method="highs")
+                  A_ub=a_ub, b_ub=[cap], bounds=_bounds(n_pi, n))
     if not res.success:
         return None
     return res.x[:n_pi]
@@ -266,9 +262,16 @@ def _as_policy(raw: np.ndarray, ph: PolicyFactor, in_doms: tuple[int, ...], k: i
     return Policy(ph.action, ph.inputs, k, in_doms, np.ascontiguousarray(table))
 
 
-def _solve(formula: IdFormula, observational: JointTable, surrogate: Iterable[str],
-           tolerance: float) -> tuple[Policy | Infeasible, float]:
-    """``solve_policy``'s outcome together with its exact L1 residual."""
+def solve_policy(
+    formula: IdFormula,
+    observational: JointTable,
+    surrogate: Iterable[str],
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> tuple[Policy | None, float]:
+    """The policy making the formula's surrogate distribution match the
+    observed one within ``tolerance`` (L1), or ``None`` when none does,
+    together with the exact L1 residual: the policy's, or the minimal
+    achievable one."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s = len(t)
     n_pa = coeff.shape[1]
@@ -281,7 +284,7 @@ def _solve(formula: IdFormula, observational: JointTable, surrogate: Iterable[st
     best = _as_policy(raw, ph, in_doms, k)
     best_res = exact_residual(best)
     if best_res > tolerance:
-        return Infeasible(best_res), best_res
+        return None, best_res
     ref = np.asarray(conditional_policy(observational, ph.action, ph.inputs).probs).reshape(-1)
     # an exactly feasible system gets a hard matching constraint so the
     # tie-break cannot smear a uniquely determined policy
@@ -295,32 +298,16 @@ def _solve(formula: IdFormula, observational: JointTable, surrogate: Iterable[st
     return best, best_res
 
 
-def solve_policy(
-    formula: IdFormula,
-    observational: JointTable,
-    surrogate: Iterable[str],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Policy | Infeasible:
-    """Policy making the formula's surrogate distribution match the
-    observed one within ``tolerance`` (L1), else ``Infeasible`` with the
-    minimal achievable residual."""
-    return _solve(formula, observational, surrogate, tolerance)[0]
-
-
 def verify_policy(scm: DiscreteSCM, policy: Policy, target: Iterable[str]) -> float:
     """L1 distance between the target's distribution under the policy and
     under the expert, computed exactly in the true model."""
-    ts = tuple(sorted(frozenset(target)))
-    base = _expert_marginal(scm, ts)
-    post = joint(intervene(scm, policy)).marginal(ts)
-    return base.l1(post)
+    return _l1_to_expert(scm, joint(scm).marginal(target), policy)
 
 
-@lru_cache(maxsize=1)
-def _expert_marginal(scm: DiscreteSCM, ts: tuple[str, ...]) -> JointTable:
-    """The target's distribution under the expert.  Callers verify several
-    policies on one model in a row; models hash by identity."""
-    return joint(scm).marginal(ts)
+def _l1_to_expert(scm: DiscreteSCM, expert: JointTable, policy: Policy) -> float:
+    """L1 distance between ``expert``, a marginal of the model's joint, and
+    the same marginal under the policy."""
+    return expert.l1(joint(intervene(scm, policy)).marginal(expert.variables))
 
 
 def graphical_verdict(diagram: CausalDiagram, space: PolicySpace,
@@ -388,9 +375,9 @@ def imitate_pipeline(
             # the action cannot reach the surrogate: every policy works
             policy = conditional_policy(observational, space.action, subspace.inputs)
             return ImitationResult("p-imitable", policy, (surrogate, subspace), 0.0)
-        outcome, residual = _solve(formula, observational, surrogate, tolerance)
-        if isinstance(outcome, Policy):
-            return ImitationResult("p-imitable", outcome, (surrogate, subspace), residual)
+        policy, residual = solve_policy(formula, observational, surrogate, tolerance)
+        if policy is not None:
+            return ImitationResult("p-imitable", policy, (surrogate, subspace), residual)
         if best_residual is None or residual < best_residual:
             best_residual = residual
     if best_residual is None:

@@ -536,6 +536,12 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                     raise ParseError(f"exogenous {u} is not declared", lineno)
             if node not in domains:
                 raise ParseError(f"node {node} has no domain declaration", lineno)
+            if list(parents) != sorted(parents) or list(exo) != sorted(exo):
+                raise ParseError("mechanism parents and exo names must be sorted", lineno)
+            if not diagram.has_node(node):
+                raise ParseError(f"node {node} is not in the diagram", lineno)
+            if parents != tuple(sorted(diagram.parents(node))):
+                raise ParseError(f"mechanism for {node} does not match the diagram parents", lineno)
             needed = math.prod(
                 [domains[p] for p in parents] + [len(exogenous[u]) for u in exo]
             )
@@ -543,7 +549,10 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
     flush()
-    return DiscreteSCM.create(diagram, domains, exogenous, mechanisms.values())
+    try:
+        return DiscreteSCM.create(diagram, domains, exogenous, mechanisms.values())
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def parse_scm_file(path) -> DiscreteSCM:

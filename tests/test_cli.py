@@ -255,6 +255,7 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     (10, "  0.5 0.1"),
     (10, "  1.0 0.000009"),
     (13, "mech W given X exo UW"),
+    (8, "mech W given W exo UW"),
 ])
 def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     case = fixtures.diagram_fixture("frontdoor_observed")
@@ -268,6 +269,20 @@ def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     assert exc.value.line == line
     assert main(["simulate", "--scm", str(path), "--n", "1"]) == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_scm_model_errors_are_parse_errors(tmp_path, capsys):
+    # a model the parser reads but the model checks reject: W and X share
+    # UX, and the diagram declares no W <-> X edge
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    (tmp_path / "g.graph").write_text(format_diagram(case.diagram, case.space))
+    text = format_scm(fixtures.scm_fixture("frontdoor_mix"), "g.graph")
+    path = tmp_path / "bad.scm"
+    path.write_text(text.replace("mech W given X exo UW", "mech W given X exo UX"))
+    with pytest.raises(ParseError, match="exogenous UX confounds W and X"):
+        parse_scm_file(path)
+    assert main(["simulate", "--scm", str(path), "--n", "1"]) == 2
+    assert capsys.readouterr().err.startswith("parse error: exogenous UX confounds")
 
 
 def test_distribution_roundtrip():

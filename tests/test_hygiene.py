@@ -1,5 +1,6 @@
 """Static checks on the library source: no dead imports, no orphaned helpers,
-no public function or method that only the tests call, no unbounded cache.
+no public function or method that only the tests call, no unbounded cache,
+and no cache outside a short allow-list.
 
 All are read off the syntax tree, so they hold without importing anything.
 ``__init__.py`` is skipped for imports: everything it imports is the
@@ -77,7 +78,6 @@ def test_every_public_function_and_method_has_a_caller():
     assert orphans == []
 
 
-
 def _unbounded_caches(tree):
     """Line numbers of ``functools.cache`` and of ``lru_cache`` with
     ``maxsize=None``, however they are imported."""
@@ -100,3 +100,47 @@ def test_no_unbounded_cache():
     # every new input; what a computation needs is passed in, not kept
     found = [f"{module}:{line}" for module, tree in TREES.items() for line in _unbounded_caches(tree)]
     assert found == []
+
+
+# every cache the library keeps, by qualified name; each holds one object
+# for the life of the process, built on first use
+ALLOWED_CACHES = {
+    "imitate._highs",  # the one HiGHS solver every LP runs on
+    "diagram.CausalDiagram._adjacency",  # a diagram's parent, child and sibling sets
+}
+CACHES = {"cache", "lru_cache", "cached_property"}
+
+
+def _cache_uses(module, tree):
+    """The qualified name of each function a cache decorates, and
+    ``module:line`` for any other use of a cache from functools."""
+    decorators = set()
+    scopes = [(module.removesuffix(".py"), tree.body)]
+    while scopes:
+        prefix, body = scopes.pop()
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                scopes.append((f"{prefix}.{node.name}", node.body))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((f"{prefix}.{node.name}", node.body))
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    if getattr(target, "id", None) in CACHES or getattr(target, "attr", None) in CACHES:
+                        decorators.add(target)
+                        yield f"{prefix}.{node.name}"
+    for node in ast.walk(tree):
+        if node in decorators:
+            continue
+        if isinstance(node, ast.Name) and node.id in CACHES:
+            yield f"{module}:{node.lineno}"
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield f"{module}:{node.lineno}"
+
+
+def test_caches_only_on_the_allow_list():
+    # a cache is state that one call leaves for the next; what a
+    # computation needs is passed in, unless the allow-list names it
+    found = [use for module, tree in TREES.items() for use in _cache_uses(module, tree)]
+    assert sorted(set(found) - ALLOWED_CACHES) == []
+    assert ALLOWED_CACHES <= set(found)

@@ -8,7 +8,6 @@ from causal_imitation.diagram import PolicySpace
 from causal_imitation.errors import UnsupportedConditionalError
 from causal_imitation.identify import evaluate, has_policy_factor, identify_policy
 from causal_imitation.imitate import (
-    Infeasible,
     _linear_system,
     graphical_verdict,
     imitate_pipeline,
@@ -57,8 +56,8 @@ def test_lp_agrees_with_closed_form():
         alpha = mix_alpha(scm)
         if not (0.0 <= alpha <= 1.0):
             continue
-        solved = solve_policy(formula, observational(scm), {"S"}, 1e-9)
-        assert isinstance(solved, Policy)
+        solved, residual = solve_policy(formula, observational(scm), {"S"}, 1e-9)
+        assert isinstance(solved, Policy) and residual <= 1e-9
         assert abs(solved.probs[1] - alpha) < 1e-9
         checked += 1
     assert checked > 5
@@ -67,26 +66,27 @@ def test_lp_agrees_with_closed_form():
 @pytest.mark.parametrize("seed, lps", [(0, 1), (4, 2)])
 def test_lps_go_through_module_linprog(monkeypatch, seed, lps):
     # the benchmark's tracer times the LP layer by rebinding imitate.linprog
-    calls = []
+    calls = 0
     solve = imitate.linprog
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["method"])
+        nonlocal calls
+        calls += 1
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(imitate, "linprog", counting)
-    solved = solve_policy(_frontdoor_formula(), observational(random_frontdoor(seed)), {"S"}, 1e-9)
+    solved, _residual = solve_policy(_frontdoor_formula(), observational(random_frontdoor(seed)), {"S"}, 1e-9)
     # an infeasible instance stops after the residual LP; a feasible one
     # adds the tie-break LP
     assert isinstance(solved, Policy) == (lps == 2)
-    assert calls == ["highs"] * lps
+    assert calls == lps
 
 
 def test_point_mass_solution_for_mix_fixture():
     case = fixtures.diagram_fixture("frontdoor_observed")
     formula = identify_policy(case.diagram, PolicySpace.create("X", ()), {"Y"})
     obs = observational(fixtures.scm_fixture("frontdoor_mix"))
-    solved = solve_policy(formula, obs, {"Y"}, 1e-6)
+    solved, _residual = solve_policy(formula, obs, {"Y"}, 1e-6)
     assert isinstance(solved, Policy)
     assert abs(solved.probs[0] - 1.0) < 1e-6  # atomic do(X=0)
 
@@ -101,9 +101,9 @@ def test_infeasible_instances_match_grid_oracle():
             continue
         found += 1
         obs = observational(scm)
-        solved = solve_policy(formula, obs, {"S"}, 1e-6)
-        assert isinstance(solved, Infeasible)
-        assert solved.residual > 1e-6
+        solved, residual = solve_policy(formula, obs, {"S"}, 1e-6)
+        assert solved is None
+        assert residual > 1e-6
         # brute-force grid over the policy simplex
         d0, d1 = _do_values(scm)
         ps = observational(scm).marginal(["S"]).probs
@@ -111,7 +111,7 @@ def test_infeasible_instances_match_grid_oracle():
         mixes = np.stack([(1 - grid) * (1 - d0) + grid * (1 - d1),
                           (1 - grid) * d0 + grid * d1], axis=1)
         residuals = np.abs(mixes - ps).sum(axis=1)
-        assert abs(residuals.min() - solved.residual) < 5e-3
+        assert abs(residuals.min() - residual) < 5e-3
         assert residuals.min() > 1e-6
     assert found > 5
 
@@ -132,7 +132,7 @@ def test_degenerate_system_returns_cloning_row():
     scm = DiscreteSCM.create(case.diagram, {n: 2 for n in case.diagram.nodes},
                              {"U": [0.4, 0.6]}, mechs)
     obs = observational(scm)
-    solved = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-6)
+    solved, _residual = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-6)
     assert isinstance(solved, Policy)
     px = conditional_policy(obs, "X", ())
     assert np.allclose(solved.probs, px.probs, atol=1e-7)
@@ -165,8 +165,8 @@ def test_lp_closest_backdoor_segment():
     for seed in range(30):
         scm = random_scm(case.diagram, seed=seed)
         obs = observational(scm)
-        solved = solve_policy(formula, obs, {"Y"}, 1e-9)
-        if not isinstance(solved, Policy):
+        solved, _residual = solve_policy(formula, obs, {"Y"}, 1e-9)
+        if solved is None:
             continue
         checked += 1
         a2, t, n_pa, k, ph, in_doms = _lp_system(formula, obs, {"Y"})
@@ -251,7 +251,7 @@ def test_linear_system_bit_identical_to_basis_loop():
                 checked += 1
         return checked
 
-    formula, surrogate, _inputs = frontdoor_instrument()
+    formula, surrogate = frontdoor_instrument()
     for i in range(100):
         scm = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,)))
         assert_same(formula, observational(scm), surrogate)
@@ -433,23 +433,32 @@ def test_cloning_residual_on_intro_highway():
     assert abs(verify_policy(scm, pol, {"Y"}) - 1.0) < 1e-12
 
 
-def test_verify_policy_computes_the_expert_marginal_once_per_model(monkeypatch):
-    # the study verifies the solved and the cloning policy on one model
-    from causal_imitation.scm import intervene
+@pytest.mark.parametrize("samples", [0, 100_000])
+def test_study_computes_one_joint_per_model_and_per_verified_policy(monkeypatch, samples):
+    # one exact joint per instance gives the observed table and the expert's
+    # reward; each verified policy adds one, and a sampled table one more
+    from causal_imitation import experiments, scm as scm_module
 
     calls = []
-    exact = imitate.joint
-    monkeypatch.setattr(imitate, "joint", lambda scm: calls.append(scm) or exact(scm))
-    scm = random_frontdoor(3)
-    policies = [conditional_policy(observational(scm), "X", ()), Policy.create("X", 2, [0.25, 0.75])]
-    got = [verify_policy(scm, p, {"Y"}) for p in policies]
-    assert len(calls) == 3  # the expert once, then each policy
-    assert got == [exact(scm).marginal(["Y"]).l1(exact(intervene(scm, p)).marginal(["Y"])) for p in policies]
-    # another model, or another target, is computed afresh
-    other = random_frontdoor(3)
-    assert verify_policy(other, policies[0], {"Y"}) == got[0]
-    verify_policy(other, policies[0], {"S", "Y"})
-    assert len(calls) == 7 and calls[3] is other
+    exact = scm_module.joint
+    for module in (scm_module, imitate, experiments):
+        monkeypatch.setattr(module, "joint", lambda model: calls.append(model) or exact(model))
+    report = experiments.frontdoor_study(20, samples=samples)
+    rows = [line.split() for line in report.splitlines() if not line.startswith("#")]
+    # per instance: the model, the sampled table, the cloning policy and the solved one
+    assert len(calls) == sum(1 + (samples > 0) + 1 + (ci != "-") for _i, _flag, ci, _bc in rows)
+
+    # the study's L1 values are verify_policy's, bit for bit
+    formula, surrogate = experiments.frontdoor_instrument()
+    for index in range(20):
+        _index, _flag, l1_ci, l1_bc = experiments._frontdoor_instance((formula, surrogate, 0, index, samples))
+        model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
+        table = (empirical_observational(model, samples, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
+                 if samples else observational(model))
+        tolerance = imitate._sampled_tolerance(samples) if samples else 1e-9
+        solved, _residual = solve_policy(formula, table, surrogate, tolerance)
+        assert l1_ci == (None if solved is None else verify_policy(model, solved, {"Y"}))
+        assert l1_bc == verify_policy(model, conditional_policy(table, "X", ()), {"Y"})
 
 
 # ------------------------------------------------------------- pipeline
@@ -556,11 +565,11 @@ def test_surrogate_feasibility_is_monotone_under_subsets():
     small_only = 0
     for seed in range(40):
         obs = observational(random_frontdoor(seed))
-        r_small = solve_policy(f_small, obs, {"S"}, 1e-8)
-        r_big = solve_policy(f_big, obs, {"S", "W"}, 1e-8)
-        if isinstance(r_big, Policy):
-            assert isinstance(r_small, Policy)
-        if isinstance(r_small, Policy) and isinstance(r_big, Infeasible):
+        r_small, _residual = solve_policy(f_small, obs, {"S"}, 1e-8)
+        r_big, _residual = solve_policy(f_big, obs, {"S", "W"}, 1e-8)
+        if r_big is not None:
+            assert r_small is not None
+        if r_small is not None and r_big is None:
             small_only += 1
     assert small_only > 0  # minimality genuinely matters
 
@@ -570,8 +579,8 @@ def test_surrogate_match_transfers_to_reward():
     for seed in range(40):
         scm = random_frontdoor(seed)
         obs = observational(scm)
-        solved = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-9)
-        if isinstance(solved, Policy):
+        solved, _residual = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-9)
+        if solved is not None:
             assert verify_policy(scm, solved, {"Y"}) < 1e-8
 
 
