@@ -3,22 +3,32 @@
 Both experiments are deterministic given their flags: per-instance seeds are
 spawned from the base seed by instance index, and reports are assembled in
 instance order regardless of worker count.
+
+The frontdoor study evaluates its instances as one batch, or one batch per
+worker: each instance draws its numbers from its own seed, and the batch's
+models, joints, tables, linear systems, cloning policies and L1 distances
+are stacked along a leading axis and computed as array operations, each
+instance with the bits it would get alone.  Only the LPs run one instance
+at a time.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import fixtures
+from .errors import UnsupportedConditionalError
 from .identify import IdFormula
 from .imitate import _l1_to_expert, _sampled_tolerance, instruments, solve_policy
 from .scm import (
+    JointTable,
     Policy,
+    _frontdoor_draw,
+    _frontdoor_model,
     conditional_policy,
     empirical_observational,
     intervene,
     joint,
     observational,
-    random_frontdoor,
 )
 
 
@@ -31,26 +41,53 @@ def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
-def _frontdoor_instance(
-    args: tuple[IdFormula, frozenset[str], int, int, int],
-) -> tuple[int, bool, float | None, float]:
-    formula, surrogate, base_seed, index, samples = args
-    scm_i = random_frontdoor(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
-    # one exact joint gives the observed table and the expert's reward
-    full = joint(scm_i)
-    exact = full.marginal(scm_i.diagram.observed)
+def _solve_each(formula: IdFormula, table: JointTable, surrogate: frozenset[str],
+                tolerance: float) -> list[tuple[Policy | None, float | None]]:
+    """``solve_policy`` on a batched table: one ``(policy, residual)`` per
+    table.  A table with an empty cell that the formula conditions on gets
+    ``(None, None)``: its part of the batch is halved until it stands
+    alone, and the other tables are solved."""
+    try:
+        return solve_policy(formula, table, surrogate, tolerance)
+    except UnsupportedConditionalError:
+        n = table.batch[0]
+        if n == 1:
+            return [(None, None)]
+        return [pair for part in (slice(0, n // 2), slice(n // 2, n))
+                for pair in _solve_each(formula, JointTable(table.variables, table.domains, table.probs[part]),
+                                        surrogate, tolerance)]
+
+
+def _frontdoor_batch(
+    args: tuple[IdFormula, frozenset[str], int, int, int, int],
+) -> list[tuple[bool, float | None, float]]:
+    """Per instance in ``range(start, stop)``: whether its exact table is
+    p-imitable, and the reward L1 of the solved policy (``None`` when
+    unsolved) and of behavior cloning."""
+    formula, surrogate, base_seed, start, stop, samples = args
+    indices = range(start, stop)
+    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=base_seed, spawn_key=(i,))) for i in indices]
+    models = _frontdoor_model(*(np.stack(p) for p in zip(*draws)))
+    # one exact joint gives the observed tables and the expert's reward
+    full = joint(models)
+    exact = full.marginal(models.diagram.observed)
     expert = full.marginal(("Y",))
-    exact_solution = solve_policy(formula, exact, surrogate, 1e-9)[0]
+    exact_solutions = _solve_each(formula, exact, surrogate, 1e-9)
     if samples:
-        table = empirical_observational(
-            scm_i, samples, np.random.SeedSequence(entropy=base_seed, spawn_key=(index, 1))
-        )
-        solved = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))[0]
+        seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=(i, 1)) for i in indices]
+        table = empirical_observational(models, samples, seeds)
+        solutions = _solve_each(formula, table, surrogate, _sampled_tolerance(samples))
     else:
-        table, solved = exact, exact_solution
-    l1_ci = None if solved is None else _l1_to_expert(scm_i, expert, solved)
-    l1_bc = _l1_to_expert(scm_i, expert, conditional_policy(table, "X", ()))
-    return index, exact_solution is not None, l1_ci, l1_bc
+        table, solutions = exact, exact_solutions
+    cloning = conditional_policy(table, "X", ())
+    # an unsolved instance is verified under its cloning policy and reports no L1
+    solved = Policy(cloning.action, cloning.inputs, cloning.action_domain, cloning.input_domains,
+                    np.stack([bc if policy is None else policy.probs
+                              for (policy, _), bc in zip(solutions, cloning.probs)]))
+    l1_ci = _l1_to_expert(models, expert, solved)
+    l1_bc = _l1_to_expert(models, expert, cloning)
+    return [(exact_policy is not None, None if policy is None else float(ci), float(bc))
+            for (exact_policy, _), (policy, _), ci, bc in zip(exact_solutions, solutions, l1_ci, l1_bc)]
 
 
 def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int = 1) -> str:
@@ -59,26 +96,29 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     if models < 1:
         raise ValueError("models must be >= 1")
     formula, surrogate = frontdoor_instrument()
-    args = [(formula, surrogate, seed, i, samples) for i in range(models)]
-    if workers > 1:
+    # one batch per worker, each a contiguous slice of the instances
+    cuts = [models * w // workers for w in range(workers + 1)]
+    args = [(formula, surrogate, seed, start, stop, samples)
+            for start, stop in zip(cuts, cuts[1:]) if start < stop]
+    if len(args) > 1:
         # imported here, so that commands without a pool do not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_frontdoor_instance, args, chunksize=max(1, models // (8 * workers))))
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+            batches = list(pool.map(_frontdoor_batch, args))
     else:
-        rows = [_frontdoor_instance(a) for a in args]
-    rows.sort(key=lambda r: r[0])
+        batches = [_frontdoor_batch(args[0])]
+    rows = [row for batch in batches for row in batch]
     lines = [
         f"# frontdoor-study models={models} samples={samples} seed={seed}",
         "# columns: instance p_imitable l1_ci l1_bc",
         "# mean_l1_ci averages the solved instances; mean_l1_bc averages all",
     ]
-    for index, flag, l1_ci, l1_bc in rows:
+    for index, (flag, l1_ci, l1_bc) in enumerate(rows):
         ci = f"{l1_ci:.10f}" if l1_ci is not None else "-"
         lines.append(f"{index} {int(flag)} {ci} {l1_bc:.10f}")
-    flags = [flag for _, flag, _, _ in rows]
-    solved = [ci for _, _, ci, _ in rows if ci is not None]
+    flags = [flag for flag, _, _ in rows]
+    solved = [ci for _, ci, _ in rows if ci is not None]
     lines.append(f"# fraction_p_imitable {np.mean(flags):.10f}")
     if solved:
         lines.append(f"# mean_l1_ci {np.mean(solved):.10f}")

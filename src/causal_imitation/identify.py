@@ -314,6 +314,8 @@ def _policy_array(policy: Policy) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, int]):
+    """``(names, array)``: the node's value with one axis per free variable,
+    sorted.  A batched table's leading axes stay in front of them."""
     if isinstance(node, Factor):
         need = tuple(sorted(set(node.vars) | set(node.given)))
         marg = obs.marginal(need)
@@ -332,7 +334,8 @@ def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, i
         return policy_axes
     if isinstance(node, Sum):
         vs, arr = _eval(node.body, obs, policy_axes, domains)
-        drop = tuple(i for i, v in enumerate(vs) if v in node.bound)
+        # counted from the end, past any leading batch axes
+        drop = tuple(i - len(vs) for i, v in enumerate(vs) if v in node.bound)
         scale = 1.0
         for b in node.bound:
             if b not in vs:

@@ -5,7 +5,12 @@ in the policy table, so imitation reduces to a feasibility problem over a
 product of simplices.  The solver minimizes the L1 residual by linear
 programming and, among residual-optimal policies, returns the one closest
 to the behavior-cloning conditional (a deterministic, behaviorally
-plausible tie-break).
+plausible tie-break).  The tie-break LP is skipped when the system is
+matched exactly and its matching rows over the simplex rows have full
+column rank: then no other policy fits, and that LP could only return the
+policy already found.  A batch of tables is solved in one call: the linear
+systems, cloning references and rank tests are array operations over the
+batch, and only the LPs run one table at a time.
 """
 from __future__ import annotations
 
@@ -90,7 +95,9 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     identity over the n_pa * k policy cells, stacked along an extra axis
     named ``""`` (it sorts first and cannot clash with a node).  That axis
     is outermost in memory, so each column is summed in the same order as
-    an evaluation at its own one-hot policy, bit for bit."""
+    an evaluation at its own one-hot policy, bit for bit.  A batched table
+    gives A and t with its batch axes in front; its batch axes are outermost
+    in turn, so each table's system has the bits it would have alone."""
     ph = find_policy_factor(formula)
     if ph is None:
         raise ValueError("formula has no policy placeholder")
@@ -107,10 +114,11 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     basis = np.eye(n_pa * k).reshape((n_pa * k,) + in_doms + (k,))
     policy_axes = (target_names, broadcast_to_vars(basis, axes, target_names))
     vs, arr = _eval(formula, observational, policy_axes, domains)
-    arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
-    t = observational.marginal(svars).probs.reshape(-1)
+    batch = observational.batch
+    arr = np.broadcast_to(arr, batch + tuple(domains[v] for v in vs))
+    t = observational.marginal(svars).probs.reshape(batch + (-1,))
     # C order, as the loop filled it: the residual's matrix product reads it
-    coeff = np.ascontiguousarray(np.moveaxis(arr, 0, -1)).reshape(len(t), n_pa, k)
+    coeff = np.ascontiguousarray(np.moveaxis(arr, len(batch), -1)).reshape(t.shape + (n_pa, k))
     return coeff, t, ph, in_doms, k
 
 
@@ -267,15 +275,34 @@ def solve_policy(
     observational: JointTable,
     surrogate: Iterable[str],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[Policy | None, float]:
+) -> tuple[Policy | None, float] | list[tuple[Policy | None, float]]:
     """The policy making the formula's surrogate distribution match the
     observed one within ``tolerance`` (L1), or ``None`` when none does,
     together with the exact L1 residual: the policy's, or the minimal
-    achievable one."""
+    achievable one.
+
+    A batched table gives a list of these pairs, one per table.  The
+    systems, the cloning references and the rank tests are array operations
+    over the batch; only the LPs run one table at a time."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
-    n_s = len(t)
-    n_pa = coeff.shape[1]
-    a2 = coeff.reshape(n_s, n_pa * k)
+    n_s, n_pa = t.shape[-1], coeff.shape[-2]
+    a2 = coeff.reshape(-1, n_s, n_pa * k)
+    refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(len(a2), -1)
+    # the matching rows over the simplex rows sum_x pi[pa, x] = 1: at full
+    # column rank, no two policies fit the system exactly
+    simplex = np.broadcast_to(np.kron(np.eye(n_pa), np.ones(k)), (len(a2), n_pa, n_pa * k))
+    pinned = np.linalg.matrix_rank(np.concatenate([a2, simplex], axis=1)) == n_pa * k
+    pairs = [_solve_system(a, b, ref, unique, ph, in_doms, k, tolerance)
+             for a, b, ref, unique in zip(a2, t.reshape(-1, n_s), refs, pinned)]
+    return pairs if observational.batch else pairs[0]
+
+
+def _solve_system(a2: np.ndarray, t: np.ndarray, ref: np.ndarray, pinned: bool,
+                  ph: PolicyFactor, in_doms: tuple[int, ...], k: int,
+                  tolerance: float) -> tuple[Policy | None, float]:
+    """``solve_policy`` for one system A pi = t, with ``ref`` the cloning
+    policy and ``pinned`` whether at most one policy fits exactly."""
+    n_pa = a2.shape[1] // k
 
     def exact_residual(policy: Policy) -> float:
         return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
@@ -285,9 +312,11 @@ def solve_policy(
     best_res = exact_residual(best)
     if best_res > tolerance:
         return None, best_res
-    ref = np.asarray(conditional_policy(observational, ph.action, ph.inputs).probs).reshape(-1)
-    # an exactly feasible system gets a hard matching constraint so the
-    # tie-break cannot smear a uniquely determined policy
+    if best_res <= 1e-9 and pinned:
+        # the tie-break LP's matching rows would admit this policy alone
+        return best, best_res
+    # an exactly feasible system keeps a hard matching constraint, so the
+    # tie-break moves only within the policies that fit exactly
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
     raw2 = _lp_closest(a2, t, n_pa, k, ref, cap)
     if raw2 is not None:
@@ -304,9 +333,10 @@ def verify_policy(scm: DiscreteSCM, policy: Policy, target: Iterable[str]) -> fl
     return _l1_to_expert(scm, joint(scm).marginal(target), policy)
 
 
-def _l1_to_expert(scm: DiscreteSCM, expert: JointTable, policy: Policy) -> float:
+def _l1_to_expert(scm: DiscreteSCM, expert: JointTable, policy: Policy):
     """L1 distance between ``expert``, a marginal of the model's joint, and
-    the same marginal under the policy."""
+    the same marginal under the policy: a float, or an array of one per
+    model for a batch of models and policies."""
     return expert.l1(joint(intervene(scm, policy)).marginal(expert.variables))
 
 

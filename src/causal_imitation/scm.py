@@ -7,6 +7,12 @@ values are still exact: bit for bit those of a loop over single
 configurations.  Mechanisms are stochastic tables (deterministic
 functions are the 0/1 special case); bidirected edges in the diagram are
 realized by shared exogenous variables.
+
+Tables may carry leading batch axes: a batch of models over one diagram,
+of their joints or of policies, one per index.  A batch is computed as
+array operations that give each member the operations it would get alone,
+in the same order, so its values are bit for bit those of the member on
+its own; sums run only over the axes after the batch.
 """
 from __future__ import annotations
 
@@ -33,26 +39,37 @@ MASS_TOL = 1e-9
 
 def broadcast_to_vars(arr: np.ndarray, axes: Sequence[str], target: Sequence[str]) -> np.ndarray:
     """View of ``arr`` (one axis per name in ``axes``) aligned to the sorted
-    variable list ``target``; missing variables become broadcast axes."""
-    perm = sorted(range(len(axes)), key=lambda i: axes[i])
-    arr = np.transpose(arr, perm)
-    names = [axes[i] for i in perm]
+    variable list ``target``; missing variables become broadcast axes.
+    Leading batch axes before the named ones stay in front."""
+    lead = arr.ndim - len(axes)
+    perm = sorted(range(lead, arr.ndim), key=lambda i: axes[i - lead])
+    arr = arr.transpose(*range(lead), *perm)
+    names = [axes[i - lead] for i in perm]
     shape = []
     k = 0
     for t in target:
         if k < len(names) and names[k] == t:
-            shape.append(arr.shape[k])
+            shape.append(arr.shape[lead + k])
             k += 1
         else:
             shape.append(1)
     if k != len(names):
         raise ValueError(f"axes {names} not contained in target {list(target)}")
-    return arr.reshape(shape)
+    return arr.reshape(arr.shape[:lead] + tuple(shape))
+
+
+def _batch_of(arr: np.ndarray, trailing: int) -> tuple[int, ...]:
+    """The batch axes of ``arr``: those before the last ``trailing`` axes,
+    which hold one table."""
+    return arr.shape[:arr.ndim - trailing]
 
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Exact probability table over a sorted tuple of discrete variables."""
+    """Exact probability table over a sorted tuple of discrete variables.
+
+    ``probs`` may carry leading batch axes, one table per index; each table
+    is checked, and marginals and distances keep the batch axes."""
 
     variables: tuple[str, ...]
     domains: tuple[int, ...]
@@ -61,14 +78,24 @@ class JointTable:
     def __post_init__(self):
         if tuple(sorted(self.variables)) != self.variables:
             raise ValueError("variables must be sorted")
-        if self.probs.shape != self.domains:
+        if self.probs.shape[self.probs.ndim - len(self.domains):] != self.domains:
             raise ValueError("probability table shape does not match domains")
         if (self.probs < -ROW_TOL).any():
             raise ValueError("negative probability")
-        mass = float(self.probs.sum())
-        if not abs(mass - 1.0) <= MASS_TOL:
-            raise ValueError(f"table mass {mass} is not 1")
+        mass = self.probs.sum(axis=self._axes())
+        bad = ~(np.abs(mass - 1.0) <= MASS_TOL)
+        if bad.any():
+            raise ValueError(f"table mass {float(mass[bad][0])} is not 1")
         self.probs.setflags(write=False)
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The leading batch axes; empty for a single table."""
+        return _batch_of(self.probs, len(self.domains))
+
+    def _axes(self) -> tuple[int, ...]:
+        """The variables' axes, counted from the end."""
+        return tuple(range(-len(self.domains), 0))
 
     def domain_of(self, var: str) -> int:
         return self.domains[self.variables.index(var)]
@@ -81,7 +108,7 @@ class JointTable:
         unknown = ks - set(self.variables)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        drop = tuple(i for i, v in enumerate(self.variables) if v not in ks)
+        drop = tuple(i - len(self.variables) for i, v in enumerate(self.variables) if v not in ks)
         vs = tuple(v for v in self.variables if v in ks)
         ds = tuple(d for v, d in zip(self.variables, self.domains) if v in ks)
         return JointTable(vs, ds, self.probs.sum(axis=drop) if drop else self.probs.copy())
@@ -90,15 +117,19 @@ class JointTable:
         m = self.marginal([var])
         return float(np.dot(m.probs, np.arange(m.domains[0])))
 
-    def l1(self, other: "JointTable") -> float:
+    def l1(self, other: "JointTable"):
+        """L1 distance to ``other``: a float, or an array of one per batch
+        index."""
         if self.variables != other.variables or self.domains != other.domains:
             raise ValueError("tables are over different variables")
-        return float(np.abs(self.probs - other.probs).sum())
+        dist = np.abs(self.probs - other.probs).sum(axis=self._axes())
+        return dist if dist.ndim else float(dist)
 
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Conditional table pi(action | inputs) over discrete domains."""
+    """Conditional table pi(action | inputs) over discrete domains, with
+    optional leading batch axes as in ``JointTable``."""
 
     action: str
     inputs: tuple[str, ...]
@@ -109,7 +140,8 @@ class Policy:
     def __post_init__(self):
         if tuple(sorted(self.inputs)) != self.inputs:
             raise ValueError("inputs must be sorted")
-        if self.probs.shape != self.input_domains + (self.action_domain,):
+        cells = self.input_domains + (self.action_domain,)
+        if self.probs.shape[self.probs.ndim - len(cells):] != cells:
             raise ValueError("policy table shape mismatch")
         if _bad_rows(self.probs).any():
             raise ValueError(f"policy rows for {self.action} must be distributions")
@@ -143,7 +175,7 @@ def conditional_policy(observational: JointTable, action: str, inputs: Iterable[
     """
     ins = tuple(sorted(inputs))
     m = observational.marginal(ins + (action,))
-    num = np.moveaxis(m.probs, m.variables.index(action), -1)
+    num = np.moveaxis(m.probs, m.variables.index(action) - len(m.variables), -1)
     den = num.sum(axis=-1, keepdims=True)
     k = observational.domain_of(action)
     safe = np.where(den > 0, den, 1.0)
@@ -169,7 +201,8 @@ class Mechanism:
     """Stochastic table for one endogenous node.
 
     ``table`` has one axis per endogenous parent (sorted), then one axis per
-    attached exogenous variable (sorted), then the node's own domain.
+    attached exogenous variable (sorted), then the node's own domain; leading
+    batch axes before them hold one table per model of a batch.
     """
 
     node: str
@@ -187,7 +220,10 @@ class Mechanism:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSCM:
-    """Diagram + exogenous distributions + per-node stochastic tables."""
+    """Diagram + exogenous distributions + per-node stochastic tables.
+
+    Tables with leading batch axes make a batch of models over one diagram;
+    ``joint`` then gives a batched table."""
 
     diagram: CausalDiagram
     domains: tuple[tuple[str, int], ...]
@@ -209,6 +245,19 @@ class DiscreteSCM:
         scm._validate()
         return scm
 
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """The batch axes every table broadcasts to: one model per index.
+        A table without batch axes is shared by every model."""
+        shapes = {_batch_of(p, 1) for _, p in self.exogenous}
+        shapes |= {_batch_of(m.table, len(m.parents) + len(m.exo) + 1) for m in self.mechanisms}
+        if len(shapes) == 1:
+            return shapes.pop()
+        try:
+            return np.broadcast_shapes(*shapes)
+        except ValueError:
+            raise ValueError("model tables have batch axes that do not broadcast together") from None
+
     def _validate(self):
         dom = dict(self.domains)
         exo_dom = {}
@@ -217,7 +266,7 @@ class DiscreteSCM:
                 raise ValueError(f"exogenous {name} is not a distribution")
             if name in dom:
                 raise ValueError(f"exogenous {name} clashes with an endogenous node")
-            exo_dom[name] = len(probs)
+            exo_dom[name] = probs.shape[-1]
         by_node: dict[str, Mechanism] = {}
         for m in self.mechanisms:
             if m.node in by_node:
@@ -237,7 +286,7 @@ class DiscreteSCM:
                     raise ValueError(f"mechanism for {node} references unknown exogenous {u}")
                 attached[u].append(node)
             shape = tuple(dom[p] for p in m.parents) + tuple(exo_dom[u] for u in m.exo) + (dom[node],)
-            if m.table.shape != shape:
+            if m.table.shape[m.table.ndim - len(shape):] != shape:
                 raise ValueError(f"mechanism table for {node} has shape {m.table.shape}, expected {shape}")
         # shared exogenous parents must be licensed by declared bidirected edges
         for name, nodes in attached.items():
@@ -249,6 +298,7 @@ class DiscreteSCM:
                             f"exogenous {name} confounds {a} and {b} but the diagram "
                             f"declares no bidirected edge between them"
                         )
+        self.batch  # raises unless the tables' batch axes broadcast together
 
 
 def joint(scm: DiscreteSCM) -> JointTable:
@@ -262,12 +312,13 @@ def joint(scm: DiscreteSCM) -> JointTable:
     times each mechanism in sorted node order, added to the running total
     configuration after configuration.  The values are therefore exact and
     bit-identical to that loop.  A configuration of weight zero, which the
-    loop may skip, adds zeros here and changes no value.
+    loop may skip, adds zeros here and changes no value.  A batch of models
+    gives the batch of their joints, each with the same bits.
     """
     dom = dict(scm.domains)
     endo_vars = tuple(sorted(scm.diagram.nodes))
     endo_count = math.prod(dom[v] for v in endo_vars)
-    exo_dims = tuple(len(p) for _, p in scm.exogenous)
+    exo_dims = tuple(p.shape[-1] for _, p in scm.exogenous)
     exo_names = tuple(name for name, _ in scm.exogenous)
     n_configs = math.prod(exo_dims)
     if endo_count * max(1, n_configs) > CONFIG_CAP:
@@ -284,33 +335,36 @@ def joint(scm: DiscreteSCM) -> JointTable:
     for node in endo_vars:
         m = mechs[node]
         k, e = len(m.parents), len(m.exo)
-        table = m.table.transpose(*range(k, k + e), *range(k), k + e)
-        table = table.reshape((-1,) + table.shape[e:])
+        lead = m.table.ndim - (k + e + 1)
+        table = m.table.transpose(*range(lead), *range(lead + k, lead + k + e), *range(lead, lead + k),
+                                  lead + k + e)
+        table = table.reshape(table.shape[:lead] + (-1,) + table.shape[lead + e:])
         table = broadcast_to_vars(table, ("",) + m.parents + (node,), ("",) + endo_vars)
         factors.append((m.exo, tuple(exo_dom[u] for u in m.exo),
-                        table.transpose(*range(1, table.ndim), 0)))
+                        table.transpose(*range(lead), *range(lead + 1, table.ndim), lead)))
+    batch = scm.batch
     step = max(1, _BLOCK_CELLS // endo_count)
-    total = np.zeros(shape)
+    total = np.zeros(batch + shape)
     for start in range(0, n_configs, step):
         configs = np.arange(start, min(start + step, n_configs))
         exo_value = dict(zip(exo_names, np.unravel_index(configs, exo_dims))) if exo_dims else {}
         weight = np.ones(len(configs))
         for name, probs in scm.exogenous:
-            weight *= probs[exo_value[name]]
+            weight = weight * probs.take(exo_value[name], axis=-1)
         # configurations last while multiplying, so numpy's inner loops run
         # along them rather than along a short endogenous axis
-        block = np.empty(shape + (len(configs),))
-        block[...] = weight
+        block = np.empty(batch + shape + (len(configs),))
+        block[...] = weight.reshape(weight.shape[:-1] + (1,) * len(shape) + weight.shape[-1:])
         for exo, sizes, table in factors:
             if exo:
-                table = table[..., np.ravel_multi_index(tuple(exo_value[u] for u in exo), sizes)]
+                table = table.take(np.ravel_multi_index(tuple(exo_value[u] for u in exo), sizes), axis=-1)
             block *= table
         # row 0 carries the running total; rows 1.. are this block's configurations
-        acc = np.empty((len(configs) + 1,) + shape)
+        acc = np.empty((len(configs) + 1,) + batch + shape)
         acc[0] = total
-        acc[1:] = block.transpose(len(shape), *range(len(shape)))
+        acc[1:] = block.transpose(block.ndim - 1, *range(block.ndim - 1))
         # numpy reduces an outer axis row after row, but sums a lone reduced
-        # axis (a one-cell table: no endogenous node) pairwise
+        # axis (a one-cell table: no endogenous node, no batch) pairwise
         total = np.add.reduce(acc, axis=0) if total.size > 1 else np.add.accumulate(acc)[-1]
     return JointTable(endo_vars, shape, total)
 
@@ -355,13 +409,15 @@ def sample(scm: DiscreteSCM, n: int, seed: int = 0) -> Dataset:
 
 
 def empirical_observational(scm: DiscreteSCM, n: int, seed) -> JointTable:
-    """Empirical joint of n i.i.d. observed rows, drawn as multinomial counts."""
+    """Empirical joint of n i.i.d. observed rows, drawn as multinomial counts.
+    A batch of models takes a sequence of seeds, one per model."""
     if n < 1:
         raise ValueError("n must be >= 1")
     obs = observational(scm)
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(n, obs.probs.reshape(-1)).reshape(obs.domains)
-    return JointTable(obs.variables, obs.domains, counts / n)
+    cells = obs.probs.reshape((-1, math.prod(obs.domains)))
+    seeds = seed if obs.batch else [seed]
+    counts = np.stack([np.random.default_rng(s).multinomial(n, p) for s, p in zip(seeds, cells, strict=True)])
+    return JointTable(obs.variables, obs.domains, counts.reshape(obs.probs.shape) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +440,19 @@ def random_frontdoor(seed) -> DiscreteSCM:
     The confounder is realized by a shared exogenous variable carrying the
     action's value, so the observational joint factorizes exactly as drawn.
     """
+    return _frontdoor_model(*_frontdoor_draw(seed))
+
+
+def _frontdoor_draw(seed) -> tuple[np.ndarray, ...]:
+    """One instance's P(X=1), P(W=1 | X=x), P(S=1 | X=x, W=w) and
+    P(Y=1 | S=s), drawn uniformly in that order."""
     rng = np.random.default_rng(seed)
-    p_x = float(rng.uniform())
-    p_w = rng.uniform(size=2)        # P(W=1 | X=x)
-    p_s = rng.uniform(size=(2, 2))   # P(S=1 | X=x, W=w)
-    p_y = rng.uniform(size=2)        # P(Y=1 | S=s)
-    diagram = _frontdoor_diagram()
+    return np.asarray(rng.uniform()), rng.uniform(size=2), rng.uniform(size=(2, 2)), rng.uniform(size=2)
+
+
+def _frontdoor_model(p_x, p_w, p_s, p_y) -> DiscreteSCM:
+    """The mediator-chain model with the drawn parameters; leading axes
+    shared by all four make a batch of models."""
 
     def bern(p):
         return np.stack([1.0 - p, p], axis=-1)
@@ -399,13 +462,13 @@ def random_frontdoor(seed) -> DiscreteSCM:
         Mechanism("X", (), ("U",), np.array([[1.0, 0.0], [0.0, 1.0]])),
         Mechanism("W", ("X",), (), bern(p_w)),
         # S reads W and the confounder U (= the action value)
-        Mechanism("S", ("W",), ("U",), bern(p_s.T)),
+        Mechanism("S", ("W",), ("U",), bern(np.swapaxes(p_s, -1, -2))),
         Mechanism("Y", ("S",), (), bern(p_y)),
     ]
     return DiscreteSCM.create(
-        diagram,
+        _frontdoor_diagram(),
         domains={"X": 2, "W": 2, "S": 2, "Y": 2},
-        exogenous={"U": [1.0 - p_x, p_x]},
+        exogenous={"U": bern(p_x)},
         mechanisms=mechs,
     )
 

@@ -7,7 +7,9 @@ over every configuration, the exact joint one exogenous configuration at a
 time (with only the axis-alignment helper ``broadcast_to_vars`` borrowed),
 enumerators by filtering all subsets, and surrogates and instruments from
 the paper's definitions.  ``do`` builds an atomic intervention from the
-library's policy intervention.
+library's policy intervention.  The frontdoor study is checked against a
+loop over its instances, one library call per instance, and the policy
+solve against the solve that always runs the tie-break LP.
 """
 from __future__ import annotations
 
@@ -18,9 +20,29 @@ import numpy as np
 from scipy.optimize import linprog as linprog_scipy  # the public LP solver imitate.linprog must match
 
 from causal_imitation.diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
-from causal_imitation.errors import TooLargeError
+from causal_imitation.errors import TooLargeError, UnsupportedConditionalError
 from causal_imitation.identify import _eval, find_policy_factor, free_variables, identify_policy
-from causal_imitation.scm import CONFIG_CAP, DiscreteSCM, JointTable, Policy, broadcast_to_vars, intervene
+from causal_imitation.imitate import (
+    _as_policy,
+    _l1_to_expert,
+    _linear_system,
+    _lp_closest,
+    _lp_min_residual,
+    _sampled_tolerance,
+    solve_policy,
+)
+from causal_imitation.scm import (
+    CONFIG_CAP,
+    DiscreteSCM,
+    JointTable,
+    Policy,
+    broadcast_to_vars,
+    conditional_policy,
+    empirical_observational,
+    intervene,
+    joint,
+    random_frontdoor,
+)
 
 
 def subsets(items):
@@ -301,3 +323,77 @@ def random_diagram(rng: np.random.Generator, n_nodes: int, p_dir=0.35, p_bi=0.2,
         observed=[n for n in names if n not in latent],
         latent=latent, directed=directed, bidirected=bidirected,
     )
+
+
+def solve_policy_with_tiebreak(formula, observational: JointTable, surrogate, tolerance: float):
+    """``imitate.solve_policy`` on one table as it was before it learned to
+    skip the tie-break LP: every feasible system runs that LP, also when
+    the exact system admits one policy only."""
+    coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
+    n_s, n_pa = len(t), coeff.shape[1]
+    a2 = coeff.reshape(n_s, n_pa * k)
+
+    def exact_residual(policy: Policy) -> float:
+        return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
+
+    raw, objective = _lp_min_residual(a2, t, n_pa, k)
+    best = _as_policy(raw, ph, in_doms, k)
+    best_res = exact_residual(best)
+    if best_res > tolerance:
+        return None, best_res
+    ref = np.asarray(conditional_policy(observational, ph.action, ph.inputs).probs).reshape(-1)
+    cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
+    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap)
+    if raw2 is not None:
+        cand = _as_policy(raw2, ph, in_doms, k)
+        cand_res = exact_residual(cand)
+        if cand_res <= max(tolerance, best_res):
+            return cand, cand_res
+    return best, best_res
+
+
+def frontdoor_instance(formula, surrogate, base_seed: int, index: int, samples: int):
+    """One instance of ``experiments.frontdoor_study``, with one library
+    call per step: ``(p_imitable, l1_ci or None, l1_bc)``.  A table with an
+    empty cell that the formula conditions on leaves its solve unsolved."""
+
+    def solve(table, tolerance):
+        try:
+            return solve_policy(formula, table, surrogate, tolerance)[0]
+        except UnsupportedConditionalError:
+            return None
+
+    scm_i = random_frontdoor(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
+    full = joint(scm_i)
+    exact = full.marginal(scm_i.diagram.observed)
+    expert = full.marginal(("Y",))
+    exact_solution = solve(exact, 1e-9)
+    if samples:
+        table = empirical_observational(
+            scm_i, samples, np.random.SeedSequence(entropy=base_seed, spawn_key=(index, 1))
+        )
+        solved = solve(table, _sampled_tolerance(samples))
+    else:
+        table, solved = exact, exact_solution
+    l1_ci = None if solved is None else _l1_to_expert(scm_i, expert, solved)
+    l1_bc = _l1_to_expert(scm_i, expert, conditional_policy(table, "X", ()))
+    return exact_solution is not None, l1_ci, l1_bc
+
+
+def frontdoor_study_loop(formula, surrogate, models: int, samples: int, seed: int) -> str:
+    """The report of ``experiments.frontdoor_study``, one instance at a time."""
+    rows = [frontdoor_instance(formula, surrogate, seed, i, samples) for i in range(models)]
+    lines = [
+        f"# frontdoor-study models={models} samples={samples} seed={seed}",
+        "# columns: instance p_imitable l1_ci l1_bc",
+        "# mean_l1_ci averages the solved instances; mean_l1_bc averages all",
+    ]
+    for index, (flag, l1_ci, l1_bc) in enumerate(rows):
+        ci = f"{l1_ci:.10f}" if l1_ci is not None else "-"
+        lines.append(f"{index} {int(flag)} {ci} {l1_bc:.10f}")
+    solved = [ci for _, ci, _ in rows if ci is not None]
+    lines.append(f"# fraction_p_imitable {np.mean([flag for flag, _, _ in rows]):.10f}")
+    if solved:
+        lines.append(f"# mean_l1_ci {np.mean(solved):.10f}")
+    lines.append(f"# mean_l1_bc {np.mean([bc for *_, bc in rows]):.10f}")
+    return "\n".join(lines) + "\n"

@@ -358,6 +358,81 @@ def test_distribution_parser_fuzz(text):
     assert np.isfinite(table.probs).all() and abs(table.probs.sum() - 1.0) <= 1e-9
 
 
+# tokens a graph file may hold: keywords, arrows, node names (the reserved
+# decision-node name among them), comments and stray text
+_GRAPH_TOKENS = ["node", "edge", "policy", "action", "inputs", "obs", "lat", "->", "<->", "<-", "-",
+                 "A", "B", "C", "X", "X^", "#", "a#b", "\t", "\u0663"]
+_name = st.sampled_from(["A", "B", "C", "X", "X^"])
+_graph_line = st.one_of(
+    st.lists(st.one_of(st.sampled_from(_GRAPH_TOKENS), st.text(max_size=3)), max_size=6).map(" ".join),
+    st.tuples(_name, st.sampled_from(["obs", "lat"])).map("node {0[0]} {0[1]}".format),
+    st.tuples(_name, st.sampled_from(["->", "<->"]), _name).map("edge {0[0]} {0[1]} {0[2]}".format),
+    st.tuples(_name, st.lists(_name, max_size=3)).map(lambda p: f"policy action {p[0]} inputs {' '.join(p[1])}"),
+)
+
+
+@st.composite
+def _graph_text(draw) -> str:
+    """Node declarations for some names, then lines from ``_graph_line``,
+    in any order."""
+    names = draw(st.lists(_name, unique=True, max_size=5))
+    lines = [f"node {n} {draw(st.sampled_from(['obs', 'lat']))}" for n in names]
+    lines += draw(st.lists(_graph_line, max_size=6))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text(), _graph_text()))
+def test_graph_parser_fuzz(text):
+    # token soup parses into a diagram that round-trips through
+    # format_diagram, or raises ParseError, nothing else
+    try:
+        diagram, space = parse_diagram_text(text)
+    except ParseError:
+        return
+    assert parse_diagram_text(format_diagram(diagram, space)) == (diagram, space)
+
+
+@st.composite
+def _edited_scm_text(draw) -> tuple[str, object]:
+    """A bundled model file and its diagram, with up to three lines
+    dropped, doubled, inserted or given another token."""
+    name = draw(st.sampled_from(fixtures.scm_names()))
+    model = fixtures.scm_fixture(name)
+    lines = format_scm(model, f"{name}.graph").splitlines()
+    token = st.one_of(st.sampled_from(["mech", "given", "exo", "domain", "graph", "X", "Y", "U", "0", "1",
+                                       "2", "-1", "0.5", "nan", "inf", "1e400", "#", "  0.5 0.5"]),
+                      st.floats().map(repr), st.text(max_size=3))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "double", "insert", "token"]))
+        if edit == "drop":
+            lines.pop(i)
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        elif edit == "insert":
+            lines.insert(i, " ".join(draw(st.lists(token, max_size=5))))
+        else:
+            tokens = lines[i].split(" ") or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(token)
+            lines[i] = " ".join(tokens)
+        if not lines:
+            break
+    return "\n".join(lines), model.diagram
+
+
+@settings(max_examples=300)
+@given(_edited_scm_text())
+def test_scm_parser_fuzz(case):
+    # an edited model file parses into a model or raises ParseError,
+    # nothing else
+    text, diagram = case
+    try:
+        parse_scm_text(text, diagram)
+    except ParseError:
+        pass
+
+
 def test_distribution_requires_a_row(tmp_path, capsys):
     with pytest.raises(ParseError, match="no rows"):
         parse_distribution_text("A B  # a header alone\n")

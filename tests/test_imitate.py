@@ -18,6 +18,7 @@ from causal_imitation.imitate import (
 from causal_imitation.scm import (
     Mechanism,
     DiscreteSCM,
+    JointTable,
     Policy,
     conditional_policy,
     empirical_observational,
@@ -63,23 +64,105 @@ def test_lp_agrees_with_closed_form():
     assert checked > 5
 
 
-@pytest.mark.parametrize("seed, lps", [(0, 1), (4, 2)])
+def _action_blind_frontdoor():
+    """A mediator-chain model whose mediator ignores the action, so that
+    every policy induces the same surrogate distribution: the exact system
+    is feasible but does not pin the policy down."""
+    case = fixtures.diagram_fixture("frontdoor_latent")
+    mechs = [
+        Mechanism("X", (), ("U",), np.array([[1.0, 0.0], [0.0, 1.0]])),
+        Mechanism("W", ("X",), (), np.array([[0.3, 0.7], [0.3, 0.7]])),
+        Mechanism("S", ("W",), ("U",), np.stack([
+            np.array([[0.8, 0.2], [0.4, 0.6]]),
+            np.array([[0.1, 0.9], [0.5, 0.5]]),
+        ], axis=0)),
+        Mechanism("Y", ("S",), (), np.array([[0.2, 0.8], [0.9, 0.1]])),
+    ]
+    return DiscreteSCM.create(case.diagram, {n: 2 for n in case.diagram.nodes},
+                              {"U": [0.4, 0.6]}, mechs)
+
+
+@pytest.mark.parametrize("seed, lps", [
+    (0, 1),  # infeasible: the residual LP alone
+    (4, 1),  # the exact system pins the policy: no tie-break LP
+    pytest.param(None, 2, id="action_blind-2"),  # feasible, not pinned: the tie-break LP too
+])
 def test_lps_go_through_module_linprog(monkeypatch, seed, lps):
     # the benchmark's tracer times the LP layer by rebinding imitate.linprog
-    calls = 0
-    solve = imitate.linprog
+    model = _action_blind_frontdoor() if seed is None else random_frontdoor(seed)
+    result = []
+    lps_run = _capture_lps(monkeypatch, lambda: result.append(
+        solve_policy(_frontdoor_formula(), observational(model), {"S"}, 1e-9)))
+    [(solved, _residual)] = result
+    assert isinstance(solved, Policy) == (seed != 0)
+    assert len(lps_run) == lps
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(imitate, "linprog", counting)
-    solved, _residual = solve_policy(_frontdoor_formula(), observational(random_frontdoor(seed)), {"S"}, 1e-9)
-    # an infeasible instance stops after the residual LP; a feasible one
-    # adds the tie-break LP
-    assert isinstance(solved, Policy) == (lps == 2)
-    assert calls == lps
+def test_sampled_table_off_the_exact_fit_keeps_the_tie_break_lp(monkeypatch):
+    # a sampled table matched within its tolerance but not exactly leaves a
+    # positive residual cap: the tie-break LP still runs
+    formula = _frontdoor_formula()
+    for index in range(40):
+        model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
+        table = empirical_observational(model, 1000, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
+        result = []
+        lps = _capture_lps(monkeypatch, lambda: result.append(
+            solve_policy(formula, table, {"S"}, imitate._sampled_tolerance(1000))))
+        [(solved, residual)] = result
+        if solved is not None and residual > 1e-9:
+            assert len(lps) == 2
+            return
+    raise AssertionError("no sampled table fits within its tolerance but not exactly")
+
+
+def test_study_solves_one_lp_per_exact_instance(monkeypatch):
+    # every exact frontdoor system has full column rank, so the study runs
+    # the residual LP and never the tie-break LP
+    from causal_imitation.experiments import frontdoor_study
+
+    assert len(_capture_lps(monkeypatch, lambda: frontdoor_study(200))) == 200
+
+
+def test_pipeline_on_the_mix_fixture_solves_one_lp(monkeypatch):
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    table = observational(fixtures.scm_fixture("frontdoor_mix"))
+    result = []
+    lps = _capture_lps(monkeypatch, lambda: result.append(
+        imitate_pipeline(case.diagram, case.space, table, case.reward)))
+    assert result[0].status == "p-imitable" and len(lps) == 1
+
+
+def test_tie_break_skip_returns_the_tie_break_policy():
+    # where the skip applies, the tie-break LP's feasible set is one policy:
+    # the solve with the skip and the solve without it agree to 1e-12
+    from causal_imitation.experiments import frontdoor_instrument
+    from oracles import solve_policy_with_tiebreak
+
+    def same(got, want):
+        (policy, residual), (want_policy, want_residual) = got, want
+        assert (policy is None) == (want_policy is None)
+        if policy is not None:
+            assert np.abs(np.asarray(policy.probs) - np.asarray(want_policy.probs)).max() <= 1e-12
+            assert abs(residual - want_residual) <= 1e-12
+        return policy is not None
+
+    formula, surrogate = frontdoor_instrument()
+    tables = [observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
+              for i in range(1000)]
+    batch = JointTable(tables[0].variables, tables[0].domains, np.stack([t.probs for t in tables]))
+    solved = sum(same(got, solve_policy_with_tiebreak(formula, table, surrogate, 1e-9))
+                 for got, table in zip(solve_policy(formula, batch, surrogate, 1e-9), tables, strict=True))
+    assert solved > 400
+    checked = 0
+    for diagram, space, reward, obs in _fixture_instrument_cases():
+        for surrogate, formula in _policy_instruments(diagram, space, reward):
+            try:
+                want = solve_policy_with_tiebreak(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE)
+            except UnsupportedConditionalError:
+                continue
+            same(solve_policy(formula, obs, surrogate), want)
+            checked += 1
+    assert checked >= 10
 
 
 def test_point_mass_solution_for_mix_fixture():
@@ -119,19 +202,7 @@ def test_infeasible_instances_match_grid_oracle():
 def test_degenerate_system_returns_cloning_row():
     # the mediator ignores the action, so every policy induces the same
     # surrogate distribution; the tie-break must hand back P(x)
-    case = fixtures.diagram_fixture("frontdoor_latent")
-    mechs = [
-        Mechanism("X", (), ("U",), np.array([[1.0, 0.0], [0.0, 1.0]])),
-        Mechanism("W", ("X",), (), np.array([[0.3, 0.7], [0.3, 0.7]])),
-        Mechanism("S", ("W",), ("U",), np.stack([
-            np.array([[0.8, 0.2], [0.4, 0.6]]),
-            np.array([[0.1, 0.9], [0.5, 0.5]]),
-        ], axis=0)),
-        Mechanism("Y", ("S",), (), np.array([[0.2, 0.8], [0.9, 0.1]])),
-    ]
-    scm = DiscreteSCM.create(case.diagram, {n: 2 for n in case.diagram.nodes},
-                             {"U": [0.4, 0.6]}, mechs)
-    obs = observational(scm)
+    obs = observational(_action_blind_frontdoor())
     solved, _residual = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-6)
     assert isinstance(solved, Policy)
     px = conditional_policy(obs, "X", ())
@@ -433,25 +504,29 @@ def test_cloning_residual_on_intro_highway():
     assert abs(verify_policy(scm, pol, {"Y"}) - 1.0) < 1e-12
 
 
+# ------------------------------------------------------------- frontdoor study
+
 @pytest.mark.parametrize("samples", [0, 100_000])
-def test_study_computes_one_joint_per_model_and_per_verified_policy(monkeypatch, samples):
-    # one exact joint per instance gives the observed table and the expert's
-    # reward; each verified policy adds one, and a sampled table one more
+def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
+    # a batch of models is one joint call: one for the models, one for the
+    # sampled tables and one per verified batch of policies
     from causal_imitation import experiments, scm as scm_module
 
     calls = []
     exact = scm_module.joint
     for module in (scm_module, imitate, experiments):
         monkeypatch.setattr(module, "joint", lambda model: calls.append(model) or exact(model))
-    report = experiments.frontdoor_study(20, samples=samples)
-    rows = [line.split() for line in report.splitlines() if not line.startswith("#")]
-    # per instance: the model, the sampled table, the cloning policy and the solved one
-    assert len(calls) == sum(1 + (samples > 0) + 1 + (ci != "-") for _i, _flag, ci, _bc in rows)
+    counts = []
+    for models in (4, 20):
+        calls.clear()
+        experiments.frontdoor_study(models, samples=samples)
+        counts.append(len(calls))
+    assert counts == [3 + (samples > 0)] * 2
 
     # the study's L1 values are verify_policy's, bit for bit
     formula, surrogate = experiments.frontdoor_instrument()
-    for index in range(20):
-        _index, _flag, l1_ci, l1_bc = experiments._frontdoor_instance((formula, surrogate, 0, index, samples))
+    rows = experiments._frontdoor_batch((formula, surrogate, 0, 0, 20, samples))
+    for index, (_flag, l1_ci, l1_bc) in enumerate(rows):
         model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
         table = (empirical_observational(model, samples, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
                  if samples else observational(model))
@@ -459,6 +534,51 @@ def test_study_computes_one_joint_per_model_and_per_verified_policy(monkeypatch,
         solved, _residual = solve_policy(formula, table, surrogate, tolerance)
         assert l1_ci == (None if solved is None else verify_policy(model, solved, {"Y"}))
         assert l1_bc == verify_policy(model, conditional_policy(table, "X", ()), {"Y"})
+
+
+def _bits(rows):
+    return [(flag, None if ci is None else ci.hex(), bc.hex()) for flag, ci, bc in rows]
+
+
+# seed 15 at 1000 samples: instances 2 and 4 have a sampled table with an
+# empty conditioning cell; seed 17000236 at 100000 samples: instance 0
+@pytest.mark.parametrize("models, samples, seed", [
+    *[(models, samples, 15) for models in (1, 4, 7) for samples in (0, 1000, 100_000)],
+    (1, 100_000, 17_000_236),
+    (4, 100_000, 17_000_236),
+])
+def test_study_matches_the_instance_loop(models, samples, seed):
+    # the batched study reports what a loop over single instances reports,
+    # byte for byte, with every L1 bit for bit, for one batch and one per worker
+    from causal_imitation import experiments
+    from oracles import frontdoor_instance, frontdoor_study_loop
+
+    formula, surrogate = experiments.frontdoor_instrument()
+    want = frontdoor_study_loop(formula, surrogate, models, samples, seed)
+    for workers in (1, 2):
+        assert experiments.frontdoor_study(models, samples, seed, workers) == want
+    loop = _bits([frontdoor_instance(formula, surrogate, seed, i, samples) for i in range(models)])
+    for cuts in ((0, models), (0, models // 2, models)):
+        batches = [experiments._frontdoor_batch((formula, surrogate, seed, start, stop, samples))
+                   for start, stop in zip(cuts, cuts[1:]) if start < stop]
+        assert _bits([row for batch in batches for row in batch]) == loop
+
+
+def test_study_reports_an_empty_cell_instance_as_unsolved():
+    # a sampled table on which P(S|W,X) is undefined no longer aborts the
+    # study: that instance reports no l1_ci, and the others carry on
+    from causal_imitation import experiments
+
+    formula, surrogate = experiments.frontdoor_instrument()
+    model = random_frontdoor(np.random.SeedSequence(entropy=17_000_236, spawn_key=(0,)))
+    table = empirical_observational(model, 100_000, np.random.SeedSequence(entropy=17_000_236, spawn_key=(0, 1)))
+    with pytest.raises(UnsupportedConditionalError, match=re.escape("P(S|W,X)")):
+        solve_policy(formula, table, surrogate, imitate._sampled_tolerance(100_000))
+    assert experiments.frontdoor_study(1, 100_000, 17_000_236).splitlines()[3].split()[2] == "-"
+    rows = [line.split() for line in experiments.frontdoor_study(7, 1000, 15).splitlines()
+            if not line.startswith("#")]
+    unsolved = {int(index) for index, _flag, l1_ci, _l1_bc in rows if l1_ci == "-"}
+    assert {2, 4} <= unsolved and len(unsolved) < 7
 
 
 # ------------------------------------------------------------- pipeline
