@@ -43,6 +43,9 @@ from .scm import (
 )
 
 
+_MAX_COUNT = 2**63 - 1  # numpy takes sample and row counts as 64-bit ints
+
+
 def parse_distribution_text(text: str) -> JointTable:
     """Header of variable names, then one row of integer values plus the
     probability per configuration; all configurations must be present."""
@@ -118,7 +121,10 @@ def _space_from_args(args, default_space: PolicySpace | None) -> PolicySpace:
 def _problem(args) -> tuple[CausalDiagram, PolicySpace, str]:
     """The diagram, policy space and reward named by the graph flags."""
     diagram, space0, reward0 = _load_graph(args.graph)
-    return diagram, _space_from_args(args, space0), args.reward or reward0 or "Y"
+    space, reward = _space_from_args(args, space0), args.reward or reward0 or "Y"
+    if reward == space.action:
+        raise ValueError(f"the reward {reward} is the action")
+    return diagram, space, reward
 
 
 def _emit(args, text: str) -> None:
@@ -268,9 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("imitate", help="run the full imitation pipeline")
     graph_flags(p)
-    p.add_argument("--dist", help="observational distribution file")
-    p.add_argument("--scm", help="model file or bundled model name")
-    p.add_argument("--samples", type=int, default=0, help="empirical table size (0 = exact)")
+    table = p.add_mutually_exclusive_group()
+    table.add_argument("--dist", help="observational distribution file")
+    table.add_argument("--scm", help="model file or bundled model name")
+    p.add_argument("--samples", type=int, help="empirical table size from --scm (default or 0: exact)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strict", action="store_true", help="nonzero exit when infeasible")
     p.set_defaults(func=_cmd_imitate)
@@ -302,10 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    samples = getattr(args, "samples", None)
     if args.command == "simulate" and args.n < 1:
         parser.error("--n must be >= 1")
-    if args.command in ("imitate", "experiment") and args.samples < 0:
+    if args.command == "simulate" and args.n > _MAX_COUNT:
+        parser.error(f"--n must be <= {_MAX_COUNT}")
+    if samples is not None and samples < 0:
         parser.error("--samples must be >= 0")
+    if samples is not None and samples > _MAX_COUNT:
+        parser.error(f"--samples must be <= {_MAX_COUNT}")
+    if args.command == "imitate" and args.dist and samples is not None:
+        parser.error("--samples needs --scm, not --dist")
     if args.command == "experiment" and args.workers < 1:
         parser.error("--workers must be >= 1")
     if args.command == "experiment" and args.models < 1:

@@ -10,7 +10,9 @@ matched exactly and its matching rows over the simplex rows have full
 column rank: then no other policy fits, and that LP could only return the
 policy already found.  A batch of tables is solved in one call: the linear
 systems, cloning references and rank tests are array operations over the
-batch, and only the LPs run one table at a time.
+batch, and only the LPs run one table at a time.  Each LP reaches HiGHS
+through ``linprog`` in the form HiGHS stores it: matrix entries, row
+bounds with the inequality rows first, and column upper bounds.
 """
 from __future__ import annotations
 
@@ -142,33 +144,40 @@ def _highs():
     return _core, solver, _check_result
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-    """``scipy.optimize.linprog(..., method="highs")`` on HiGHS (Huangfu &
-    Hall, Math. Prog. Comp. 10, 2018) without scipy's per-call wrapper:
-    the same model, options and success test, so ``x``, ``fun`` and
-    ``success`` are bit-identical.  ``A_eq`` and the optional ``A_ub`` are
-    ``csc_array``s and ``bounds`` is an (n, 2) array.  Every LP gets a
-    cleared solver: a warm start could return another optimal vertex."""
+def linprog(c, entries, row_lower, row_upper, col_upper):
+    """Minimize ``c @ x`` subject to ``row_lower <= A x <= row_upper`` and
+    ``0 <= x <= col_upper`` on HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
+    2018), given in the form HiGHS stores it: ``entries`` are A's
+    ``(rows, cols, values)``, the inequality rows come first with lower
+    bound ``-inf``, and each equality row after them has equal bounds.
+    Model, options and success test are those of
+    ``scipy.optimize.linprog(method="highs")`` on the same LP, so ``x``,
+    ``fun`` and ``success`` are bit-identical.  Every LP gets a cleared
+    solver: a warm start could return another optimal vertex."""
     core, solver, check_result = _highs()
     from scipy.optimize import OptimizeResult
 
     c = np.asarray(c, dtype=float)
-    b_eq = np.asarray(b_eq, dtype=float)
-    b_ub = np.asarray(b_ub if A_ub is not None else [], dtype=float)
-    a = A_eq if A_ub is None else _stack_rows(A_ub, A_eq)
-    if not all(np.isfinite(v).all() for v in (c, a.data, b_ub, b_eq)):
+    rows, cols, vals = (np.asarray(v, dtype=t) for v, t in zip(entries, (int, int, float)))
+    row_lower = np.asarray(row_lower, dtype=float)
+    row_upper = np.asarray(row_upper, dtype=float)
+    # the -inf rows are the inequality rows; when one follows an equality
+    # row, a -inf lands in row_lower[n_ub:] and fails the finiteness test
+    n_ub = int(np.isneginf(row_lower).sum())
+    if not all(np.isfinite(v).all() for v in (c, vals, row_lower[n_ub:], row_upper)):
         raise ValueError("LP coefficients must not contain inf or nan")
-    n_ub = len(b_ub)
-    # inequality rows first, each -inf <= row <= b_ub, as scipy orders them
-    row_lower = np.concatenate([np.full(n_ub, -core.kHighsInf), b_eq])
-    row_upper = np.concatenate([b_ub, b_eq])
+    # CSC as csc_array(dense) stores it: no zero entries, rows sorted in each column
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.lexsort((rows, cols))
+    bounds = np.column_stack([np.zeros(len(c)), col_upper])
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(c)))])
+    lp.a_matrix_.index_ = rows[order]
+    lp.a_matrix_.value_ = vals[order]
     lp.col_cost_ = c
     lp.col_lower_ = bounds[:, 0]
     lp.col_upper_ = bounds[:, 1]
@@ -188,42 +197,13 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
     return OptimizeResult(x=x, fun=fun, success=checked == 0, message=message)
 
 
-def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]):
-    """The matrix with the given entries as a ``csc_array``: zero entries
-    dropped and rows sorted within each column, as ``csc_array(dense)``
-    stores it."""
-    from scipy.sparse import csc_array
-
-    keep = vals != 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=shape[1]))])
-    return csc_array((vals[order], rows[order], indptr), shape=shape)
-
-
-def _stack_rows(top, bottom):
-    """``top``'s rows over ``bottom``'s, both ``csc_array``s."""
-    parts = [(m.indices + offset, np.repeat(np.arange(m.shape[1]), np.diff(m.indptr)), m.data)
-             for m, offset in ((top, 0), (bottom, top.shape[0]))]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return _csc(rows, cols, vals, (top.shape[0] + bottom.shape[0], top.shape[1]))
-
-
-def _bounds(n_pi: int, n: int) -> np.ndarray:
-    """Policy cells in [0, 1], the other columns in [0, inf)."""
-    bounds = np.zeros((n, 2))
-    bounds[:, 1] = np.inf
-    bounds[:n_pi, 1] = 1.0
-    return bounds
-
-
-def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
+def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int, top: int):
     """Entries (rows, columns, values) of the equality rows
     A pi - r+ + r- = t and sum_x pi[pa, x] = 1 over the columns
-    (pi, r+, r-), and their right-hand side."""
+    (pi, r+, r-), numbered from row ``top``, and their right-hand side."""
     n_s, n_pi = a2.shape
     r, p = np.arange(n_s), np.arange(n_pi)
-    rows = np.concatenate([np.repeat(r, n_pi), r, r, n_s + p // k])
+    rows = top + np.concatenate([np.repeat(r, n_pi), r, r, n_s + p // k])
     cols = np.concatenate([np.tile(p, n_s), n_pi + r, n_pi + n_s + r, p])
     vals = np.concatenate([a2.reshape(-1), np.full(n_s, -1.0), np.ones(n_s), np.ones(n_pi)])
     return (rows, cols, vals), np.concatenate([t, np.ones(n_pa)])
@@ -231,11 +211,11 @@ def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
 
 def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
     n_pi, n_s = n_pa * k, len(t)
-    n = n_pi + 2 * n_s
     c = np.concatenate([np.zeros(n_pi), np.ones(2 * n_s)])
-    entries, b_eq = _matching_rows(a2, t, n_pa, k)
-    a_eq = _csc(*entries, (n_s + n_pa, n))
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=_bounds(n_pi, n))
+    entries, b = _matching_rows(a2, t, n_pa, k, 0)
+    # policy cells in [0, 1], residual columns in [0, inf)
+    col_upper = np.concatenate([np.ones(n_pi), np.full(2 * n_s, np.inf)])
+    res = linprog(c, entries, b, b, col_upper)
     if not res.success:
         raise RuntimeError(f"residual LP failed: {res.message}")
     return res.x[:n_pi], float(res.fun)
@@ -246,19 +226,17 @@ def _lp_closest(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int,
     """Among policies with L1 residual <= cap, minimize the L1 distance to
     ref; ``None`` when the LP fails."""
     n_pi, n_s = n_pa * k, len(t)
-    n = n_pi + 2 * n_s + 2 * n_pi
     c = np.concatenate([np.zeros(n_pi + 2 * n_s), np.ones(2 * n_pi)])
-    (rows, cols, vals), b_match = _matching_rows(a2, t, n_pa, k)
-    # distance rows pi - d+ + d- = ref under the matching rows
-    p, top, d = np.arange(n_pi), n_s + n_pa, n_pi + 2 * n_s
-    a_eq = _csc(np.concatenate([rows, top + p, top + p, top + p]),
-                np.concatenate([cols, p, d + p, d + n_pi + p]),
-                np.concatenate([vals, np.ones(n_pi), np.full(n_pi, -1.0), np.ones(n_pi)]),
-                (top + n_pi, n))
-    # one inequality row: the residual columns sum to at most cap
-    a_ub = _csc(np.zeros(2 * n_s, dtype=int), n_pi + np.arange(2 * n_s), np.ones(2 * n_s), (1, n))
-    res = linprog(c, A_eq=a_eq, b_eq=np.concatenate([b_match, ref]),
-                  A_ub=a_ub, b_ub=[cap], bounds=_bounds(n_pi, n))
+    (rows, cols, vals), b_match = _matching_rows(a2, t, n_pa, k, 1)
+    # row 0, the one inequality row: the residual columns sum to at most
+    # cap; then the matching rows, then distance rows pi - d+ + d- = ref
+    p, top, d = np.arange(n_pi), 1 + n_s + n_pa, n_pi + 2 * n_s
+    entries = (np.concatenate([np.zeros(2 * n_s, dtype=int), rows, top + p, top + p, top + p]),
+               np.concatenate([n_pi + np.arange(2 * n_s), cols, p, d + p, d + n_pi + p]),
+               np.concatenate([np.ones(2 * n_s), vals, np.ones(n_pi), np.full(n_pi, -1.0), np.ones(n_pi)]))
+    b = np.concatenate([b_match, ref])
+    col_upper = np.concatenate([np.ones(n_pi), np.full(2 * n_s + 2 * n_pi, np.inf)])
+    res = linprog(c, entries, np.concatenate([[-np.inf], b]), np.concatenate([[cap], b]), col_upper)
     if not res.success:
         return None
     return res.x[:n_pi]

@@ -151,12 +151,40 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
       "--seed", "-1"], "--seed must be >= 0"),
     (["simulate", "--scm", "frontdoor_mix", "--n", "5", "--seed", "-1"], "--seed must be >= 0"),
     (["experiment", "frontdoor-study", "--models", "2", "--seed", "-1"], "--seed must be >= 0"),
+    # counts past int64 ended in an OverflowError traceback
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", str(2**63)],
+     f"--samples must be <= {2**63 - 1}"),
+    (["experiment", "highway-binary", "--samples", str(2**63)], f"--samples must be <= {2**63 - 1}"),
+    (["experiment", "frontdoor-study", "--samples", str(2**63)], f"--samples must be <= {2**63 - 1}"),
+    (["simulate", "--scm", "frontdoor_mix", "--n", str(10**20)], f"--n must be <= {2**63 - 1}"),
+    # a --dist table is used as given: --scm and --samples were dropped
+    (["imitate", "--graph", "frontdoor_observed", "--dist", "obs.dist", "--scm", "frontdoor_mix"],
+     "argument --scm: not allowed with argument --dist"),
+    (["imitate", "--graph", "frontdoor_observed", "--dist", "obs.dist", "--samples", "50"],
+     "--samples needs --scm, not --dist"),
+    (["imitate", "--graph", "frontdoor_observed", "--dist", "obs.dist", "--samples", "0"],
+     "--samples needs --scm, not --dist"),
 ])
 def test_bad_flags_rejected_by_parser(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--graph", "backdoor_observed"],
+    ["backdoor", "--graph", "backdoor_observed"],
+    ["surrogates", "--graph", "frontdoor_latent"],
+    ["instruments", "--graph", "frontdoor_latent"],
+    ["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"],
+], ids=lambda argv: argv[0])
+def test_reward_equal_to_the_action_is_rejected(capsys, argv):
+    # check and surrogates answered, the other three failed with three messages
+    rc = main(argv + ["--reward", "X"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "error: the reward X is the action\n"
 
 
 def test_simulate_rejects_zero_rows(capsys):

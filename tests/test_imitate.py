@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import numpy as np
@@ -374,21 +375,43 @@ def _outcome(res):
             None if res.fun is None else float(res.fun).hex(), bool(res.success))
 
 
+def _scipy_form(args, kwargs):
+    """The LP imitate.linprog takes, as scipy.optimize.linprog's keyword
+    arguments with dense rows: the leading rows with lower bound -inf are
+    A_ub, the rest A_eq, and every column is bounded below by 0."""
+    lp = inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments
+    c, row_lower, row_upper = (np.asarray(lp[key], dtype=float) for key in ("c", "row_lower", "row_upper"))
+    n_ub = int(np.isneginf(row_lower).sum())
+    assert np.isneginf(row_lower[:n_ub]).all(), "the -inf rows come first"
+    assert np.array_equal(row_lower[n_ub:], row_upper[n_ub:], equal_nan=True), "equality rows"
+    rows, cols, vals = lp["entries"]
+    a = np.zeros((len(row_upper), len(c)))
+    a[rows, cols] = vals
+    return dict(c=c, A_ub=a[:n_ub] if n_ub else None, b_ub=row_upper[:n_ub] if n_ub else None,
+                A_eq=a[n_ub:], b_eq=row_upper[n_ub:],
+                bounds=np.column_stack([np.zeros(len(c)), lp["col_upper"]]))
+
+
+def _checked_outcome(args, kwargs):
+    """imitate.linprog's outcome on the LP, after checking that the matrix
+    HiGHS holds is what csc_array(dense) holds, as scipy would pass it."""
+    from scipy.sparse import csc_array
+
+    got = _outcome(imitate.linprog(*args, **kwargs))
+    scipy_lp = _scipy_form(args, kwargs)
+    want = csc_array(np.vstack([m for m in (scipy_lp["A_ub"], scipy_lp["A_eq"]) if m is not None]))
+    held = imitate._highs()[1].getLp().a_matrix_
+    for part, name in (("indptr", "start_"), ("indices", "index_"), ("data", "value_")):
+        assert np.array_equal(getattr(want, part), getattr(held, name)), part
+    return got
+
+
 def _oracle_outcome(args, kwargs):
     """The public scipy.optimize.linprog on the same LP with dense rows,
-    which scipy turns into CSC itself; checks on the way that the CSC rows
-    hold what csc_array(dense) holds."""
-    from scipy.sparse import csc_array
+    which scipy turns into CSC itself."""
     from oracles import linprog_scipy
 
-    dense = dict(kwargs)
-    for key in ("A_ub", "A_eq"):
-        if kwargs.get(key) is not None:
-            dense[key] = kwargs[key].toarray()
-            want = csc_array(dense[key])
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(kwargs[key], part), getattr(want, part)), (key, part)
-    return _outcome(linprog_scipy(*args, **dense))
+    return _outcome(linprog_scipy(**_scipy_form(args, kwargs)))
 
 
 def _study_lps(monkeypatch):
@@ -436,7 +459,7 @@ def test_linprog_bit_identical_to_scipy(monkeypatch):
     failed = 0
     for group, lps in groups.items():
         for args, kwargs in lps:
-            got = _outcome(imitate.linprog(*args, **kwargs))
+            got = _checked_outcome(args, kwargs)
             assert got == _oracle_outcome(args, kwargs), group
             failed += not got[2]
     assert len(groups["study"]) > 150 and len(groups["random"]) > 40 and len(groups["fixtures"]) > 10
@@ -449,7 +472,7 @@ def test_linprog_reused_solver_leaks_no_state(monkeypatch):
     lp_a = max(_instrument_lps(monkeypatch, _random_instrument_cases()), key=lambda lp: len(lp[0][0]))
     lp_b = _infeasible_tie_break_lp(monkeypatch)
     lps = [lp_a, lp_b, lp_a, lp_b]
-    got = [_outcome(imitate.linprog(*args, **kwargs)) for args, kwargs in lps]
+    got = [_checked_outcome(args, kwargs) for args, kwargs in lps]
     assert got == [_oracle_outcome(args, kwargs) for args, kwargs in lps]
     assert got[:2] == got[2:] and got[0][2] and not got[1][2]
 
@@ -469,23 +492,46 @@ def test_linprog_solver_keeps_the_linprog_highs_options():
     }
 
 
+def _small_lp():
+    """x0 + x1 = 1 under x0 - x1 <= 0.5, with x0 in [0, 1] and x1 >= 0."""
+    return dict(c=np.array([1.0, 2.0]),
+                entries=(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([1.0, -1.0, 1.0, 1.0])),
+                row_lower=np.array([-np.inf, 1.0]), row_upper=np.array([0.5, 1.0]),
+                col_upper=np.array([1.0, np.inf]))
+
+
 @pytest.mark.parametrize("field", ["c", "A_eq", "b_eq", "A_ub", "b_ub"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_linprog_rejects_non_finite_data(field, bad):
-    from scipy.sparse import csc_array
+    # each field names the part of scipy's form the bad value lands in
     from oracles import linprog_scipy
 
-    lp = dict(c=np.array([1.0, 2.0]), A_eq=csc_array(np.array([[1.0, 1.0]])), b_eq=np.array([1.0]),
-              A_ub=csc_array(np.array([[1.0, -1.0]])), b_ub=np.array([0.5]),
-              bounds=np.array([[0.0, 1.0], [0.0, np.inf]]))
-    assert _outcome(imitate.linprog(**lp)) == _outcome(linprog_scipy(**lp))
-    if field.startswith("A"):
-        lp[field] = csc_array(np.array([[1.0, bad]]))
-    else:
-        lp[field] = np.concatenate([[bad], lp[field][1:]])
-    for solve in (imitate.linprog, linprog_scipy):
-        with pytest.raises(ValueError, match="inf"):
-            solve(**lp)
+    lp = _small_lp()
+    assert _outcome(imitate.linprog(**lp)) == _oracle_outcome((), lp)
+    if field == "c":
+        lp["c"][0] = bad
+    elif field.startswith("A"):  # an entry of the inequality row 0 or the equality row 1
+        lp["entries"][2][1 if field == "A_ub" else 3] = bad
+    elif field == "b_ub":
+        lp["row_upper"][0] = bad
+    else:  # an equality row's right-hand side is both of its bounds
+        lp["row_lower"][1] = lp["row_upper"][1] = bad
+    scipy_lp = _scipy_form((), lp)
+    with pytest.raises(ValueError, match="inf"):
+        imitate.linprog(**lp)
+    with pytest.raises(ValueError, match="inf"):
+        linprog_scipy(**scipy_lp)
+
+
+@pytest.mark.parametrize("lower", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf_after_an_equality_row"])
+def test_linprog_rejects_a_non_finite_equality_lower_bound(lower):
+    # the same LP with its rows swapped: a -inf lower bound marks an
+    # inequality row only among the leading rows
+    lp = _small_lp()
+    lp["entries"] = (1 - lp["entries"][0],) + lp["entries"][1:]
+    lp["row_lower"], lp["row_upper"] = np.array([1.0, lower]), np.array([1.0, 0.5])
+    with pytest.raises(ValueError, match="inf"):
+        imitate.linprog(**lp)
 
 
 # ------------------------------------------------------------- verify_policy
