@@ -178,7 +178,7 @@ def _cmd_imitate(args) -> int:
     elif args.scm:
         scm = _load_scm(args.scm)
         if args.samples:
-            table = empirical_observational(scm, args.samples, np.random.SeedSequence(entropy=args.seed))
+            table = empirical_observational(scm, args.samples, np.random.SeedSequence(entropy=args.seed or 0))
             tolerance = _sampled_tolerance(args.samples)
         else:
             table = observational(scm)
@@ -278,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--dist", help="observational distribution file")
     table.add_argument("--scm", help="model file or bundled model name")
     p.add_argument("--samples", type=int, help="empirical table size from --scm (default or 0: exact)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="empirical table seed, with --samples (default: 0)")
     p.add_argument("--strict", action="store_true", help="nonzero exit when infeasible")
     p.set_defaults(func=_cmd_imitate)
 
@@ -324,8 +324,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be >= 1")
     if args.command == "experiment" and args.models < 1:
         parser.error("--models must be >= 1")
-    if args.command in ("imitate", "simulate", "experiment") and args.seed < 0:
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
         parser.error("--seed must be >= 0")
+    if args.command == "imitate" and seed is not None and not samples:
+        parser.error("--seed needs --samples n with n >= 1")
     try:
         return args.func(args)
     except ParseError as exc:

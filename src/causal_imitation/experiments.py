@@ -13,6 +13,8 @@ at a time.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from . import fixtures
@@ -104,7 +106,9 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
         # imported here, so that commands without a pool do not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        # a fork pool starts every worker at once: no more than the usable CPUs
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(len(args), cpus)) as pool:
             batches = list(pool.map(_frontdoor_batch, args))
     else:
         batches = [_frontdoor_batch(args[0])]

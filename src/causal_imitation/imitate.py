@@ -16,7 +16,11 @@ bounds with the inequality rows first, and column upper bounds.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -126,22 +130,76 @@ def _linear_system(formula: IdFormula, observational: JointTable,
 
 @lru_cache(maxsize=1)
 def _highs():
-    """The HiGHS binding scipy ships and the one solver every LP runs on,
-    set up with the options ``scipy.optimize.linprog(method="highs")``
-    passes.  Importing the binding imports ``scipy.optimize``, which takes
-    longer than most commands, and those solve no LP."""
-    from scipy.optimize._highspy import _core
-    from scipy.optimize._linprog_util import _check_result
+    """The HiGHS binding scipy ships, ``scipy.optimize._highspy._core``, and
+    the one solver every LP runs on, set up with the options
+    ``scipy.optimize.linprog(method="highs")`` passes.
 
-    options = _core.HighsOptions()
+    The binding is loaded from its file, without running the
+    ``scipy.optimize`` package ``__init__``: that import pulls in
+    ``scipy.linalg``, ``scipy.sparse`` and more, and takes longer than the
+    LPs of most commands.  The module is created under its own name and
+    registered in ``sys.modules`` before ``exec_module``, as the import
+    system does, so that a later ``import scipy.optimize`` finds it there;
+    one already registered is reused.  pybind11 registers the binding's
+    types once per process: a copy created under another name would make
+    that import load a second one, which fails with ``type "ObjSense" is
+    already registered``."""
+    name = "scipy.optimize._highspy._core"
+    core = sys.modules.get(name)
+    if core is None:
+        # find_spec locates the scipy package without importing it
+        [root] = importlib.util.find_spec("scipy").submodule_search_locations
+        spec = importlib.machinery.FileFinder(
+            os.path.join(root, "optimize", "_highspy"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+        ).find_spec(name)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        core = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(core)
+
+    options = core.HighsOptions()
     options.presolve = "on"
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.highs_debug_level = core.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = False
     options.output_flag = False
-    solver = _core._Highs()
+    solver = core._Highs()
     solver.passOptions(options)
-    return _core, solver, _check_result
+    return core, solver
+
+
+@dataclass(frozen=True, eq=False)
+class _LPResult:
+    """The fields of ``scipy.optimize.OptimizeResult`` that callers read."""
+    x: np.ndarray | None
+    fun: float | None
+    success: bool
+    message: str
+
+
+def _check_result(x, fun, slack, con, bounds, tol, message):
+    """Status and message of ``scipy.optimize._linprog_util._check_result``
+    on a solution HiGHS reports optimal (status 0) for an LP without
+    integrality: 0 and ``message`` when ``x`` holds no NaN and meets the
+    bounds, inequality slacks ``slack`` and equality residuals ``con`` to
+    ``sqrt(tol) * 10``, else status 4 and scipy's message."""
+    tol = np.sqrt(tol) * 10
+    if np.isnan(x).any() or np.isnan(fun) or np.isnan(slack).any() or np.isnan(con).any():
+        feasible = False
+    else:
+        feasible = (np.all((x >= bounds[:, 0] - tol) & (x <= bounds[:, 1] + tol))
+                    and not (slack < -tol).any() and not (np.abs(con) > tol).any())
+    if feasible:
+        return 0, message
+    return 4, ("The solution does not satisfy the constraints within the "
+               f"required tolerance of {tol:.2E}, yet "
+               "no errors were raised and there is no certificate of "
+               "infeasibility or unboundedness. Check whether "
+               "the slack and constraint residuals are acceptable; "
+               "if not, consider enabling presolve, adjusting the "
+               "tolerance option(s), and/or using a different method. "
+               "Please consider submitting a bug report.")
 
 
 def linprog(c, entries, row_lower, row_upper, col_upper):
@@ -152,10 +210,10 @@ def linprog(c, entries, row_lower, row_upper, col_upper):
     bound ``-inf``, and each equality row after them has equal bounds.
     Model, options and success test are those of
     ``scipy.optimize.linprog(method="highs")`` on the same LP, so ``x``,
-    ``fun`` and ``success`` are bit-identical.  Every LP gets a cleared
-    solver: a warm start could return another optimal vertex."""
-    core, solver, check_result = _highs()
-    from scipy.optimize import OptimizeResult
+    ``fun`` and ``success`` are bit-identical; the success test is
+    ``_check_result``, a port of scipy's.  Every LP gets a cleared solver:
+    a warm start could return another optimal vertex."""
+    core, solver = _highs()
 
     c = np.asarray(c, dtype=float)
     rows, cols, vals = (np.asarray(v, dtype=t) for v, t in zip(entries, (int, int, float)))
@@ -188,13 +246,13 @@ def linprog(c, entries, row_lower, row_upper, col_upper):
     status = solver.getModelStatus()
     message = solver.modelStatusToString(status)
     if not ran or status != core.HighsModelStatus.kOptimal:
-        return OptimizeResult(x=None, fun=None, success=False, message=message)
+        return _LPResult(x=None, fun=None, success=False, message=message)
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     fun = solver.getInfo().objective_function_value
     slack = row_upper - solution.row_value
-    checked, message = check_result(x, fun, 0, slack[:n_ub], slack[n_ub:], bounds, 1e-9, message, None)
-    return OptimizeResult(x=x, fun=fun, success=checked == 0, message=message)
+    checked, message = _check_result(x, fun, slack[:n_ub], slack[n_ub:], bounds, 1e-9, message)
+    return _LPResult(x=x, fun=fun, success=checked == 0, message=message)
 
 
 def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int, top: int):

@@ -164,6 +164,13 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
      "--samples needs --scm, not --dist"),
     (["imitate", "--graph", "frontdoor_observed", "--dist", "obs.dist", "--samples", "0"],
      "--samples needs --scm, not --dist"),
+    # --seed draws an empirical table, so it was ignored without one
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--seed", "5"],
+     "--seed needs --samples n with n >= 1"),
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "0", "--seed", "5"],
+     "--seed needs --samples n with n >= 1"),
+    (["imitate", "--graph", "frontdoor_observed", "--dist", "obs.dist", "--seed", "5"],
+     "--seed needs --samples n with n >= 1"),
 ])
 def test_bad_flags_rejected_by_parser(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -199,6 +206,38 @@ def test_experiment_reports_deterministic(tmp_path):
     assert main(["experiment", "frontdoor-study", "--models", "12", "--workers", "2",
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("cpus, workers, pool", [(2, 7, 2), (2, 2, 2), (64, 3, 3), (1, 5, 1)])
+def test_study_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus, workers, pool):
+    # a fork pool starts all its workers at once: --workers 5000 forked 5000
+    # processes; the batches stay one per worker, so the bytes do not change
+    import concurrent.futures
+
+    sizes, batches = [], []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process: no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    batch = experiments._frontdoor_batch
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(experiments, "_frontdoor_batch", lambda args: batches.append(args[3:5]) or batch(args))
+    assert experiments.frontdoor_study(9, 1000, 4, workers) == experiments.frontdoor_study(9, 1000, 4)
+    assert sizes == [pool]
+    assert batches[:workers] == [(9 * w // workers, 9 * (w + 1) // workers) for w in range(workers)]
 
 
 @pytest.mark.parametrize("kwargs, golden", [
@@ -238,7 +277,7 @@ def test_fixture_list_and_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
-GUARDED = ("scipy.optimize", "concurrent.futures.process")
+GUARDED = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -247,11 +286,14 @@ GUARDED = ("scipy.optimize", "concurrent.futures.process")
     (["experiment", "highway-binary"], []),
     (["imitate", "--graph", "highway_binary", "--scm", "highway_golden"], []),
     (["fixture", "--list"], []),
-    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"], ["scipy.optimize"]),
+    # the LP commands load HiGHS's binding alone, not the scipy.optimize package
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"], []),
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "100000"], []),
+    (["experiment", "frontdoor-study", "--models", "4"], []),
 ])
 def test_commands_import_only_what_they_use(argv, loaded):
     # a fresh interpreter per command: the modules a command loads are part
-    # of its start-up cost, and only a solved LP needs scipy.optimize
+    # of its start-up cost
     code = (
         "import json, sys\n"
         "from causal_imitation.cli import main\n"

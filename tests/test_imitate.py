@@ -1,5 +1,10 @@
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,16 +451,23 @@ def _infeasible_tie_break_lp(monkeypatch):
     raise AssertionError("no infeasible seed found")
 
 
-def test_linprog_bit_identical_to_scipy(monkeypatch):
-    # imitate.linprog drives HiGHS through scipy's private binding; x, fun
-    # and success must equal the public linprog's on every LP the package
-    # builds, or a change in that binding shows here first
-    groups = {
+def _lp_groups(monkeypatch) -> dict:
+    """The LPs the package builds: the frontdoor study's (exact and sampled),
+    the instruments' of random models and of every bundled pair, and an
+    infeasible tie-break LP."""
+    return {
         "study": _study_lps(monkeypatch),
         "random": _instrument_lps(monkeypatch, list(_random_instrument_cases())),
         "fixtures": _instrument_lps(monkeypatch, list(_fixture_instrument_cases())),
         "infeasible": [_infeasible_tie_break_lp(monkeypatch)],
     }
+
+
+def test_linprog_bit_identical_to_scipy(monkeypatch):
+    # imitate.linprog drives HiGHS through scipy's private binding; x, fun
+    # and success must equal the public linprog's on every LP the package
+    # builds, or a change in that binding shows here first
+    groups = _lp_groups(monkeypatch)
     failed = 0
     for group, lps in groups.items():
         for args, kwargs in lps:
@@ -481,7 +493,7 @@ def test_linprog_solver_keeps_the_linprog_highs_options():
     # the options scipy.optimize.linprog(method="highs") passes, still set
     # after the reused solver has been cleared and run
     solve_policy(_frontdoor_formula(), observational(random_frontdoor(0)), {"S"})
-    core, solver, _check_result = imitate._highs()
+    core, solver = imitate._highs()
     keys = ("presolve", "simplex_strategy", "highs_debug_level", "log_to_console", "output_flag")
     assert {key: solver.getOptionValue(key)[1] for key in keys} == {
         "presolve": "on",
@@ -490,6 +502,118 @@ def test_linprog_solver_keeps_the_linprog_highs_options():
         "log_to_console": False,
         "output_flag": False,
     }
+
+
+def _spoiled(x, fun, slack, con, bounds, tol, message):
+    """The inputs of a success test, each with one defect (or a bound missed
+    by just under the tolerance), and whether the solution must fail."""
+    edge = np.sqrt(tol) * 10
+
+    def swap(at, value, index=0):
+        args = [np.array(x), fun, np.array(slack), np.array(con), bounds, tol, message]
+        if at == 1:
+            args[1] = value
+        else:
+            args[at][index] = value
+        return tuple(args)
+
+    cases = [
+        ("bound violated by 1e-3", swap(0, bounds[0, 0] - 1e-3), True),
+        ("upper bound violated by 1e-3", swap(0, bounds[0, 1] + 1e-3), True),
+        ("bound missed just over the tolerance", swap(0, bounds[0, 0] - 1.001 * edge), True),
+        ("bound missed just under the tolerance", swap(0, bounds[0, 0] - 0.999 * edge), False),
+        ("equality residual", swap(3, con[0] + 1e-3), True),
+        ("NaN in x", swap(0, np.nan), True),
+        ("NaN objective", swap(1, np.nan), True),
+        ("NaN equality residual", swap(3, np.nan), True),
+    ]
+    if len(slack):
+        cases += [("negative slack", swap(2, -1e-3), True), ("NaN slack", swap(2, np.nan), True)]
+    return cases
+
+
+def test_check_result_port_matches_scipy(monkeypatch):
+    # imitate._check_result ports the branch of scipy's _check_result that
+    # linprog reaches (status 0, no integrality): same status and message on
+    # every solution the bit-identity test checks, and on each one spoiled
+    from scipy.optimize._linprog_util import _check_result as scipy_check_result
+
+    port, checked = imitate._check_result, []
+
+    def record(*args):
+        checked.append(args)
+        return port(*args)
+
+    lps = [lp for group in _lp_groups(monkeypatch).values() for lp in group]
+    with monkeypatch.context() as patch:
+        patch.setattr(imitate, "_check_result", record)
+        for args, kwargs in lps:
+            imitate.linprog(*args, **kwargs)
+    assert len(checked) == len(lps) - 1  # the infeasible LP has no solution to check
+    assert sum(len(args[2]) > 0 for args in checked) > 40  # tie-break LPs have a slack
+    for args in checked:
+        x, fun, slack, con, bounds, tol, message = args
+        assert port(*args) == scipy_check_result(x, fun, 0, slack, con, bounds, tol, message, None) == (0, message)
+        for name, spoiled, fails in _spoiled(*args):
+            x, fun, slack, con, bounds, tol, message = spoiled
+            got = port(*spoiled)
+            assert got == scipy_check_result(x, fun, 0, slack, con, bounds, tol, message, None), name
+            assert got[0] == (4 if fails else 0), name
+
+
+_FRESH_INTERPRETER_LPS = """
+import json, sys
+import numpy as np
+from causal_imitation import fixtures, imitate
+from causal_imitation.experiments import frontdoor_study
+from causal_imitation.imitate import _sampled_tolerance, imitate_pipeline
+from causal_imitation.scm import empirical_observational
+
+lps, solve = [], imitate.linprog
+
+def record(*args, **kwargs):
+    res = solve(*args, **kwargs)
+    lps.append((args, kwargs, res))
+    return res
+
+imitate.linprog = record
+frontdoor_study(20)
+case = fixtures.diagram_fixture("frontdoor_observed")
+# at 100000 samples this pair's table is matched within its tolerance, not
+# exactly, so the tie-break LP runs too
+samples = 100_000
+table = empirical_observational(fixtures.scm_fixture("frontdoor_mix"), samples, np.random.SeedSequence(entropy=0))
+imitate_pipeline(case.diagram, case.space, table, case.reward, _sampled_tolerance(samples))
+imitate.linprog = solve
+before = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if m in sys.modules]
+
+import scipy.optimize
+from scipy.optimize._highspy import _core
+from test_imitate import _outcome, _scipy_form
+
+print(json.dumps({
+    "loaded_before": before,
+    "same_module": _core is imitate._highs()[0],
+    "lps": len(lps),
+    "tie_break": sum(_scipy_form(args, kwargs)["A_ub"] is not None for args, kwargs, _ in lps),
+    "differ": [i for i, (args, kwargs, res) in enumerate(lps)
+               if _outcome(res) != _outcome(scipy.optimize.linprog(**_scipy_form(args, kwargs)))],
+}))
+"""
+
+
+def test_linprog_loads_highs_without_scipy_optimize():
+    # in-process tests import scipy.optimize first (through oracles), so the
+    # loader's own path runs only in a fresh interpreter
+    src, here = Path(__file__).parents[1] / "src", Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), str(here), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_INTERPRETER_LPS], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["loaded_before"] == [] and got["same_module"]
+    assert got["lps"] >= 20 and got["tie_break"] >= 1
+    assert got["differ"] == []
 
 
 def _small_lp():
