@@ -173,17 +173,15 @@ def _cmd_instruments(args) -> int:
 def _cmd_imitate(args) -> int:
     diagram, space, reward = _problem(args)
     tolerance = DEFAULT_TOLERANCE
-    if args.dist:
+    if args.dist is not None:
         table = parse_distribution_text(Path(args.dist).read_text())
-    elif args.scm:
+    else:
         scm = _load_scm(args.scm)
         if args.samples:
             table = empirical_observational(scm, args.samples, np.random.SeedSequence(entropy=args.seed or 0))
             tolerance = _sampled_tolerance(args.samples)
         else:
             table = observational(scm)
-    else:
-        raise SystemExit("error: imitate needs --dist or --scm")
     result = imitate_pipeline(diagram, space, table, reward, tolerance)
     _emit(args, result.report())
     if args.strict and result.status in ("infeasible", "no-instrument-found"):
@@ -216,8 +214,6 @@ def _cmd_fixture(args) -> int:
         lines += [f"scm {n} (diagram {fixtures.SCM_DIAGRAM[n]})" for n in fixtures.scm_names()]
         _emit(args, "\n".join(lines) + "\n")
         return 0
-    if not args.name:
-        raise SystemExit("error: fixture needs --name or --list")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -274,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("imitate", help="run the full imitation pipeline")
     graph_flags(p)
-    table = p.add_mutually_exclusive_group()
+    table = p.add_mutually_exclusive_group(required=True)
     table.add_argument("--dist", help="observational distribution file")
     table.add_argument("--scm", help="model file or bundled model name")
     p.add_argument("--samples", type=int, help="empirical table size from --scm (default or 0: exact)")
@@ -299,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("fixture", help="bundled example files")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--name")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--list", action="store_true")
+    which.add_argument("--name")
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_fixture)
     return parser
@@ -318,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--samples must be >= 0")
     if samples is not None and samples > _MAX_COUNT:
         parser.error(f"--samples must be <= {_MAX_COUNT}")
-    if args.command == "imitate" and args.dist and samples is not None:
+    if args.command == "imitate" and args.dist is not None and samples is not None:
         parser.error("--samples needs --scm, not --dist")
     if args.command == "experiment" and args.workers < 1:
         parser.error("--workers must be >= 1")

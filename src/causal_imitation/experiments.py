@@ -18,11 +18,9 @@ import os
 import numpy as np
 
 from . import fixtures
-from .errors import UnsupportedConditionalError
 from .identify import IdFormula
 from .imitate import _l1_to_expert, _sampled_tolerance, instruments, solve_policy
 from .scm import (
-    JointTable,
     Policy,
     _frontdoor_draw,
     _frontdoor_model,
@@ -43,42 +41,31 @@ def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
-def _solve_each(formula: IdFormula, table: JointTable, surrogate: frozenset[str],
-                tolerance: float) -> list[tuple[Policy | None, float | None]]:
-    """``solve_policy`` on a batched table: one ``(policy, residual)`` per
-    table.  A table with an empty cell that the formula conditions on gets
-    ``(None, None)``: its part of the batch is halved until it stands
-    alone, and the other tables are solved."""
-    try:
-        return solve_policy(formula, table, surrogate, tolerance)
-    except UnsupportedConditionalError:
-        n = table.batch[0]
-        if n == 1:
-            return [(None, None)]
-        return [pair for part in (slice(0, n // 2), slice(n // 2, n))
-                for pair in _solve_each(formula, JointTable(table.variables, table.domains, table.probs[part]),
-                                        surrogate, tolerance)]
-
-
 def _frontdoor_batch(
     args: tuple[IdFormula, frozenset[str], int, int, int, int],
 ) -> list[tuple[bool, float | None, float]]:
     """Per instance in ``range(start, stop)``: whether its exact table is
     p-imitable, and the reward L1 of the solved policy (``None`` when
-    unsolved) and of behavior cloning."""
+    unsolved) and of behavior cloning.  A table on which the formula
+    divides by an empty cell is unsolved."""
     formula, surrogate, base_seed, start, stop, samples = args
     indices = range(start, stop)
-    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=base_seed, spawn_key=(i,))) for i in indices]
-    models = _frontdoor_model(*(np.stack(p) for p in zip(*draws)))
+    n = len(indices)
+    draws = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2)), np.empty((n, 2))
+    for j, i in enumerate(indices):
+        drawn = _frontdoor_draw(np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)))
+        for column, value in zip(draws, drawn):
+            column[j] = value
+    models = _frontdoor_model(*draws)
     # one exact joint gives the observed tables and the expert's reward
     full = joint(models)
     exact = full.marginal(models.diagram.observed)
     expert = full.marginal(("Y",))
-    exact_solutions = _solve_each(formula, exact, surrogate, 1e-9)
+    exact_solutions = solve_policy(formula, exact, surrogate, 1e-9)
     if samples:
         seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=(i, 1)) for i in indices]
         table = empirical_observational(models, samples, seeds)
-        solutions = _solve_each(formula, table, surrogate, _sampled_tolerance(samples))
+        solutions = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))
     else:
         table, solutions = exact, exact_solutions
     cloning = conditional_policy(table, "X", ())

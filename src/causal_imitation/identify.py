@@ -313,20 +313,24 @@ def _policy_array(policy: Policy) -> tuple[tuple[str, ...], np.ndarray]:
     return target, broadcast_to_vars(np.asarray(policy.probs), axes, target)
 
 
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den > 0``, NaN where it is not: a conditional on
+    an empty cell is undefined.  The other cells have the bits of ``/``."""
+    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
+    return np.divide(num, den, out=out, where=den > 0.0)
+
+
 def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, int]):
     """``(names, array)``: the node's value with one axis per free variable,
-    sorted.  A batched table's leading axes stay in front of them."""
+    sorted.  A batched table's leading axes stay in front of them, so a
+    division by an empty cell of one table puts NaN in that table only."""
     if isinstance(node, Factor):
         need = tuple(sorted(set(node.vars) | set(node.given)))
         marg = obs.marginal(need)
         arr = marg.probs
         if node.given:
             den = obs.marginal(node.given)
-            if (den.probs <= 0.0).any():
-                raise UnsupportedConditionalError(
-                    f"conditioning event of probability zero in {format_formula(node)}"
-                )
-            arr = arr / broadcast_to_vars(den.probs, den.variables, need)
+            arr = _divide(arr, broadcast_to_vars(den.probs, den.variables, need))
         return need, arr
     if isinstance(node, PolicyFactor):
         if policy_axes is None:
@@ -363,12 +367,7 @@ def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, i
         nvs, narr = _eval(node.num, obs, policy_axes, domains)
         dvs, darr = _eval(node.den, obs, policy_axes, domains)
         union = tuple(sorted(set(nvs) | set(dvs)))
-        darr_b = broadcast_to_vars(darr, dvs, union)
-        if (darr_b <= 0.0).any():
-            raise UnsupportedConditionalError(
-                f"conditioning event of probability zero in {format_formula(node)}"
-            )
-        return union, broadcast_to_vars(narr, nvs, union) / darr_b
+        return union, _divide(broadcast_to_vars(narr, nvs, union), broadcast_to_vars(darr, dvs, union))
     raise TypeError(f"not a formula: {node!r}")
 
 
@@ -384,7 +383,8 @@ def evaluate(
     Pinning a known variable the formula does not mention is a no-op: an
     identified effect may be constant in the intervention value.  The result
     is a probability table over the remaining free variables and must total
-    one; anything else raises.
+    one; anything else raises, and a formula that divides by an empty cell
+    of the table raises ``UnsupportedConditionalError``.
     """
     fixed = dict(fixed or {})
     domains = observational.domain_map()
@@ -411,6 +411,10 @@ def evaluate(
             else:
                 raise ValueError(f"fixed variable {v!r} is unknown")
     vs, arr = _eval(formula, observational, policy_axes, domains)
+    if np.isnan(arr).any():
+        raise UnsupportedConditionalError(
+            f"conditioning event of probability zero in {format_formula(formula)}"
+        )
     arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
     for v in sorted(fixed, key=vs.index, reverse=True):
         arr = np.take(arr, fixed[v], axis=vs.index(v))

@@ -311,11 +311,12 @@ def solve_policy(
     observational: JointTable,
     surrogate: Iterable[str],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[Policy | None, float] | list[tuple[Policy | None, float]]:
+) -> tuple[Policy | None, float | None] | list[tuple[Policy | None, float | None]]:
     """The policy making the formula's surrogate distribution match the
     observed one within ``tolerance`` (L1), or ``None`` when none does,
     together with the exact L1 residual: the policy's, or the minimal
-    achievable one.
+    achievable one.  Where the formula divides by an empty cell of the
+    table, it is undefined: no policy and no residual, ``(None, None)``.
 
     A batched table gives a list of these pairs, one per table.  The
     systems, the cloning references and the rank tests are array operations
@@ -323,13 +324,16 @@ def solve_policy(
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     a2 = coeff.reshape(-1, n_s, n_pa * k)
+    undefined = np.isnan(a2).any(axis=(1, 2))
     refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(len(a2), -1)
     # the matching rows over the simplex rows sum_x pi[pa, x] = 1: at full
-    # column rank, no two policies fit the system exactly
+    # column rank, no two policies fit the system exactly.  An undefined
+    # system is zeroed: one NaN fails the SVD of the whole stack.
     simplex = np.broadcast_to(np.kron(np.eye(n_pa), np.ones(k)), (len(a2), n_pa, n_pa * k))
-    pinned = np.linalg.matrix_rank(np.concatenate([a2, simplex], axis=1)) == n_pa * k
-    pairs = [_solve_system(a, b, ref, unique, ph, in_doms, k, tolerance)
-             for a, b, ref, unique in zip(a2, t.reshape(-1, n_s), refs, pinned)]
+    rows = np.where(undefined[:, None, None], 0.0, a2)
+    pinned = np.linalg.matrix_rank(np.concatenate([rows, simplex], axis=1)) == n_pa * k
+    pairs = [(None, None) if nan else _solve_system(a, b, ref, unique, ph, in_doms, k, tolerance)
+             for a, b, ref, unique, nan in zip(a2, t.reshape(-1, n_s), refs, pinned, undefined)]
     return pairs if observational.batch else pairs[0]
 
 
@@ -426,7 +430,9 @@ def imitate_pipeline(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ImitationResult:
     """Full decision procedure: graphical criteria first, then the
-    instrument search with the linear solver."""
+    instrument search with the linear solver.  An instrument whose formula
+    divides by an empty cell of the table is passed over; when none gives
+    a residual, the status is ``no-instrument-found``."""
     missing = diagram.observed - set(observational.variables)
     if missing:
         raise ValueError("the table has no column for observed node(s) " + " ".join(sorted(missing)))
@@ -444,7 +450,8 @@ def imitate_pipeline(
         policy, residual = solve_policy(formula, observational, surrogate, tolerance)
         if policy is not None:
             return ImitationResult("p-imitable", policy, (surrogate, subspace), residual)
-        if best_residual is None or residual < best_residual:
+        # an instrument undefined on this table has no residual
+        if residual is not None and (best_residual is None or residual < best_residual):
             best_residual = residual
     if best_residual is None:
         return ImitationResult("no-instrument-found", None, None, None)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import linprog as linprog_scipy  # the public LP solver imitate.linprog must match
 
 from causal_imitation.diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
-from causal_imitation.errors import TooLargeError, UnsupportedConditionalError
+from causal_imitation.errors import TooLargeError
 from causal_imitation.identify import _eval, find_policy_factor, free_variables, identify_policy
 from causal_imitation.imitate import (
     _as_policy,
@@ -354,14 +354,10 @@ def solve_policy_with_tiebreak(formula, observational: JointTable, surrogate, to
 
 def frontdoor_instance(formula, surrogate, base_seed: int, index: int, samples: int):
     """One instance of ``experiments.frontdoor_study``, with one library
-    call per step: ``(p_imitable, l1_ci or None, l1_bc)``.  A table with an
-    empty cell that the formula conditions on leaves its solve unsolved."""
+    call per step: ``(p_imitable, l1_ci or None, l1_bc)``."""
 
     def solve(table, tolerance):
-        try:
-            return solve_policy(formula, table, surrogate, tolerance)[0]
-        except UnsupportedConditionalError:
-            return None
+        return solve_policy(formula, table, surrogate, tolerance)[0]
 
     scm_i = random_frontdoor(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
     full = joint(scm_i)

@@ -101,6 +101,29 @@ def test_imitate_strict_exit_code(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--samples", "5"], ["--samples", "20"]])
+def test_imitate_with_an_undefined_instrument_reports_a_verdict(capsys, extra):
+    # the only instrument divides by an empty cell of these tables (P(Y|W,X)
+    # on the exact parity table, P(W|X) or P(Y|W,X) on the small samples):
+    # the search finds no instrument instead of aborting
+    model = "parity_trap" if not extra else "frontdoor_mix"
+    argv = ["imitate", "--graph", "frontdoor_observed", "--scm", model, *extra]
+    assert run(capsys, *argv) == (0, "status no-instrument-found\n")
+    assert run(capsys, *argv, "--strict") == (1, "status no-instrument-found\n")
+
+
+def test_no_bundled_model_aborts_on_an_empty_cell(capsys):
+    # small samples leave cells empty; every run ends in a verdict
+    for model in fixtures.scm_names():
+        for samples in ("5", "20", "100", "1000"):
+            for seed in ([], ["--seed", "1"], ["--seed", "2"], ["--seed", "7"]):
+                argv = ["imitate", "--graph", fixtures.SCM_DIAGRAM[model], "--scm", model,
+                        "--samples", samples, *seed]
+                rc, out = run(capsys, *argv)
+                assert (rc, capsys.readouterr().err) == (0, ""), argv
+                assert out.startswith("status "), argv
+
+
 @pytest.mark.parametrize("graph, scm, missing", [
     ("frontdoor_confounded", "frontdoor_mix", "S"),
     ("backdoor_observed", "highway_xor", "Y"),
@@ -111,6 +134,13 @@ def test_imitate_rejects_table_missing_observed_nodes(capsys, graph, scm, missin
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and missing in captured.err
+
+
+def test_imitate_with_an_empty_dist_path_is_an_error(capsys):
+    # an empty --dist is a path like any other, not a missing flag
+    rc = main(["imitate", "--graph", "frontdoor_observed", "--dist", ""])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_imitate_from_distribution_file(tmp_path, capsys):
@@ -171,6 +201,11 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
      "--seed needs --samples n with n >= 1"),
     (["imitate", "--graph", "frontdoor_observed", "--dist", "obs.dist", "--seed", "5"],
      "--seed needs --samples n with n >= 1"),
+    # a missing table or fixture flag exited 1 from a hand-written check
+    (["imitate", "--graph", "frontdoor_observed"], "one of the arguments --dist --scm is required"),
+    (["fixture"], "one of the arguments --list --name is required"),
+    # --list silently won over --name
+    (["fixture", "--list", "--name", "frontdoor_mix"], "argument --name: not allowed with argument --list"),
 ])
 def test_bad_flags_rejected_by_parser(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Static checks on the library source: no dead imports, no orphaned helpers,
 no public function or method that only the tests call, no unbounded cache,
-and no cache outside a short allow-list.
+no cache outside a short allow-list, and no handler that catches an
+undefined conditional.
 
 All are read off the syntax tree, so they hold without importing anything.
 ``__init__.py`` is skipped for imports: everything it imports is the
@@ -144,3 +145,15 @@ def test_caches_only_on_the_allow_list():
     found = [use for module, tree in TREES.items() for use in _cache_uses(module, tree)]
     assert sorted(set(found) - ALLOWED_CACHES) == []
     assert ALLOWED_CACHES <= set(found)
+
+
+def test_no_module_catches_an_undefined_conditional():
+    # a formula undefined on a table gives NaN, and the solver no policy:
+    # one path, with no retry around an UnsupportedConditionalError
+    found = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "UnsupportedConditionalError" in _referenced([node.type]):
+                    found.append(f"{module}:{node.lineno}")
+    assert found == []

@@ -12,7 +12,7 @@ import pytest
 from causal_imitation import fixtures, imitate
 from causal_imitation.diagram import PolicySpace
 from causal_imitation.errors import UnsupportedConditionalError
-from causal_imitation.identify import evaluate, has_policy_factor, identify_policy
+from causal_imitation.identify import evaluate, format_formula, has_policy_factor, identify_policy
 from causal_imitation.imitate import (
     _linear_system,
     graphical_verdict,
@@ -162,11 +162,11 @@ def test_tie_break_skip_returns_the_tie_break_policy():
     checked = 0
     for diagram, space, reward, obs in _fixture_instrument_cases():
         for surrogate, formula in _policy_instruments(diagram, space, reward):
-            try:
-                want = solve_policy_with_tiebreak(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE)
-            except UnsupportedConditionalError:
+            got = solve_policy(formula, obs, surrogate)
+            if got == (None, None):
+                # the formula divides by an empty cell: there is no system to solve
                 continue
-            same(solve_policy(formula, obs, surrogate), want)
+            same(got, solve_policy_with_tiebreak(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE))
             checked += 1
     assert checked >= 10
 
@@ -305,20 +305,23 @@ def _policy_instruments(diagram, space, reward):
 
 def test_linear_system_bit_identical_to_basis_loop():
     # one evaluation at the stacked identity policy gives the coefficients
-    # of one evaluation per one-hot policy, bit for bit
+    # of one evaluation per one-hot policy, bit for bit, and NaN in the same
+    # cells where the formula divides by an empty cell
     from causal_imitation.experiments import frontdoor_instrument
     from oracles import linear_system_by_basis
 
+    undefined = 0
+
     def assert_same(formula, obs, surrogate):
-        try:
-            want = linear_system_by_basis(formula, obs, surrogate)
-        except UnsupportedConditionalError as exc:
-            with pytest.raises(UnsupportedConditionalError, match=re.escape(str(exc))):
-                _linear_system(formula, obs, surrogate)
-            return
+        nonlocal undefined
+        want = linear_system_by_basis(formula, obs, surrogate)
         got = _linear_system(formula, obs, surrogate)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        nan = np.isnan(want[0])
+        assert np.array_equal(np.isnan(got[0]), nan)
+        assert np.array_equal(got[0][~nan].view(np.uint64), want[0][~nan].view(np.uint64))
+        assert np.array_equal(got[1], want[1])
         assert got[2:] == want[2:]
+        undefined += bool(nan.any())
 
     def check_instruments(cases) -> int:
         checked = 0
@@ -339,6 +342,7 @@ def test_linear_system_bit_identical_to_basis_loop():
     # differ in their last bits
     assert check_instruments(_random_instrument_cases()) >= 40
     assert check_instruments(_fixture_instrument_cases()) >= 10
+    assert undefined >= 1
 
 
 def test_lp_closest_infeasible_returns_none():
@@ -430,10 +434,7 @@ def _instrument_lps(monkeypatch, cases):
     def run():
         for diagram, space, reward, obs in cases:
             for surrogate, formula in _policy_instruments(diagram, space, reward):
-                try:
-                    solve_policy(formula, obs, surrogate)
-                except UnsupportedConditionalError:
-                    pass
+                solve_policy(formula, obs, surrogate)
 
     return _capture_lps(monkeypatch, run)
 
@@ -735,15 +736,18 @@ def test_study_matches_the_instance_loop(models, samples, seed):
 
 
 def test_study_reports_an_empty_cell_instance_as_unsolved():
-    # a sampled table on which P(S|W,X) is undefined no longer aborts the
-    # study: that instance reports no l1_ci, and the others carry on
+    # a sampled table on which P(S|W,X) is undefined does not abort the
+    # study: the solver gives that table no policy and no residual, that
+    # instance reports no l1_ci, and the others carry on
     from causal_imitation import experiments
 
     formula, surrogate = experiments.frontdoor_instrument()
     model = random_frontdoor(np.random.SeedSequence(entropy=17_000_236, spawn_key=(0,)))
     table = empirical_observational(model, 100_000, np.random.SeedSequence(entropy=17_000_236, spawn_key=(0, 1)))
-    with pytest.raises(UnsupportedConditionalError, match=re.escape("P(S|W,X)")):
-        solve_policy(formula, table, surrogate, imitate._sampled_tolerance(100_000))
+    assert solve_policy(formula, table, surrogate, imitate._sampled_tolerance(100_000)) == (None, None)
+    # evaluate, where the formula is the answer, still raises, and names it
+    with pytest.raises(UnsupportedConditionalError, match=re.escape(format_formula(formula))):
+        evaluate(formula, table, conditional_policy(table, "X", ()))
     assert experiments.frontdoor_study(1, 100_000, 17_000_236).splitlines()[3].split()[2] == "-"
     rows = [line.split() for line in experiments.frontdoor_study(7, 1000, 15).splitlines()
             if not line.startswith("#")]
@@ -888,6 +892,25 @@ def test_pipeline_trivial_when_action_cannot_reach_reward():
     surrogate, _subspace = res.witness
     assert surrogate == frozenset()
     assert verify_policy(scm, res.policy, {"Y"}) < 1e-9
+
+
+def test_pipeline_passes_over_an_instrument_undefined_on_the_table():
+    # 50 samples leave some (A, B, C) row of this table empty, so the first
+    # instrument's P(F|A,B,C) is undefined; the search moves on, and the
+    # second instrument (no policy inputs) matches the table
+    from causal_imitation.diagram import CausalDiagram
+
+    d = CausalDiagram.create(observed="ABCDEF", latent=(),
+                             directed=[("A", "D"), ("A", "E"), ("A", "F"), ("B", "F"), ("C", "F"), ("D", "E")],
+                             bidirected=[("A", "B"), ("B", "E")])
+    space = PolicySpace.create("D", {"F"})
+    table = empirical_observational(random_scm(d, seed=746), 50, np.random.SeedSequence(746))
+    tolerance = imitate._sampled_tolerance(50)
+    (sub1, s1, f1), (sub2, s2, _f2) = instruments(d, space, "E")
+    assert sub1.inputs == {"F"} and solve_policy(f1, table, s1, tolerance) == (None, None)
+    res = imitate_pipeline(d, space, table, "E", tolerance)
+    assert res.status == "p-imitable" and res.witness == (s2, sub2) and sub2.inputs == frozenset()
+    assert res.residual <= tolerance
 
 
 def test_pipeline_sound_on_random_environments():
