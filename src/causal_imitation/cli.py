@@ -12,35 +12,26 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import experiments, fixtures
-from .diagram import CausalDiagram, PolicySpace, format_diagram, parse_diagram_text
-from .errors import ParseError
-from .identify import format_formula
-from .imitate import (
-    DEFAULT_TOLERANCE,
+from . import fixtures
+from .criteria import find_pi_backdoor, graphical_verdict
+from .diagram import (
+    CausalDiagram,
+    PolicySpace,
     _format_instrument,
     _format_nodes,
-    _sampled_tolerance,
-    graphical_verdict,
-    imitate_pipeline,
-    instruments,
-    surrogate_candidates,
+    format_diagram,
+    parse_diagram_text,
 )
-from .criteria import find_pi_backdoor
-from .scm import (
-    MASS_TOL,
-    ROW_TOL,
-    DiscreteSCM,
-    JointTable,
-    empirical_observational,
-    format_scm,
-    observational,
-    parse_scm_file,
-    sample,
-)
+from .enumerators import instruments, surrogate_candidates
+from .errors import ParseError
+from .identify import format_formula
+
+# numpy and the numeric modules (scm, imitate, experiments) are imported in
+# the commands that use them, so the graph-only commands never load them
+if TYPE_CHECKING:
+    from .scm import DiscreteSCM, JointTable
 
 
 _MAX_COUNT = 2**63 - 1  # numpy takes sample and row counts as 64-bit ints
@@ -49,6 +40,10 @@ _MAX_COUNT = 2**63 - 1  # numpy takes sample and row counts as 64-bit ints
 def parse_distribution_text(text: str) -> JointTable:
     """Header of variable names, then one row of integer values plus the
     probability per configuration; all configurations must be present."""
+    import numpy as np
+
+    from . import scm
+
     header: list[str] | None = None
     rows: dict[tuple[int, ...], float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -68,7 +63,7 @@ def parse_distribution_text(text: str) -> JointTable:
             raise ParseError("malformed row", lineno) from None
         if min(config) < 0:
             raise ParseError(f"configuration {config} has a negative value", lineno)
-        if not (math.isfinite(p) and p >= -ROW_TOL):
+        if not (math.isfinite(p) and p >= -scm.ROW_TOL):
             raise ParseError(f"probability {tokens[-1]} is not a finite nonnegative number", lineno)
         if config in rows:
             raise ParseError(f"duplicate configuration {config}", lineno)
@@ -88,9 +83,9 @@ def parse_distribution_text(text: str) -> JointTable:
     for config, p in rows.items():
         probs[tuple(config[i] for i in order)] = p
     mass = float(probs.sum())
-    if not abs(mass - 1.0) <= MASS_TOL:
+    if not abs(mass - 1.0) <= scm.MASS_TOL:
         raise ParseError(f"probabilities sum to {mass}, not 1")
-    return JointTable(variables, domains, probs)
+    return scm.JointTable(variables, domains, probs)
 
 
 def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None, str | None]:
@@ -104,7 +99,9 @@ def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None, str | No
 def _load_scm(value: str) -> DiscreteSCM:
     if value in fixtures.SCM_DIAGRAM:
         return fixtures.scm_fixture(value)
-    return parse_scm_file(value)
+    from . import scm
+
+    return scm.parse_scm_file(value)
 
 
 def _space_from_args(args, default_space: PolicySpace | None) -> PolicySpace:
@@ -171,18 +168,20 @@ def _cmd_instruments(args) -> int:
 
 
 def _cmd_imitate(args) -> int:
+    from . import imitate, scm
+
     diagram, space, reward = _problem(args)
-    tolerance = DEFAULT_TOLERANCE
+    tolerance = imitate.DEFAULT_TOLERANCE
     if args.dist is not None:
         table = parse_distribution_text(Path(args.dist).read_text())
     else:
-        scm = _load_scm(args.scm)
+        model = _load_scm(args.scm)
         if args.samples:
-            table = empirical_observational(scm, args.samples, np.random.SeedSequence(entropy=args.seed or 0))
-            tolerance = _sampled_tolerance(args.samples)
+            table = scm.empirical_observational(model, args.samples, args.seed or 0)
+            tolerance = imitate._sampled_tolerance(args.samples)
         else:
-            table = observational(scm)
-    result = imitate_pipeline(diagram, space, table, reward, tolerance)
+            table = scm.observational(model)
+    result = imitate.imitate_pipeline(diagram, space, table, reward, tolerance)
     _emit(args, result.report())
     if args.strict and result.status in ("infeasible", "no-instrument-found"):
         return 1
@@ -190,8 +189,9 @@ def _cmd_imitate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scm = _load_scm(args.scm)
-    ds = sample(scm, args.n, args.seed)
+    from . import scm
+
+    ds = scm.sample(_load_scm(args.scm), args.n, args.seed)
     lines = ["\t".join(ds.variables)]
     for row in ds.rows:
         lines.append("\t".join(str(int(v)) for v in row))
@@ -200,8 +200,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from . import experiments
+
+    # an unset flag is None; main refused every value these defaults could hide
     if args.study == "frontdoor-study":
-        text = experiments.frontdoor_study(args.models, args.samples, args.seed, args.workers)
+        text = experiments.frontdoor_study(args.models or 1000, args.samples or 0, args.seed, args.workers or 1)
     else:
         text = experiments.highway_binary_report(args.samples or 10000, args.seed)
     _emit(args, text)
@@ -223,13 +226,15 @@ def _cmd_fixture(args) -> int:
         path.write_text(format_diagram(case.diagram, case.space))
         written.append(path)
     elif args.name in fixtures.SCM_DIAGRAM:
-        scm = fixtures.scm_fixture(args.name)
+        from . import scm
+
+        model = fixtures.scm_fixture(args.name)
         dname = fixtures.SCM_DIAGRAM[args.name]
         case = fixtures.diagram_fixture(dname)
         gpath = out / f"{dname}.graph"
         gpath.write_text(format_diagram(case.diagram, case.space))
         spath = out / f"{args.name}.scm"
-        spath.write_text(format_scm(scm, gpath.name))
+        spath.write_text(scm.format_scm(model, gpath.name))
         written.extend([gpath, spath])
     else:
         raise SystemExit(f"error: no bundled fixture named {args.name!r}")
@@ -287,10 +292,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="bundled studies")
     p.add_argument("study", choices=["frontdoor-study", "highway-binary"])
-    p.add_argument("--models", type=int, default=1000)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--models", type=int, help="frontdoor-study models (default: 1000)")
+    p.add_argument("--samples", type=int,
+                   help="empirical table size (default: 0, exact, for frontdoor-study; 10000 for highway-binary)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, help="frontdoor-study worker processes (default: 1)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_experiment)
 
@@ -317,10 +323,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--samples must be <= {_MAX_COUNT}")
     if args.command == "imitate" and args.dist is not None and samples is not None:
         parser.error("--samples needs --scm, not --dist")
-    if args.command == "experiment" and args.workers < 1:
-        parser.error("--workers must be >= 1")
-    if args.command == "experiment" and args.models < 1:
-        parser.error("--models must be >= 1")
+    if args.command == "experiment":
+        if args.workers is not None and args.workers < 1:
+            parser.error("--workers must be >= 1")
+        if args.models is not None and args.models < 1:
+            parser.error("--models must be >= 1")
+        if args.study == "highway-binary":
+            for flag in ("models", "workers"):
+                if getattr(args, flag) is not None:
+                    parser.error(f"--{flag} needs frontdoor-study, not highway-binary")
+            if samples == 0:
+                parser.error("--samples must be >= 1 with highway-binary")
     seed = getattr(args, "seed", None)
     if seed is not None and seed < 0:
         parser.error("--seed must be >= 0")

@@ -62,3 +62,15 @@ def find_pi_backdoor(diagram: CausalDiagram, space: PolicySpace, reward: str,
         zstar = frozenset(kept)
     return frozenset(zstar)
 
+
+def graphical_verdict(diagram: CausalDiagram, space: PolicySpace,
+                      reward: str) -> tuple[str, frozenset[str] | None]:
+    """Decision of the complete graphical criterion: the returned witness is
+    the conditioning set of the prescribed cloning policy."""
+    pa = direct_parents_imitable(diagram, space)
+    if pa is not None:
+        return "imitable-graphical", pa
+    z = find_pi_backdoor(diagram, space, reward)
+    if z is not None:
+        return "imitable-graphical", z
+    return "not-imitable-graphical", None

@@ -432,3 +432,12 @@ def format_diagram(diagram: CausalDiagram, space: PolicySpace | None = None) -> 
             + "".join(" " + z for z in sorted(space.inputs))
         )
     return "\n".join(lines) + "\n"
+
+
+def _format_nodes(nodes: Iterable[str]) -> str:
+    """A node set as text: sorted names joined by spaces, ``-`` when empty."""
+    return " ".join(sorted(nodes)) or "-"
+
+
+def _format_instrument(surrogate: frozenset[str], subspace: PolicySpace) -> str:
+    return f"surrogate {_format_nodes(surrogate)} subspace_inputs {_format_nodes(subspace.inputs)}"

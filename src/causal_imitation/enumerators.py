@@ -1,5 +1,5 @@
-"""Enumerators behind the search for instruments: inclusion-minimal
-separating sets and identifiable policy subspaces.
+"""The search for instruments and the enumerators behind it:
+inclusion-minimal separating sets and identifiable policy subspaces.
 
 Minimal separators are enumerated on the moralized ancestral graph of the
 two endpoints (minimal d-separators always live among their ancestors) by
@@ -7,13 +7,23 @@ branching on exclusions of members of a found separator; results come out
 smallest-first in lexicographic order.  Subspace enumeration backtracks over
 input subsets and prunes on the lower space, which is sound because
 identifiability over a space implies identifiability over every subspace.
+``instruments`` pairs each identifiable subspace with its minimal
+surrogates.  All of it is graph work: nothing here evaluates a formula.
 """
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .diagram import CausalDiagram, PolicySpace, _moral_adjacency, _reach
-from .identify import identify_policy
+from .diagram import (
+    CausalDiagram,
+    PolicySpace,
+    _moral_adjacency,
+    _reach,
+    augment_policy,
+    d_separated,
+    hat_name,
+)
+from .identify import IdFormula, identify_policy
 
 
 def _neighborhood(adj: dict[str, set[str]], comp: set[str]) -> frozenset[str]:
@@ -83,3 +93,32 @@ def list_id_subspaces(diagram: CausalDiagram, space: PolicySpace,
 
     if identify_policy(diagram, PolicySpace(space.action, frozenset()), target) is not None:
         yield from helper(frozenset(), space.inputs)
+
+
+def surrogate_candidates(diagram: CausalDiagram, subspace: PolicySpace,
+                         reward: str) -> Iterator[frozenset[str]]:
+    """Minimal surrogate sets for a subspace, in deterministic order.
+
+    Candidates are drawn from the observed nodes other than the action; an
+    observed reward is itself a (last-resort) minimal surrogate whenever the
+    empty set fails.
+    """
+    aug = augment_policy(diagram, subspace)
+    hat = hat_name(subspace.action)
+    cands = diagram.observed - {subspace.action, reward}
+    yield from list_min_separators(aug, hat, reward, cands)
+    if reward in diagram.observed and not d_separated(aug, {hat}, {reward}, frozenset()):
+        yield frozenset({reward})
+
+
+def instruments(diagram: CausalDiagram, space: PolicySpace,
+                reward: str) -> Iterator[tuple[PolicySpace, frozenset[str], IdFormula]]:
+    """The instrument search: every identifiable policy subspace, then the
+    minimal surrogates within each, yielding ``(subspace, surrogate,
+    formula)`` for each pair whose surrogate distribution is identified."""
+    g_reward_obs = diagram.with_observed({reward})
+    for subspace in list_id_subspaces(g_reward_obs, space, {reward}):
+        for surrogate in surrogate_candidates(diagram, subspace, reward):
+            formula = identify_policy(diagram, subspace, surrogate)
+            if formula is not None:
+                yield subspace, surrogate, formula

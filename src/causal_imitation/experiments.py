@@ -15,11 +15,7 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
-from . import fixtures
-from .identify import IdFormula
-from .imitate import _l1_to_expert, _sampled_tolerance, instruments, solve_policy
+# scm comes first, ahead of numpy and the rest of the package, as in imitate.py
 from .scm import (
     Policy,
     _frontdoor_draw,
@@ -30,6 +26,13 @@ from .scm import (
     joint,
     observational,
 )
+
+import numpy as np
+
+from . import fixtures
+from .enumerators import instruments
+from .identify import IdFormula
+from .imitate import _l1_to_expert, _sampled_tolerance, solve_policy
 
 
 def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:

@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .diagram import CausalDiagram, PolicySpace, parse_diagram_text
-from .scm import DiscreteSCM, Mechanism
+
+# numpy and scm are imported by the model builders alone: the diagram
+# fixtures serve the graph-only commands, which never load them
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .scm import DiscreteSCM
 
 DIAGRAM_TEXT: dict[str, str] = {
     # action confounded with a latent covariate that also drives the reward
@@ -164,6 +169,8 @@ def diagram_fixture(name: str) -> FixtureCase:
 
 def _det(parent_domains: tuple[int, ...], node_domain: int, fn) -> np.ndarray:
     """Deterministic table: fn(*parent values) -> node value."""
+    import numpy as np
+
     table = np.zeros(parent_domains + (node_domain,))
     for config in np.ndindex(*parent_domains):
         table[config + (fn(*config),)] = 1.0
@@ -171,6 +178,8 @@ def _det(parent_domains: tuple[int, ...], node_domain: int, fn) -> np.ndarray:
 
 
 def _highway_xor() -> DiscreteSCM:
+    from .scm import DiscreteSCM, Mechanism
+
     d = diagram_fixture("highway_opaque").diagram
     b2 = (2, 2)
     mechs = [
@@ -187,6 +196,8 @@ def _highway_xor() -> DiscreteSCM:
 
 
 def _parity_trap() -> DiscreteSCM:
+    from .scm import DiscreteSCM, Mechanism
+
     d = diagram_fixture("frontdoor_observed").diagram
     mechs = [
         Mechanism("X", (), ("U",), _det((2,), 2, lambda u: u)),
@@ -200,6 +211,8 @@ def _parity_trap() -> DiscreteSCM:
 
 
 def _frontdoor_mix(p_uw_one: float) -> DiscreteSCM:
+    from .scm import DiscreteSCM, Mechanism
+
     d = diagram_fixture("frontdoor_observed").diagram
     mechs = [
         Mechanism("X", (), ("UX", "UY"), _det((2, 2), 2, lambda ux, uy: ux ^ uy)),
@@ -218,6 +231,8 @@ def _frontdoor_mix(p_uw_one: float) -> DiscreteSCM:
 
 
 def _highway_golden() -> DiscreteSCM:
+    from .scm import DiscreteSCM, Mechanism
+
     d = diagram_fixture("highway_binary").diagram
     g = (math.sqrt(5.0) - 1.0) / 2.0
     mechs = [

@@ -1,24 +1,21 @@
-"""Causal-effect identification and exact formula evaluation.
+"""Causal-effect identification: symbolic formulas over the observational
+distribution.
 
 Identification runs on the latent projection (a semi-Markovian diagram) and
 follows the c-component factorization recursion; it returns an expression
 tree over observational factors, or ``None`` when no formula exists.  The
 conditional-plan identifier reduces a policy query to an atomic one over the
 outcome's ancestors in the manipulated projection and attaches a policy
-placeholder.
+placeholder.  Formulas are evaluated against a table by ``scm.evaluate``;
+this module does no numeric work.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
-
-import numpy as np
+from typing import Iterable, Union
 
 from .diagram import CausalDiagram, PolicySpace, _reach, mutilate, manipulated, require_valid_space
-from .errors import TooLargeError, UnsupportedConditionalError
 from .projection import project
-from .scm import CONFIG_CAP, JointTable, Policy, broadcast_to_vars
 
 
 # ---------------------------------------------------------------------------
@@ -301,127 +298,3 @@ def identify_policy(diagram: CausalDiagram, space: PolicySpace,
         return None
     placeholder = PolicyFactor(space.action, tuple(sorted(space.inputs)))
     return _sum({space.action} | zset, _product([sub, placeholder]))
-
-
-# ---------------------------------------------------------------------------
-# Exact evaluation
-
-
-def _policy_array(policy: Policy) -> tuple[tuple[str, ...], np.ndarray]:
-    axes = policy.inputs + (policy.action,)
-    target = tuple(sorted(axes))
-    return target, broadcast_to_vars(np.asarray(policy.probs), axes, target)
-
-
-def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``num / den`` where ``den > 0``, NaN where it is not: a conditional on
-    an empty cell is undefined.  The other cells have the bits of ``/``."""
-    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
-    return np.divide(num, den, out=out, where=den > 0.0)
-
-
-def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, int]):
-    """``(names, array)``: the node's value with one axis per free variable,
-    sorted.  A batched table's leading axes stay in front of them, so a
-    division by an empty cell of one table puts NaN in that table only."""
-    if isinstance(node, Factor):
-        need = tuple(sorted(set(node.vars) | set(node.given)))
-        marg = obs.marginal(need)
-        arr = marg.probs
-        if node.given:
-            den = obs.marginal(node.given)
-            arr = _divide(arr, broadcast_to_vars(den.probs, den.variables, need))
-        return need, arr
-    if isinstance(node, PolicyFactor):
-        if policy_axes is None:
-            raise ValueError("formula contains a policy placeholder but no policy was supplied")
-        return policy_axes
-    if isinstance(node, Sum):
-        vs, arr = _eval(node.body, obs, policy_axes, domains)
-        # counted from the end, past any leading batch axes
-        drop = tuple(i - len(vs) for i, v in enumerate(vs) if v in node.bound)
-        scale = 1.0
-        for b in node.bound:
-            if b not in vs:
-                # summing a constant function over the variable's domain
-                if b not in domains:
-                    raise ValueError(f"no domain known for bound variable {b!r}")
-                scale *= domains[b]
-        out = arr.sum(axis=drop) if drop else arr
-        if scale != 1.0:
-            out = out * scale
-        return tuple(v for v in vs if v not in node.bound), out
-    if isinstance(node, Product):
-        vs: tuple[str, ...] = ()
-        arr = np.asarray(1.0)
-        for t in node.terms:
-            tvs, tarr = _eval(t, obs, policy_axes, domains)
-            union = tuple(sorted(set(vs) | set(tvs)))
-            size = math.prod(domains[v] for v in union)
-            if size > CONFIG_CAP:
-                raise TooLargeError("formula evaluation exceeds the configuration cap")
-            arr = broadcast_to_vars(arr, vs, union) * broadcast_to_vars(tarr, tvs, union)
-            vs = union
-        return vs, arr
-    if isinstance(node, Quotient):
-        nvs, narr = _eval(node.num, obs, policy_axes, domains)
-        dvs, darr = _eval(node.den, obs, policy_axes, domains)
-        union = tuple(sorted(set(nvs) | set(dvs)))
-        return union, _divide(broadcast_to_vars(narr, nvs, union), broadcast_to_vars(darr, dvs, union))
-    raise TypeError(f"not a formula: {node!r}")
-
-
-def evaluate(
-    formula: IdFormula,
-    observational: JointTable,
-    policy: Policy | None = None,
-    fixed: Mapping[str, int] | None = None,
-) -> JointTable:
-    """Evaluate a formula against an exact observational table.
-
-    ``fixed`` pins free variables (the do-value of an atomic formula, say).
-    Pinning a known variable the formula does not mention is a no-op: an
-    identified effect may be constant in the intervention value.  The result
-    is a probability table over the remaining free variables and must total
-    one; anything else raises, and a formula that divides by an empty cell
-    of the table raises ``UnsupportedConditionalError``.
-    """
-    fixed = dict(fixed or {})
-    domains = observational.domain_map()
-    has_pi = has_policy_factor(formula)
-    if has_pi and policy is None:
-        raise ValueError("formula contains a policy placeholder; a policy is required")
-    if policy is not None and not has_pi:
-        raise ValueError("a policy was supplied but the formula has no placeholder")
-    policy_axes = None
-    if policy is not None:
-        for z, k in zip(policy.inputs, policy.input_domains):
-            if domains.get(z, k) != k:
-                raise ValueError(f"policy input domain for {z} does not match the table")
-            domains.setdefault(z, k)
-        if domains.get(policy.action, policy.action_domain) != policy.action_domain:
-            raise ValueError("policy action domain does not match the table")
-        domains.setdefault(policy.action, policy.action_domain)
-        policy_axes = _policy_array(policy)
-    free = free_variables(formula)
-    for v in list(fixed):
-        if v not in free:
-            if v in domains:
-                del fixed[v]
-            else:
-                raise ValueError(f"fixed variable {v!r} is unknown")
-    vs, arr = _eval(formula, observational, policy_axes, domains)
-    if np.isnan(arr).any():
-        raise UnsupportedConditionalError(
-            f"conditioning event of probability zero in {format_formula(formula)}"
-        )
-    arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
-    for v in sorted(fixed, key=vs.index, reverse=True):
-        arr = np.take(arr, fixed[v], axis=vs.index(v))
-        vs = tuple(u for u in vs if u != v)
-    mass = float(arr.sum())
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(
-            f"evaluated table has mass {mass}; pin remaining do-variables via 'fixed'"
-        )
-    return JointTable(vs, tuple(domains[v] for v in vs), np.ascontiguousarray(arr, dtype=float))

@@ -1,4 +1,4 @@
-"""Instrument search orchestration and the linear policy solver.
+"""The imitation pipeline and the linear policy solver.
 
 ``P(s | do(pi))`` from a conditional-plan identification formula is linear
 in the policy table, so imitation reduces to a feasibility problem over a
@@ -23,31 +23,29 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
-import numpy as np
-
-from .criteria import direct_parents_imitable, find_pi_backdoor
-from .diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
-from .enumerators import list_id_subspaces, list_min_separators
-from .identify import (
-    IdFormula,
-    PolicyFactor,
-    _eval,
-    find_policy_factor,
-    free_variables,
-    has_policy_factor,
-    identify_policy,
-)
+# scm comes first, ahead of numpy and the rest of the package: when the
+# package runs without cached bytecode, its source (the package's largest) is
+# then compiled while little else is loaded, which keeps about 0.5 MB off
+# peak memory
 from .scm import (
     DiscreteSCM,
     JointTable,
     Policy,
+    _eval,
     broadcast_to_vars,
     conditional_policy,
     intervene,
     joint,
 )
+
+import numpy as np
+
+from .criteria import graphical_verdict
+from .diagram import CausalDiagram, PolicySpace, _format_instrument, _format_nodes
+from .enumerators import instruments
+from .identify import IdFormula, PolicyFactor, find_policy_factor, free_variables, has_policy_factor
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -81,15 +79,6 @@ class ImitationResult:
                 lines.append("  " + (prefix + " | " if prefix else "") +
                              " ".join(f"{v:.12g}" for v in row))
         return "\n".join(lines) + "\n"
-
-
-def _format_nodes(nodes: Iterable[str]) -> str:
-    """A node set as text: sorted names joined by spaces, ``-`` when empty."""
-    return " ".join(sorted(nodes)) or "-"
-
-
-def _format_instrument(surrogate: frozenset[str], subspace: PolicySpace) -> str:
-    return f"surrogate {_format_nodes(surrogate)} subspace_inputs {_format_nodes(subspace.inputs)}"
 
 
 def _linear_system(formula: IdFormula, observational: JointTable,
@@ -378,48 +367,6 @@ def _l1_to_expert(scm: DiscreteSCM, expert: JointTable, policy: Policy):
     the same marginal under the policy: a float, or an array of one per
     model for a batch of models and policies."""
     return expert.l1(joint(intervene(scm, policy)).marginal(expert.variables))
-
-
-def graphical_verdict(diagram: CausalDiagram, space: PolicySpace,
-                      reward: str) -> tuple[str, frozenset[str] | None]:
-    """Decision of the complete graphical criterion: the returned witness is
-    the conditioning set of the prescribed cloning policy."""
-    pa = direct_parents_imitable(diagram, space)
-    if pa is not None:
-        return "imitable-graphical", pa
-    z = find_pi_backdoor(diagram, space, reward)
-    if z is not None:
-        return "imitable-graphical", z
-    return "not-imitable-graphical", None
-
-
-def surrogate_candidates(diagram: CausalDiagram, subspace: PolicySpace,
-                         reward: str) -> Iterator[frozenset[str]]:
-    """Minimal surrogate sets for a subspace, in deterministic order.
-
-    Candidates are drawn from the observed nodes other than the action; an
-    observed reward is itself a (last-resort) minimal surrogate whenever the
-    empty set fails.
-    """
-    aug = augment_policy(diagram, subspace)
-    hat = hat_name(subspace.action)
-    cands = diagram.observed - {subspace.action, reward}
-    yield from list_min_separators(aug, hat, reward, cands)
-    if reward in diagram.observed and not d_separated(aug, {hat}, {reward}, frozenset()):
-        yield frozenset({reward})
-
-
-def instruments(diagram: CausalDiagram, space: PolicySpace,
-                reward: str) -> Iterator[tuple[PolicySpace, frozenset[str], IdFormula]]:
-    """The instrument search: every identifiable policy subspace, then the
-    minimal surrogates within each, yielding ``(subspace, surrogate,
-    formula)`` for each pair whose surrogate distribution is identified."""
-    g_reward_obs = diagram.with_observed({reward})
-    for subspace in list_id_subspaces(g_reward_obs, space, {reward}):
-        for surrogate in surrogate_candidates(diagram, subspace, reward):
-            formula = identify_policy(diagram, subspace, surrogate)
-            if formula is not None:
-                yield subspace, surrogate, formula
 
 
 def imitate_pipeline(

@@ -21,7 +21,7 @@ from scipy.optimize import linprog as linprog_scipy  # the public LP solver imit
 
 from causal_imitation.diagram import CausalDiagram, PolicySpace, augment_policy, d_separated, hat_name
 from causal_imitation.errors import TooLargeError
-from causal_imitation.identify import _eval, find_policy_factor, free_variables, identify_policy
+from causal_imitation.identify import find_policy_factor, free_variables, identify_policy
 from causal_imitation.imitate import (
     _as_policy,
     _l1_to_expert,
@@ -36,6 +36,7 @@ from causal_imitation.scm import (
     DiscreteSCM,
     JointTable,
     Policy,
+    _eval,
     broadcast_to_vars,
     conditional_policy,
     empirical_observational,

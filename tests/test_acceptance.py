@@ -14,12 +14,13 @@ from causal_imitation.criteria import find_pi_backdoor
 from causal_imitation.criteria import pi_backdoor_admissible
 from causal_imitation.diagram import PolicySpace, augment_policy, d_separated
 from causal_imitation.enumerators import list_id_subspaces, list_min_separators
-from causal_imitation.identify import evaluate, identify_atomic, identify_policy
+from causal_imitation.identify import identify_atomic, identify_policy
 from causal_imitation.imitate import imitate_pipeline, verify_policy
 from causal_imitation.scm import (
     Policy,
     conditional_policy,
     empirical_observational,
+    evaluate,
     intervene,
     joint,
     observational,

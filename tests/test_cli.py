@@ -206,6 +206,12 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
     (["fixture"], "one of the arguments --list --name is required"),
     # --list silently won over --name
     (["fixture", "--list", "--name", "frontdoor_mix"], "argument --name: not allowed with argument --list"),
+    # highway-binary ignored --models and --workers, and read --samples 0 as 10000
+    (["experiment", "highway-binary", "--samples", "0"], "--samples must be >= 1 with highway-binary"),
+    (["experiment", "highway-binary", "--models", "7"], "--models needs frontdoor-study, not highway-binary"),
+    (["experiment", "highway-binary", "--workers", "2"], "--workers needs frontdoor-study, not highway-binary"),
+    (["experiment", "highway-binary", "--samples", "0", "--workers", "2", "--models", "7"],
+     "--models needs frontdoor-study, not highway-binary"),
 ])
 def test_bad_flags_rejected_by_parser(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -312,19 +318,23 @@ def test_fixture_list_and_roundtrip(tmp_path, capsys):
     capsys.readouterr()
 
 
-GUARDED = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "concurrent.futures.process")
+GUARDED = ("numpy", "scipy.optimize", "scipy.sparse", "scipy.linalg", "concurrent.futures.process")
 
 
 @pytest.mark.parametrize("argv, loaded", [
+    # the graph-only commands (check, instruments, fixture --list, backdoor,
+    # surrogates) load no numpy; the others load numpy and nothing else guarded
     (["check", "--graph", "frontdoor_latent"], []),
     (["instruments", "--graph", "frontdoor_observed"], []),
-    (["experiment", "highway-binary"], []),
-    (["imitate", "--graph", "highway_binary", "--scm", "highway_golden"], []),
+    (["experiment", "highway-binary"], ["numpy"]),
+    (["imitate", "--graph", "highway_binary", "--scm", "highway_golden"], ["numpy"]),
     (["fixture", "--list"], []),
     # the LP commands load HiGHS's binding alone, not the scipy.optimize package
-    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"], []),
-    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "100000"], []),
-    (["experiment", "frontdoor-study", "--models", "4"], []),
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"], ["numpy"]),
+    (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "100000"], ["numpy"]),
+    (["experiment", "frontdoor-study", "--models", "4"], ["numpy"]),
+    (["backdoor", "--graph", "highway_adjustable", "--minimal"], []),
+    (["surrogates", "--graph", "frontdoor_observed"], []),
 ])
 def test_commands_import_only_what_they_use(argv, loaded):
     # a fresh interpreter per command: the modules a command loads are part

@@ -4,8 +4,9 @@ no cache outside a short allow-list, and no handler that catches an
 undefined conditional.
 
 All are read off the syntax tree, so they hold without importing anything.
-``__init__.py`` is skipped for imports: everything it imports is the
-package's public surface, and an import there counts as a reference.
+``__init__.py`` is skipped for imports.  Its exports are loaded lazily, by
+name, from its ``_EXPORTS`` table: each name there is the package's public
+surface and counts as a reference.
 """
 import ast
 from collections import Counter
@@ -33,6 +34,14 @@ def _references(statements):
 
 def _referenced(statements) -> set[str]:
     return set(_references(statements))
+
+
+def _exported() -> list[str]:
+    """The strings of ``__init__``'s ``_EXPORTS`` table: the names the
+    package exports and the modules that define them."""
+    [table] = [node.value for node in TREES["__init__.py"].body if isinstance(node, ast.Assign)
+               and any(getattr(t, "id", None) == "_EXPORTS" for t in node.targets)]
+    return [c.value for c in ast.walk(table) if isinstance(c, ast.Constant)]
 
 
 @pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
@@ -66,6 +75,7 @@ def test_every_public_function_and_method_has_a_caller():
     # a public name that only the tests reach is a second path the library
     # keeps alive: its job belongs in the tests or in the one shipped path
     everywhere = Counter(_references(stmt for tree in TREES.values() for stmt in tree.body))
+    everywhere.update(_exported())
     defs = []
     for module, tree in TREES.items():
         for node in tree.body:
@@ -157,3 +167,57 @@ def test_no_module_catches_an_undefined_conditional():
                 if "UnsupportedConditionalError" in _referenced([node.type]):
                     found.append(f"{module}:{node.lineno}")
     assert found == []
+
+
+# the symbolic layer and the modules the graph-only commands load: none may
+# import the numeric layer when it is imported, only inside a function
+SYMBOLIC = ("diagram", "projection", "identify", "criteria", "enumerators", "errors", "fixtures", "cli",
+            "__init__")
+NUMERIC = {"numpy", "scm", "imitate", "experiments"}
+
+
+def _import_time_imports(body):
+    """The import statements that run when the module is imported: those
+    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            yield from _import_time_imports(node.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_imports(getattr(node, field, []))
+
+
+def _numeric_imports(tree) -> set[str]:
+    """The numeric modules a module imports when it is imported, however
+    they are named: ``numpy.linalg``, ``.scm``, ``from . import imitate``
+    or ``causal_imitation.experiments``."""
+    found = set()
+    for node in _import_time_imports(tree.body):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            base = node.module or ""
+            names = [base] + [f"{base}.{a.name}".lstrip(".") for a in node.names]
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "causal_imitation":
+                parts = parts[1:]
+            if parts and parts[0] in NUMERIC:
+                found.add(parts[0])
+    return found
+
+
+@pytest.mark.parametrize("module", SYMBOLIC)
+def test_symbolic_layer_imports_no_numeric_module(module):
+    # a regression here costs every graph-only command the numpy import,
+    # even a command that no subprocess test runs
+    assert _numeric_imports(TREES[f"{module}.py"]) == set()
+
+
+def test_numeric_import_guard_sees_the_numeric_layer():
+    assert _numeric_imports(TREES["imitate.py"]) == {"numpy", "scm"}
+    assert _numeric_imports(TREES["experiments.py"]) == {"numpy", "imitate", "scm"}

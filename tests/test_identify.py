@@ -10,7 +10,6 @@ from causal_imitation.errors import UnsupportedConditionalError
 from causal_imitation.identify import (
     Factor,
     c_components,
-    evaluate,
     format_formula,
     free_variables,
     has_policy_factor,
@@ -22,6 +21,7 @@ from causal_imitation.scm import (
     DiscreteSCM,
     Mechanism,
     Policy,
+    evaluate,
     intervene,
     joint,
     observational,

@@ -12,15 +12,10 @@ import pytest
 from causal_imitation import fixtures, imitate
 from causal_imitation.diagram import PolicySpace
 from causal_imitation.errors import UnsupportedConditionalError
-from causal_imitation.identify import evaluate, format_formula, has_policy_factor, identify_policy
-from causal_imitation.imitate import (
-    _linear_system,
-    graphical_verdict,
-    imitate_pipeline,
-    instruments,
-    solve_policy,
-    verify_policy,
-)
+from causal_imitation.criteria import graphical_verdict
+from causal_imitation.enumerators import instruments
+from causal_imitation.identify import format_formula, has_policy_factor, identify_policy
+from causal_imitation.imitate import _linear_system, imitate_pipeline, solve_policy, verify_policy
 from causal_imitation.scm import (
     Mechanism,
     DiscreteSCM,
@@ -28,6 +23,7 @@ from causal_imitation.scm import (
     Policy,
     conditional_policy,
     empirical_observational,
+    evaluate,
     joint,
     observational,
     random_frontdoor,
