@@ -4,16 +4,19 @@ Both experiments are deterministic given their flags: per-instance seeds are
 spawned from the base seed by instance index, and reports are assembled in
 instance order regardless of worker count.
 
-The frontdoor study evaluates its instances as one batch, or one batch per
-worker: each instance draws its numbers from its own seed, and the batch's
-models, joints, tables, linear systems, cloning policies and L1 distances
-are stacked along a leading axis and computed as array operations, each
-instance with the bits it would get alone.  Only the LPs run one instance
-at a time.
+The frontdoor study finds its instrument once per process and cuts its
+instances into contiguous slices, one per worker, and each slice into
+chunks of ``_CHUNK`` instances.  Each instance draws its numbers from its
+own seed, and a chunk's models, joints, tables, linear systems, cloning
+policies and L1 distances are stacked along a leading axis and computed as
+array operations, each instance with the bits it would get alone.  Only
+the LPs run one instance at a time.  A chunk keeps only each instance's
+report row, so a worker's memory does not grow with its slice.
 """
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 
 # scm comes first, ahead of numpy and the rest of the package, as in imitate.py
 from .scm import (
@@ -35,9 +38,17 @@ from .identify import IdFormula
 from .imitate import _l1_to_expert, _sampled_tolerance, solve_policy
 
 
+# instances per chunk of a study slice: a chunk's arrays, tables and
+# policies are freed before the next chunk is drawn.  Chunks of 256 to 4096
+# instances time the same on a 5000-instance study (2-core x86 box).
+_CHUNK = 1024
+
+
+@lru_cache(maxsize=1)
 def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:
     """Formula and surrogate of the first instrument the search finds for
-    the latent-reward mediator chain; every instance of the study uses it."""
+    the latent-reward mediator chain; every instance of the study uses it.
+    The search runs once per process."""
     case = fixtures.diagram_fixture("frontdoor_latent")
     for _subspace, surrogate, formula in instruments(case.diagram, case.space, case.reward):
         return formula, surrogate
@@ -50,9 +61,19 @@ def _frontdoor_batch(
     """Per instance in ``range(start, stop)``: whether its exact table is
     p-imitable, and the reward L1 of the solved policy (``None`` when
     unsolved) and of behavior cloning.  A table on which the formula
-    divides by an empty cell is unsolved."""
+    divides by an empty cell is unsolved.  The instances run in chunks of
+    ``_CHUNK``."""
     formula, surrogate, base_seed, start, stop, samples = args
-    indices = range(start, stop)
+    rows = []
+    for lo in range(start, stop, _CHUNK):
+        rows += _frontdoor_chunk(formula, surrogate, base_seed, range(lo, min(lo + _CHUNK, stop)), samples)
+    return rows
+
+
+def _frontdoor_chunk(
+    formula: IdFormula, surrogate: frozenset[str], base_seed: int, indices: range, samples: int,
+) -> list[tuple[bool, float | None, float]]:
+    """``_frontdoor_batch``'s rows for ``indices``, computed as one batch."""
     n = len(indices)
     draws = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2)), np.empty((n, 2))
     for j, i in enumerate(indices):
@@ -72,12 +93,14 @@ def _frontdoor_batch(
     else:
         table, solutions = exact, exact_solutions
     cloning = conditional_policy(table, "X", ())
-    # an unsolved instance is verified under its cloning policy and reports no L1
-    solved = Policy(cloning.action, cloning.inputs, cloning.action_domain, cloning.input_domains,
-                    np.stack([bc if policy is None else policy.probs
-                              for (policy, _), bc in zip(solutions, cloning.probs)]))
-    l1_ci = _l1_to_expert(models, expert, solved)
-    l1_bc = _l1_to_expert(models, expert, cloning)
+    # an unsolved instance is verified under its cloning policy and reports
+    # no L1; the solved and the cloning policies make one batch of shape
+    # (2, n), against which the models' batch (n,) broadcasts
+    solved = np.stack([bc if policy is None else policy.probs
+                       for (policy, _), bc in zip(solutions, cloning.probs)])
+    both = Policy(cloning.action, cloning.inputs, cloning.action_domain, cloning.input_domains,
+                  np.stack([solved, cloning.probs]))
+    l1_ci, l1_bc = _l1_to_expert(models, expert, both)
     return [(exact_policy is not None, None if policy is None else float(ci), float(bc))
             for (exact_policy, _), (policy, _), ci, bc in zip(exact_solutions, solutions, l1_ci, l1_bc)]
 
@@ -88,7 +111,7 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     if models < 1:
         raise ValueError("models must be >= 1")
     formula, surrogate = frontdoor_instrument()
-    # one batch per worker, each a contiguous slice of the instances
+    # one slice per worker, each a contiguous run of the instances
     cuts = [models * w // workers for w in range(workers + 1)]
     args = [(formula, surrogate, seed, start, stop, samples)
             for start, stop in zip(cuts, cuts[1:]) if start < stop]

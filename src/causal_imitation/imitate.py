@@ -5,10 +5,13 @@ in the policy table, so imitation reduces to a feasibility problem over a
 product of simplices.  The solver minimizes the L1 residual by linear
 programming and, among residual-optimal policies, returns the one closest
 to the behavior-cloning conditional (a deterministic, behaviorally
-plausible tie-break).  The tie-break LP is skipped when the system is
-matched exactly and its matching rows over the simplex rows have full
-column rank: then no other policy fits, and that LP could only return the
-policy already found.  A batch of tables is solved in one call: the linear
+plausible tie-break).  Where the matching and simplex rows are
+rank-deficient only up to rounding, "residual-optimal" and "closest" hold
+only up to HiGHS's feasibility tolerance: read exactly, the float data
+may describe another polytope.  The tie-break LP is skipped when the
+system is matched exactly and its matching rows over the simplex rows have
+full column rank: then no other policy fits, and that LP could only return
+the policy already found.  A batch of tables is solved in one call: the linear
 systems, cloning references and rank tests are array operations over the
 batch, and only the LPs run one table at a time.  Each LP reaches HiGHS
 through ``linprog`` in the form HiGHS stores it: matrix entries, row
@@ -306,6 +309,11 @@ def solve_policy(
     together with the exact L1 residual: the policy's, or the minimal
     achievable one.  Where the formula divides by an empty cell of the
     table, it is undefined: no policy and no residual, ``(None, None)``.
+
+    Among the policies that match, the one closest in L1 to the
+    behavior-cloning conditional is returned.  Where the matching and
+    simplex rows are rank-deficient only up to rounding, this holds only up
+    to HiGHS's feasibility tolerance.
 
     A batched table gives a list of these pairs, one per table.  The
     systems, the cloning references and the rank tests are array operations

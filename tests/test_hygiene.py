@@ -118,6 +118,7 @@ def test_no_unbounded_cache():
 ALLOWED_CACHES = {
     "imitate._highs",  # the one HiGHS solver every LP runs on
     "diagram.CausalDiagram._adjacency",  # a diagram's parent, child and sibling sets
+    "experiments.frontdoor_instrument",  # the study's one instrument, found once by the search
 }
 CACHES = {"cache", "lru_cache", "cached_property"}
 

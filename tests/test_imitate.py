@@ -675,8 +675,8 @@ def test_cloning_residual_on_intro_highway():
 
 @pytest.mark.parametrize("samples", [0, 100_000])
 def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
-    # a batch of models is one joint call: one for the models, one for the
-    # sampled tables and one per verified batch of policies
+    # a chunk of models is one joint call for the models, one for the
+    # sampled tables and one for the solved and cloning policies together
     from causal_imitation import experiments, scm as scm_module
 
     calls = []
@@ -688,7 +688,15 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
         calls.clear()
         experiments.frontdoor_study(models, samples=samples)
         counts.append(len(calls))
-    assert counts == [3 + (samples > 0)] * 2
+    assert counts == [2 + (samples > 0)] * 2
+
+    # 7 models in chunks of 3 are 3 chunks' worth of calls, and no joint
+    # sees more models than a chunk holds: the study's memory is bounded
+    monkeypatch.setattr(experiments, "_CHUNK", 3)
+    calls.clear()
+    experiments.frontdoor_study(7, samples=samples)
+    assert len(calls) == 3 * (2 + (samples > 0))
+    assert max(model.batch[-1] for model in calls) == 3
 
     # the study's L1 values are verify_policy's, bit for bit
     formula, surrogate = experiments.frontdoor_instrument()
@@ -703,23 +711,55 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
         assert l1_bc == verify_policy(model, conditional_policy(table, "X", ()), {"Y"})
 
 
+def test_study_finds_its_instrument_once_per_process(monkeypatch):
+    from causal_imitation import enumerators, experiments
+
+    found = experiments.frontdoor_instrument()
+    assert found == experiments.frontdoor_instrument.__wrapped__()  # a fresh search
+    assert experiments.frontdoor_instrument() is found
+    queries = []
+
+    def counted(*args):
+        queries.append(args)
+        return identify_policy(*args)
+
+    monkeypatch.setattr(enumerators, "identify_policy", counted)
+    experiments.frontdoor_instrument.cache_clear()
+    experiments.frontdoor_study(4)
+    assert queries  # the first study of the process runs the search
+    queries.clear()
+    experiments.frontdoor_study(4)
+    assert queries == []
+
+
 def _bits(rows):
     return [(flag, None if ci is None else ci.hex(), bc.hex()) for flag, ci, bc in rows]
 
 
 # seed 15 at 1000 samples: instances 2 and 4 have a sampled table with an
 # empty conditioning cell; seed 17000236 at 100000 samples: instance 0
-@pytest.mark.parametrize("models, samples, seed", [
-    *[(models, samples, 15) for models in (1, 4, 7) for samples in (0, 1000, 100_000)],
-    (1, 100_000, 17_000_236),
-    (4, 100_000, 17_000_236),
+STUDY_CASES = [
+    *[(models, samples, 15, None) for models in (1, 4, 7) for samples in (0, 1000, 100_000)],
+    (1, 100_000, 17_000_236, None),
+    (4, 100_000, 17_000_236, None),
+    # chunks of 3 cut one slice at 3 and 6, and the second worker's at 6
+    *[(7, samples, 15, 3) for samples in (0, 1000)],
+]
+
+
+@pytest.mark.parametrize("models, samples, seed, chunk", STUDY_CASES, ids=[
+    f"{models}-{samples}-{seed}" + ("" if chunk is None else f"-chunk{chunk}")
+    for models, samples, seed, chunk in STUDY_CASES
 ])
-def test_study_matches_the_instance_loop(models, samples, seed):
+def test_study_matches_the_instance_loop(monkeypatch, models, samples, seed, chunk):
     # the batched study reports what a loop over single instances reports,
-    # byte for byte, with every L1 bit for bit, for one batch and one per worker
+    # byte for byte, with every L1 bit for bit, for one batch and one per
+    # worker, and across chunk boundaries
     from causal_imitation import experiments
     from oracles import frontdoor_instance, frontdoor_study_loop
 
+    if chunk is not None:
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
     formula, surrogate = experiments.frontdoor_instrument()
     want = frontdoor_study_loop(formula, surrogate, models, samples, seed)
     for workers in (1, 2):
