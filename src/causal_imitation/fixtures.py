@@ -138,8 +138,6 @@ policy action X inputs Z
 """,
 }
 
-REWARD = {name: "Y" for name in DIAGRAM_TEXT}
-
 SCM_DIAGRAM: dict[str, str] = {
     "highway_xor": "highway_opaque",
     "parity_trap": "frontdoor_observed",
@@ -164,7 +162,7 @@ def diagram_fixture(name: str) -> FixtureCase:
         raise KeyError(f"no bundled diagram named {name!r}") from None
     d, space = parse_diagram_text(text)
     assert space is not None
-    return FixtureCase(name, d, space, REWARD[name])
+    return FixtureCase(name, d, space, "Y")
 
 
 def _det(parent_domains: tuple[int, ...], node_domain: int, fn) -> np.ndarray:

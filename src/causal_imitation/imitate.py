@@ -13,9 +13,9 @@ system is matched exactly and its matching rows over the simplex rows have
 full column rank: then no other policy fits, and that LP could only return
 the policy already found.  A batch of tables is solved in one call: the linear
 systems, cloning references and rank tests are array operations over the
-batch, and only the LPs run one table at a time.  Each LP reaches HiGHS
-through ``linprog`` in the form HiGHS stores it: matrix entries, row
-bounds with the inequality rows first, and column upper bounds.
+batch, and only the LPs run one table at a time, each on the batch's one
+matching system and through ``linprog``: a dense matrix, row bounds with
+the inequality rows first, and column upper bounds.
 """
 from __future__ import annotations
 
@@ -194,13 +194,14 @@ def _check_result(x, fun, slack, con, bounds, tol, message):
                "Please consider submitting a bug report.")
 
 
-def linprog(c, entries, row_lower, row_upper, col_upper):
-    """Minimize ``c @ x`` subject to ``row_lower <= A x <= row_upper`` and
+def linprog(c, a, row_lower, row_upper, col_upper):
+    """Minimize ``c @ x`` subject to ``row_lower <= a @ x <= row_upper`` and
     ``0 <= x <= col_upper`` on HiGHS (Huangfu & Hall, Math. Prog. Comp. 10,
-    2018), given in the form HiGHS stores it: ``entries`` are A's
-    ``(rows, cols, values)``, the inequality rows come first with lower
-    bound ``-inf``, and each equality row after them has equal bounds.
-    Model, options and success test are those of
+    2018), with the rows in the order HiGHS stores them: the inequality rows
+    come first with lower bound ``-inf``, and each equality row after them
+    has equal bounds.  The dense ``a`` reaches HiGHS as the CSC arrays
+    ``csc_array(a)`` holds: ``np.nonzero(a.T)`` drops the zeros and sorts the
+    rows within each column.  Model, options and success test are those of
     ``scipy.optimize.linprog(method="highs")`` on the same LP, so ``x``,
     ``fun`` and ``success`` are bit-identical; the success test is
     ``_check_result``, a port of scipy's.  Every LP gets a cleared solver:
@@ -208,26 +209,23 @@ def linprog(c, entries, row_lower, row_upper, col_upper):
     core, solver = _highs()
 
     c = np.asarray(c, dtype=float)
-    rows, cols, vals = (np.asarray(v, dtype=t) for v, t in zip(entries, (int, int, float)))
+    a = np.asarray(a, dtype=float)
     row_lower = np.asarray(row_lower, dtype=float)
     row_upper = np.asarray(row_upper, dtype=float)
     # the -inf rows are the inequality rows; when one follows an equality
     # row, a -inf lands in row_lower[n_ub:] and fails the finiteness test
     n_ub = int(np.isneginf(row_lower).sum())
-    if not all(np.isfinite(v).all() for v in (c, vals, row_lower[n_ub:], row_upper)):
+    if not all(np.isfinite(v).all() for v in (c, a, row_lower[n_ub:], row_upper)):
         raise ValueError("LP coefficients must not contain inf or nan")
-    # CSC as csc_array(dense) stores it: no zero entries, rows sorted in each column
-    keep = vals != 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.lexsort((rows, cols))
+    cols, rows = np.nonzero(a.T)
     bounds = np.column_stack([np.zeros(len(c)), col_upper])
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(row_upper)
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
     lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=len(c)))])
-    lp.a_matrix_.index_ = rows[order]
-    lp.a_matrix_.value_ = vals[order]
+    lp.a_matrix_.index_ = rows
+    lp.a_matrix_.value_ = a[rows, cols]
     lp.col_cost_ = c
     lp.col_lower_ = bounds[:, 0]
     lp.col_upper_ = bounds[:, 1]
@@ -247,46 +245,44 @@ def linprog(c, entries, row_lower, row_upper, col_upper):
     return _LPResult(x=x, fun=fun, success=checked == 0, message=message)
 
 
-def _matching_rows(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int, top: int):
-    """Entries (rows, columns, values) of the equality rows
-    A pi - r+ + r- = t and sum_x pi[pa, x] = 1 over the columns
-    (pi, r+, r-), numbered from row ``top``, and their right-hand side."""
-    n_s, n_pi = a2.shape
-    r, p = np.arange(n_s), np.arange(n_pi)
-    rows = top + np.concatenate([np.repeat(r, n_pi), r, r, n_s + p // k])
-    cols = np.concatenate([np.tile(p, n_s), n_pi + r, n_pi + n_s + r, p])
-    vals = np.concatenate([a2.reshape(-1), np.full(n_s, -1.0), np.ones(n_s), np.ones(n_pi)])
-    return (rows, cols, vals), np.concatenate([t, np.ones(n_pa)])
+def _matching_system(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
+    """The rows A pi - r+ + r- = t and sum_x pi[pa, x] = 1 over the columns
+    (pi, r+, r-), as the dense matrix [A -I I; S 0 0] and its right-hand
+    side [t; 1]: one system per table, with a2's and t's batch axes in front."""
+    n_s, n_pi = a2.shape[-2:]
+    m = np.zeros(a2.shape[:-2] + (n_s + n_pa, n_pi + 2 * n_s))
+    m[..., :n_s, :n_pi] = a2
+    m[..., :n_s, n_pi:] = np.hstack([-np.eye(n_s), np.eye(n_s)])
+    m[..., n_s:, :n_pi] = np.kron(np.eye(n_pa), np.ones(k))
+    return m, np.concatenate([t, np.ones(t.shape[:-1] + (n_pa,))], axis=-1)
 
 
-def _lp_min_residual(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int):
-    n_pi, n_s = n_pa * k, len(t)
-    c = np.concatenate([np.zeros(n_pi), np.ones(2 * n_s)])
-    entries, b = _matching_rows(a2, t, n_pa, k, 0)
+def _lp_min_residual(m: np.ndarray, b: np.ndarray, n_pi: int):
+    n_r = m.shape[1] - n_pi
+    c = np.concatenate([np.zeros(n_pi), np.ones(n_r)])
     # policy cells in [0, 1], residual columns in [0, inf)
-    col_upper = np.concatenate([np.ones(n_pi), np.full(2 * n_s, np.inf)])
-    res = linprog(c, entries, b, b, col_upper)
+    col_upper = np.concatenate([np.ones(n_pi), np.full(n_r, np.inf)])
+    res = linprog(c, m, b, b, col_upper)
     if not res.success:
         raise RuntimeError(f"residual LP failed: {res.message}")
     return res.x[:n_pi], float(res.fun)
 
 
-def _lp_closest(a2: np.ndarray, t: np.ndarray, n_pa: int, k: int,
-                ref: np.ndarray, cap: float):
+def _lp_closest(m: np.ndarray, b: np.ndarray, n_pi: int, ref: np.ndarray, cap: float):
     """Among policies with L1 residual <= cap, minimize the L1 distance to
     ref; ``None`` when the LP fails."""
-    n_pi, n_s = n_pa * k, len(t)
-    c = np.concatenate([np.zeros(n_pi + 2 * n_s), np.ones(2 * n_pi)])
-    (rows, cols, vals), b_match = _matching_rows(a2, t, n_pa, k, 1)
+    n_rows, d = m.shape
     # row 0, the one inequality row: the residual columns sum to at most
     # cap; then the matching rows, then distance rows pi - d+ + d- = ref
-    p, top, d = np.arange(n_pi), 1 + n_s + n_pa, n_pi + 2 * n_s
-    entries = (np.concatenate([np.zeros(2 * n_s, dtype=int), rows, top + p, top + p, top + p]),
-               np.concatenate([n_pi + np.arange(2 * n_s), cols, p, d + p, d + n_pi + p]),
-               np.concatenate([np.ones(2 * n_s), vals, np.ones(n_pi), np.full(n_pi, -1.0), np.ones(n_pi)]))
-    b = np.concatenate([b_match, ref])
-    col_upper = np.concatenate([np.ones(n_pi), np.full(2 * n_s + 2 * n_pi, np.inf)])
-    res = linprog(c, entries, np.concatenate([[-np.inf], b]), np.concatenate([[cap], b]), col_upper)
+    a = np.zeros((1 + n_rows + n_pi, d + 2 * n_pi))
+    a[0, n_pi:d] = 1.0
+    a[1:1 + n_rows, :d] = m
+    a[1 + n_rows:, :n_pi] = a[1 + n_rows:, d + n_pi:] = np.eye(n_pi)
+    a[1 + n_rows:, d:d + n_pi] = -np.eye(n_pi)
+    c = np.concatenate([np.zeros(d), np.ones(2 * n_pi)])
+    b = np.concatenate([b, ref])
+    col_upper = np.concatenate([np.ones(n_pi), np.full(d + n_pi, np.inf)])
+    res = linprog(c, a, np.concatenate([[-np.inf], b]), np.concatenate([[cap], b]), col_upper)
     if not res.success:
         return None
     return res.x[:n_pi]
@@ -320,31 +316,32 @@ def solve_policy(
     over the batch; only the LPs run one table at a time."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
-    a2 = coeff.reshape(-1, n_s, n_pa * k)
+    n_pi = n_pa * k
+    a2 = coeff.reshape(-1, n_s, n_pi)
+    m, b = _matching_system(a2, t.reshape(-1, n_s), n_pa, k)
     undefined = np.isnan(a2).any(axis=(1, 2))
     refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(len(a2), -1)
-    # the matching rows over the simplex rows sum_x pi[pa, x] = 1: at full
+    # the policy columns of the matching rows over the simplex rows: at full
     # column rank, no two policies fit the system exactly.  An undefined
     # system is zeroed: one NaN fails the SVD of the whole stack.
-    simplex = np.broadcast_to(np.kron(np.eye(n_pa), np.ones(k)), (len(a2), n_pa, n_pa * k))
-    rows = np.where(undefined[:, None, None], 0.0, a2)
-    pinned = np.linalg.matrix_rank(np.concatenate([rows, simplex], axis=1)) == n_pa * k
-    pairs = [(None, None) if nan else _solve_system(a, b, ref, unique, ph, in_doms, k, tolerance)
-             for a, b, ref, unique, nan in zip(a2, t.reshape(-1, n_s), refs, pinned, undefined)]
+    pinned = np.linalg.matrix_rank(np.where(undefined[:, None, None], 0.0, m[:, :, :n_pi])) == n_pi
+    pairs = [(None, None) if nan else _solve_system(a, system, rhs, ref, unique, ph, in_doms, k, tolerance)
+             for a, system, rhs, ref, unique, nan in zip(a2, m, b, refs, pinned, undefined)]
     return pairs if observational.batch else pairs[0]
 
 
-def _solve_system(a2: np.ndarray, t: np.ndarray, ref: np.ndarray, pinned: bool,
+def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, pinned: bool,
                   ph: PolicyFactor, in_doms: tuple[int, ...], k: int,
                   tolerance: float) -> tuple[Policy | None, float]:
-    """``solve_policy`` for one system A pi = t, with ``ref`` the cloning
-    policy and ``pinned`` whether at most one policy fits exactly."""
-    n_pa = a2.shape[1] // k
+    """``solve_policy`` for one system A pi = t (``a2``, and ``m``, ``b`` from
+    ``_matching_system``), with ``ref`` the cloning policy and ``pinned``
+    whether at most one policy fits exactly."""
+    n_pi, t = a2.shape[1], b[:len(a2)]
 
     def exact_residual(policy: Policy) -> float:
         return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
 
-    raw, objective = _lp_min_residual(a2, t, n_pa, k)
+    raw, objective = _lp_min_residual(m, b, n_pi)
     best = _as_policy(raw, ph, in_doms, k)
     best_res = exact_residual(best)
     if best_res > tolerance:
@@ -355,7 +352,7 @@ def _solve_system(a2: np.ndarray, t: np.ndarray, ref: np.ndarray, pinned: bool,
     # an exactly feasible system keeps a hard matching constraint, so the
     # tie-break moves only within the policies that fit exactly
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
-    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap)
+    raw2 = _lp_closest(m, b, n_pi, ref, cap)
     if raw2 is not None:
         cand = _as_policy(raw2, ph, in_doms, k)
         cand_res = exact_residual(cand)

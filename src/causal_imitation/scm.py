@@ -205,11 +205,6 @@ def _bad_rows(table: np.ndarray) -> np.ndarray:
     return (table < -ROW_TOL).any(axis=-1) | ~(np.abs(table.sum(axis=-1) - 1.0) <= ROW_TOL)
 
 
-def _is_distribution(probs: np.ndarray) -> bool:
-    """``probs`` is nonnegative and sums to 1 within ``ROW_TOL``."""
-    return not _bad_rows(probs).any()
-
-
 @dataclass(frozen=True, eq=False)
 class Mechanism:
     """Stochastic table for one endogenous node.
@@ -274,9 +269,12 @@ class DiscreteSCM:
 
     def _validate(self):
         dom = dict(self.domains)
+        outside = set(dom) - set(self.diagram.nodes)
+        if outside:
+            raise ValueError(f"domain for {min(outside)}, which is not in the diagram")
         exo_dom = {}
         for name, probs in self.exogenous:
-            if not _is_distribution(probs):
+            if _bad_rows(probs).any():
                 raise ValueError(f"exogenous {name} is not a distribution")
             if name in dom:
                 raise ValueError(f"exogenous {name} clashes with an endogenous node")
@@ -533,12 +531,13 @@ def format_scm(scm: DiscreteSCM, graph_filename: str) -> str:
 
 
 def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
-    """Parse the fixture format given its diagram (the ``graph`` header is
-    resolved by the file-level loader)."""
+    """Parse the fixture format given its diagram (the ``graph`` header, if
+    any, must be the first declaration; the file-level loader resolves it)."""
     domains: dict[str, int] = {}
     exogenous: dict[str, list[float]] = {}
     mechanisms: dict[str, Mechanism] = {}
     pending: tuple[int, str, tuple[str, ...], tuple[str, ...], list[list[float]], list[int], int] | None = None
+    declared = False
 
     def flush():
         nonlocal pending
@@ -576,14 +575,19 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
         flush()
         kind = tokens[0]
         if kind == "graph":
-            continue
-        if kind == "domain":
+            if declared:
+                raise ParseError("'graph' must be the first declaration", lineno)
+            if len(tokens) != 2:
+                raise ParseError("expected 'graph <file>'", lineno)
+        elif kind == "domain":
             if len(tokens) != 3:
                 raise ParseError("expected 'domain <node> <k>'", lineno)
             if tokens[1] in domains:
                 raise ParseError(f"duplicate domain for {tokens[1]}", lineno)
-            if not tokens[2].isdecimal() or int(tokens[2]) < 1:
-                raise ParseError("domain size must be a positive integer", lineno)
+            if not diagram.has_node(tokens[1]):
+                raise ParseError(f"node {tokens[1]} is not in the diagram", lineno)
+            if not tokens[2].isdecimal() or int(tokens[2]) < 2:
+                raise ParseError("domain size must be an integer >= 2", lineno)
             domains[tokens[1]] = int(tokens[2])
         elif kind == "exo":
             if len(tokens) < 3:
@@ -594,7 +598,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                 exogenous[tokens[1]] = [float(t) for t in tokens[2:]]
             except ValueError:
                 raise ParseError("malformed exogenous probabilities", lineno) from None
-            if not _is_distribution(np.array(exogenous[tokens[1]])):
+            if _bad_rows(np.array(exogenous[tokens[1]])).any():
                 raise ParseError(f"exogenous {tokens[1]} is not a distribution", lineno)
         elif kind == "mech":
             if "given" not in tokens or "exo" not in tokens:
@@ -625,6 +629,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
             pending = (lineno, node, parents, exo, [], [], needed)
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
+        declared = True
     flush()
     try:
         return DiscreteSCM.create(diagram, domains, exogenous, mechanisms.values())
@@ -642,12 +647,15 @@ def parse_scm_file(path) -> DiscreteSCM:
     text = p.read_text()
     graph_file = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line.startswith("graph "):
-            graph_file = line.split(None, 1)[1]
-            break
-        if line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] != "graph":
             raise ParseError("fixture must start with a 'graph <file>' header", lineno)
+        if len(tokens) != 2:
+            raise ParseError("expected 'graph <file>'", lineno)
+        graph_file = tokens[1]
+        break
     if graph_file is None:
         raise ParseError("missing 'graph <file>' header")
     diagram, _space = parse_diagram_text((p.parent / graph_file).read_text())

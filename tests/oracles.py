@@ -28,6 +28,7 @@ from causal_imitation.imitate import (
     _linear_system,
     _lp_closest,
     _lp_min_residual,
+    _matching_system,
     _sampled_tolerance,
     solve_policy,
 )
@@ -333,18 +334,19 @@ def solve_policy_with_tiebreak(formula, observational: JointTable, surrogate, to
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = len(t), coeff.shape[1]
     a2 = coeff.reshape(n_s, n_pa * k)
+    m, b = _matching_system(a2, t, n_pa, k)
 
     def exact_residual(policy: Policy) -> float:
         return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
 
-    raw, objective = _lp_min_residual(a2, t, n_pa, k)
+    raw, objective = _lp_min_residual(m, b, n_pa * k)
     best = _as_policy(raw, ph, in_doms, k)
     best_res = exact_residual(best)
     if best_res > tolerance:
         return None, best_res
     ref = np.asarray(conditional_policy(observational, ph.action, ph.inputs).probs).reshape(-1)
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
-    raw2 = _lp_closest(a2, t, n_pa, k, ref, cap)
+    raw2 = _lp_closest(m, b, n_pa * k, ref, cap)
     if raw2 is not None:
         cand = _as_policy(raw2, ph, in_doms, k)
         cand_res = exact_residual(cand)

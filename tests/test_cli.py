@@ -371,6 +371,10 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     (10, "  1.0 0.000009"),
     (13, "mech W given X exo UW"),
     (8, "mech W given W exo UW"),
+    (1, "graph g.graph extra"),  # two file names
+    (4, "graph nothere.graph"),  # a header after the first declaration
+    (4, "domain Q 2"),  # a node outside the diagram
+    (2, "domain W 1"),
 ])
 def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     case = fixtures.diagram_fixture("frontdoor_observed")

@@ -222,10 +222,12 @@ def test_solver_requires_placeholder():
 # ------------------------------------------------------------- tie-break LP
 
 def _lp_system(formula, obs, surrogate):
-    """The tie-break LP's inputs: A as a matrix, t, n_pa and k, plus the
-    placeholder and input domains for turning a solution into a policy."""
+    """The LPs' inputs: the matching system and its right-hand side, from
+    ``_matching_system``, and the number of policy cells, plus the
+    placeholder, input domains and k for turning a solution into a policy."""
     coeff, t, ph, in_doms, k = _linear_system(formula, obs, surrogate)
-    return coeff.reshape(len(t), -1), t, coeff.shape[1], k, ph, in_doms
+    m, b = imitate._matching_system(coeff.reshape(len(t), -1), t, coeff.shape[1], k)
+    return m, b, coeff.shape[1] * k, ph, in_doms, k
 
 
 def test_lp_closest_backdoor_segment():
@@ -242,16 +244,16 @@ def test_lp_closest_backdoor_segment():
         if solved is None:
             continue
         checked += 1
-        a2, t, n_pa, k, ph, in_doms = _lp_system(formula, obs, {"Y"})
+        m, b, n_pi, ph, in_doms, k = _lp_system(formula, obs, {"Y"})
         # the solved policy itself must be recoverable at distance ~0
         solved_flat = np.asarray(solved.probs).reshape(-1)
-        raw = imitate._lp_closest(a2, t, n_pa, k, solved_flat, 1e-9)
+        raw = imitate._lp_closest(m, b, n_pi, solved_flat, 1e-9)
         assert np.abs(raw - solved_flat).sum() < 1e-6
         # a random reference: the result must stay feasible and beat the
         # solved policy's distance to that reference
         ref = rng.uniform(size=(2, 2)) + 1e-3
         ref = (ref / ref.sum(-1, keepdims=True)).reshape(-1)
-        raw2 = imitate._lp_closest(a2, t, n_pa, k, ref, 1e-9)
+        raw2 = imitate._lp_closest(m, b, n_pi, ref, 1e-9)
         pol2 = imitate._as_policy(raw2, ph, in_doms, k)
         assert evaluate(formula, obs, pol2).l1(obs.marginal(["Y"])) < 1e-7
         assert np.abs(raw2 - ref).sum() <= np.abs(solved_flat - ref).sum() + 1e-9
@@ -348,11 +350,39 @@ def test_lp_closest_infeasible_returns_none():
         if 0.0 <= mix_alpha(scm) <= 1.0:
             continue
         obs = observational(scm)
-        a2, t, n_pa, k, _ph, _in_doms = _lp_system(formula, obs, {"S"})
+        m, b, n_pi, _ph, _in_doms, _k = _lp_system(formula, obs, {"S"})
         ref = np.asarray(conditional_policy(obs, "X", ()).probs)
-        assert imitate._lp_closest(a2, t, n_pa, k, ref, 1e-9) is None
+        assert imitate._lp_closest(m, b, n_pi, ref, 1e-9) is None
         return
     raise AssertionError("no infeasible seed found")
+
+
+def test_lps_read_the_one_matching_system(monkeypatch):
+    # on tables whose tie-break LP runs, both LPs hold _matching_system's
+    # system, and the rank test reads that system's policy columns: the
+    # action-blind table is matched exactly but not pinned, the sampled mix
+    # table is pinned but matched only within its tolerance
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    mix = empirical_observational(fixtures.scm_fixture("frontdoor_mix"), 100_000, np.random.SeedSequence(entropy=0))
+    cases = [(_frontdoor_formula(), observational(_action_blind_frontdoor()), {"S"}, 1e-9, False),
+             (identify_policy(case.diagram, PolicySpace.create("X", ()), {"Y"}), mix, {"Y"},
+              imitate._sampled_tolerance(100_000), True)]
+    solve_system, pinned = imitate._solve_system, []
+
+    def record(a2, m, b, ref, unique, *rest):
+        pinned.append(unique)
+        return solve_system(a2, m, b, ref, unique, *rest)
+
+    monkeypatch.setattr(imitate, "_solve_system", record)
+    for formula, table, surrogate, tolerance, unique in cases:
+        pinned.clear()
+        lps = _capture_lps(monkeypatch, lambda: solve_policy(formula, table, surrogate, tolerance))
+        residual_lp, tie_break_lp = (inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments["a"]
+                                     for args, kwargs in lps)
+        m, b, n_pi, _ph, _in_doms, _k = _lp_system(formula, table, surrogate)
+        assert np.array_equal(residual_lp, m)
+        assert np.array_equal(tie_break_lp[1:1 + len(m)], np.pad(m, ((0, 0), (0, 2 * n_pi))))
+        assert pinned == [np.linalg.matrix_rank(m[:, :n_pi]) == n_pi] == [unique]
 
 
 # ------------------------------------------------------------- the LP layer
@@ -382,16 +412,14 @@ def _outcome(res):
 
 def _scipy_form(args, kwargs):
     """The LP imitate.linprog takes, as scipy.optimize.linprog's keyword
-    arguments with dense rows: the leading rows with lower bound -inf are
-    A_ub, the rest A_eq, and every column is bounded below by 0."""
+    arguments: the leading rows with lower bound -inf are A_ub, the rest
+    A_eq, and every column is bounded below by 0."""
     lp = inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments
     c, row_lower, row_upper = (np.asarray(lp[key], dtype=float) for key in ("c", "row_lower", "row_upper"))
     n_ub = int(np.isneginf(row_lower).sum())
     assert np.isneginf(row_lower[:n_ub]).all(), "the -inf rows come first"
     assert np.array_equal(row_lower[n_ub:], row_upper[n_ub:], equal_nan=True), "equality rows"
-    rows, cols, vals = lp["entries"]
-    a = np.zeros((len(row_upper), len(c)))
-    a[rows, cols] = vals
+    a = np.asarray(lp["a"], dtype=float)
     return dict(c=c, A_ub=a[:n_ub] if n_ub else None, b_ub=row_upper[:n_ub] if n_ub else None,
                 A_eq=a[n_ub:], b_eq=row_upper[n_ub:],
                 bounds=np.column_stack([np.zeros(len(c)), lp["col_upper"]]))
@@ -441,9 +469,9 @@ def _infeasible_tie_break_lp(monkeypatch):
         scm = random_frontdoor(seed)
         if not 0.0 <= mix_alpha(scm) <= 1.0:
             obs = observational(scm)
-            a2, t, n_pa, k, _ph, _in_doms = _lp_system(formula, obs, {"S"})
+            m, b, n_pi, _ph, _in_doms, _k = _lp_system(formula, obs, {"S"})
             ref = np.asarray(conditional_policy(obs, "X", ()).probs)
-            [lp] = _capture_lps(monkeypatch, lambda: imitate._lp_closest(a2, t, n_pa, k, ref, 1e-9))
+            [lp] = _capture_lps(monkeypatch, lambda: imitate._lp_closest(m, b, n_pi, ref, 1e-9))
             return lp
     raise AssertionError("no infeasible seed found")
 
@@ -616,7 +644,7 @@ def test_linprog_loads_highs_without_scipy_optimize():
 def _small_lp():
     """x0 + x1 = 1 under x0 - x1 <= 0.5, with x0 in [0, 1] and x1 >= 0."""
     return dict(c=np.array([1.0, 2.0]),
-                entries=(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.array([1.0, -1.0, 1.0, 1.0])),
+                a=np.array([[1.0, -1.0], [1.0, 1.0]]),
                 row_lower=np.array([-np.inf, 1.0]), row_upper=np.array([0.5, 1.0]),
                 col_upper=np.array([1.0, np.inf]))
 
@@ -632,7 +660,7 @@ def test_linprog_rejects_non_finite_data(field, bad):
     if field == "c":
         lp["c"][0] = bad
     elif field.startswith("A"):  # an entry of the inequality row 0 or the equality row 1
-        lp["entries"][2][1 if field == "A_ub" else 3] = bad
+        lp["a"][0 if field == "A_ub" else 1, 1] = bad
     elif field == "b_ub":
         lp["row_upper"][0] = bad
     else:  # an equality row's right-hand side is both of its bounds
@@ -649,7 +677,7 @@ def test_linprog_rejects_a_non_finite_equality_lower_bound(lower):
     # the same LP with its rows swapped: a -inf lower bound marks an
     # inequality row only among the leading rows
     lp = _small_lp()
-    lp["entries"] = (1 - lp["entries"][0],) + lp["entries"][1:]
+    lp["a"] = lp["a"][::-1]
     lp["row_lower"], lp["row_upper"] = np.array([1.0, lower]), np.array([1.0, 0.5])
     with pytest.raises(ValueError, match="inf"):
         imitate.linprog(**lp)

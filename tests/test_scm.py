@@ -240,6 +240,17 @@ def test_duplicate_mechanism_rejected():
         DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
 
 
+def test_domain_outside_the_diagram_rejected():
+    d = CausalDiagram.create(observed="AB", directed=[("A", "B")])
+    mechs = [
+        Mechanism("A", (), (), np.array([0.5, 0.5])),
+        Mechanism("B", ("A",), (), np.array([[0.5, 0.5], [0.5, 0.5]])),
+    ]
+    DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
+    with pytest.raises(ValueError, match="domain for Q, which is not in the diagram"):
+        DiscreteSCM.create(d, {"A": 2, "B": 2, "Q": 2}, {}, mechs)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         Policy.create("X", 2, np.array([0.7, 0.7]))
