@@ -19,6 +19,7 @@ from .criteria import find_pi_backdoor, graphical_verdict
 from .diagram import (
     CausalDiagram,
     PolicySpace,
+    _declarations,
     _format_instrument,
     _format_nodes,
     format_diagram,
@@ -46,11 +47,7 @@ def parse_distribution_text(text: str) -> JointTable:
 
     header: list[str] | None = None
     rows: dict[tuple[int, ...], float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, _indented, tokens in _declarations(text):
         if header is None:
             header = tokens
             continue
@@ -88,12 +85,11 @@ def parse_distribution_text(text: str) -> JointTable:
     return scm.JointTable(variables, domains, probs)
 
 
-def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None, str | None]:
+def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None]:
     if value in fixtures.DIAGRAM_TEXT:
         case = fixtures.diagram_fixture(value)
-        return case.diagram, case.space, case.reward
-    diagram, space = parse_diagram_text(Path(value).read_text())
-    return diagram, space, None
+        return case.diagram, case.space
+    return parse_diagram_text(Path(value).read_text())
 
 
 def _load_scm(value: str) -> DiscreteSCM:
@@ -107,7 +103,7 @@ def _load_scm(value: str) -> DiscreteSCM:
 def _space_from_args(args, default_space: PolicySpace | None) -> PolicySpace:
     action = args.action or (default_space.action if default_space else None)
     if action is None:
-        raise SystemExit("error: --action is required (no policy line in the graph)")
+        raise ValueError("--action is required (no policy line in the graph)")
     if args.inputs is not None:
         return PolicySpace.create(action, args.inputs)
     if default_space is not None and default_space.action == action:
@@ -117,8 +113,8 @@ def _space_from_args(args, default_space: PolicySpace | None) -> PolicySpace:
 
 def _problem(args) -> tuple[CausalDiagram, PolicySpace, str]:
     """The diagram, policy space and reward named by the graph flags."""
-    diagram, space0, reward0 = _load_graph(args.graph)
-    space, reward = _space_from_args(args, space0), args.reward or reward0 or "Y"
+    diagram, space0 = _load_graph(args.graph)
+    space, reward = _space_from_args(args, space0), args.reward or "Y"
     if reward == space.action:
         raise ValueError(f"the reward {reward} is the action")
     return diagram, space, reward
@@ -217,27 +213,22 @@ def _cmd_fixture(args) -> int:
         lines += [f"scm {n} (diagram {fixtures.SCM_DIAGRAM[n]})" for n in fixtures.scm_names()]
         _emit(args, "\n".join(lines) + "\n")
         return 0
+    # a model fixture writes its diagram's graph file, then the model file
+    dname = fixtures.SCM_DIAGRAM.get(args.name, args.name)
+    if dname not in fixtures.DIAGRAM_TEXT:
+        raise ValueError(f"no bundled fixture named {args.name!r}")
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    if args.name in fixtures.DIAGRAM_TEXT:
-        case = fixtures.diagram_fixture(args.name)
-        path = out / f"{args.name}.graph"
-        path.write_text(format_diagram(case.diagram, case.space))
-        written.append(path)
-    elif args.name in fixtures.SCM_DIAGRAM:
+    case = fixtures.diagram_fixture(dname)
+    gpath = out / f"{dname}.graph"
+    gpath.write_text(format_diagram(case.diagram, case.space))
+    written = [gpath]
+    if args.name in fixtures.SCM_DIAGRAM:
         from . import scm
 
-        model = fixtures.scm_fixture(args.name)
-        dname = fixtures.SCM_DIAGRAM[args.name]
-        case = fixtures.diagram_fixture(dname)
-        gpath = out / f"{dname}.graph"
-        gpath.write_text(format_diagram(case.diagram, case.space))
         spath = out / f"{args.name}.scm"
-        spath.write_text(scm.format_scm(model, gpath.name))
-        written.extend([gpath, spath])
-    else:
-        raise SystemExit(f"error: no bundled fixture named {args.name!r}")
+        spath.write_text(scm.format_scm(fixtures.scm_fixture(args.name), gpath.name))
+        written.append(spath)
     sys.stdout.write("".join(f"wrote {p}\n" for p in written))
     return 0
 
@@ -344,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Container, Iterable
+from typing import Callable, Container, Iterable, Iterator
 
 from .errors import ParseError
 
@@ -357,6 +357,17 @@ def d_separated(
 _OBS_WORDS = {"obs": True, "lat": False}
 
 
+def _declarations(text: str) -> Iterator[tuple[int, bool, list[str]]]:
+    """The lexical rules every text format shares: ``(line number,
+    indented, tokens)`` for each line that holds more than blanks and a
+    ``#`` comment.  A line is indented when it starts with a space or a tab;
+    only model files give that a meaning."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            yield lineno, raw[0] in " \t", tokens
+
+
 def parse_diagram_text(text: str) -> tuple[CausalDiagram, PolicySpace | None]:
     """Parse the one-declaration-per-line graph format.
 
@@ -368,11 +379,7 @@ def parse_diagram_text(text: str) -> tuple[CausalDiagram, PolicySpace | None]:
     directed: set[tuple[str, str]] = set()
     bidirected: set[tuple[str, str]] = set()
     space: PolicySpace | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, _indented, tokens in _declarations(text):
         kind = tokens[0]
         if kind == "node":
             if len(tokens) != 3 or tokens[2] not in _OBS_WORDS:

@@ -111,7 +111,9 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     if models < 1:
         raise ValueError("models must be >= 1")
     formula, surrogate = frontdoor_instrument()
-    # one slice per worker, each a contiguous run of the instances
+    # one slice per worker, each a contiguous run of the instances; more
+    # workers than models would only add empty slices
+    workers = min(workers, models)
     cuts = [models * w // workers for w in range(workers + 1)]
     args = [(formula, surrogate, seed, start, stop, samples)
             for start, stop in zip(cuts, cuts[1:]) if start < stop]

@@ -175,10 +175,9 @@ def _det(parent_domains: tuple[int, ...], node_domain: int, fn) -> np.ndarray:
     return table
 
 
-def _highway_xor() -> DiscreteSCM:
+def _highway_xor(d: CausalDiagram) -> DiscreteSCM:
     from .scm import DiscreteSCM, Mechanism
 
-    d = diagram_fixture("highway_opaque").diagram
     b2 = (2, 2)
     mechs = [
         Mechanism("Z", (), ("UZ",), _det((2,), 2, lambda uz: uz)),
@@ -193,10 +192,9 @@ def _highway_xor() -> DiscreteSCM:
     )
 
 
-def _parity_trap() -> DiscreteSCM:
+def _parity_trap(d: CausalDiagram) -> DiscreteSCM:
     from .scm import DiscreteSCM, Mechanism
 
-    d = diagram_fixture("frontdoor_observed").diagram
     mechs = [
         Mechanism("X", (), ("U",), _det((2,), 2, lambda u: u)),
         Mechanism("W", ("X",), (), _det((2,), 2, lambda x: x)),
@@ -208,10 +206,9 @@ def _parity_trap() -> DiscreteSCM:
     )
 
 
-def _frontdoor_mix(p_uw_one: float) -> DiscreteSCM:
+def _frontdoor_mix(d: CausalDiagram, p_uw_one: float) -> DiscreteSCM:
     from .scm import DiscreteSCM, Mechanism
 
-    d = diagram_fixture("frontdoor_observed").diagram
     mechs = [
         Mechanism("X", (), ("UX", "UY"), _det((2, 2), 2, lambda ux, uy: ux ^ uy)),
         Mechanism("W", ("X",), ("UW",), _det((2, 2), 2, lambda x, uw: x ^ uw)),
@@ -228,10 +225,9 @@ def _frontdoor_mix(p_uw_one: float) -> DiscreteSCM:
     )
 
 
-def _highway_golden() -> DiscreteSCM:
+def _highway_golden(d: CausalDiagram) -> DiscreteSCM:
     from .scm import DiscreteSCM, Mechanism
 
-    d = diagram_fixture("highway_binary").diagram
     g = (math.sqrt(5.0) - 1.0) / 2.0
     mechs = [
         Mechanism("L", (), ("UL",), _det((2,), 2, lambda ul: ul)),
@@ -245,11 +241,12 @@ def _highway_golden() -> DiscreteSCM:
     )
 
 
+# each builder receives the diagram that SCM_DIAGRAM names for its model
 _SCM_BUILDERS = {
     "highway_xor": _highway_xor,
     "parity_trap": _parity_trap,
-    "frontdoor_mix": lambda: _frontdoor_mix(0.1),
-    "frontdoor_mix_variant": lambda: _frontdoor_mix(0.7),
+    "frontdoor_mix": lambda d: _frontdoor_mix(d, 0.1),
+    "frontdoor_mix_variant": lambda d: _frontdoor_mix(d, 0.7),
     "highway_golden": _highway_golden,
 }
 
@@ -259,7 +256,7 @@ def scm_fixture(name: str) -> DiscreteSCM:
         builder = _SCM_BUILDERS[name]
     except KeyError:
         raise KeyError(f"no bundled model named {name!r}") from None
-    return builder()
+    return builder(diagram_fixture(SCM_DIAGRAM[name]).diagram)
 
 
 def diagram_names() -> list[str]:

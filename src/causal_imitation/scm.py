@@ -21,14 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import fixtures
 from .diagram import (
     CausalDiagram,
     PolicySpace,
+    _declarations,
     manipulated,
+    parse_diagram_text,
     require_valid,
     require_valid_space,
 )
@@ -436,18 +440,10 @@ def empirical_observational(scm: DiscreteSCM, n: int, seed) -> JointTable:
 # Random model generators
 
 
-def _frontdoor_diagram() -> CausalDiagram:
-    return CausalDiagram.create(
-        observed=["X", "W", "S"],
-        latent=["Y"],
-        directed=[("X", "W"), ("W", "S"), ("S", "Y")],
-        bidirected=[("X", "S")],
-    )
-
-
 def random_frontdoor(seed) -> DiscreteSCM:
-    """Random binary instance of the mediator chain with an action/endpoint
-    confounder: P(x), P(w|x), P(s|x,w), P(y|s) each drawn uniformly.
+    """Random binary instance of the ``frontdoor_latent`` fixture, the
+    mediator chain with an action/endpoint confounder: P(x), P(w|x),
+    P(s|x,w), P(y|s) each drawn uniformly.
 
     The confounder is realized by a shared exogenous variable carrying the
     action's value, so the observational joint factorizes exactly as drawn.
@@ -478,19 +474,20 @@ def _frontdoor_model(p_x, p_w, p_s, p_y) -> DiscreteSCM:
         Mechanism("Y", ("S",), (), bern(p_y)),
     ]
     return DiscreteSCM.create(
-        _frontdoor_diagram(),
+        fixtures.diagram_fixture("frontdoor_latent").diagram,
         domains={"X": 2, "W": 2, "S": 2, "Y": 2},
         exogenous={"U": bern(p_x)},
         mechanisms=mechs,
     )
 
 
-def random_scm(diagram: CausalDiagram, seed, domains: int | Mapping[str, int] = 2) -> DiscreteSCM:
+def random_scm(diagram: CausalDiagram, seed, domains: int = 2) -> DiscreteSCM:
     """Random stochastic model for a diagram: one binary exogenous variable
-    per bidirected edge, plus uniformly drawn mechanism rows."""
+    per bidirected edge, plus uniformly drawn mechanism rows; every node
+    takes ``domains`` values."""
     require_valid(diagram)
     rng = np.random.default_rng(seed)
-    dom = {n: domains for n in diagram.nodes} if isinstance(domains, int) else dict(domains)
+    dom = dict.fromkeys(diagram.nodes, domains)
     exo: dict[str, np.ndarray] = {}
     attached: dict[str, list[str]] = {n: [] for n in diagram.nodes}
     for i, (a, b) in enumerate(sorted(diagram.bidirected)):
@@ -532,50 +529,24 @@ def format_scm(scm: DiscreteSCM, graph_filename: str) -> str:
 
 def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
     """Parse the fixture format given its diagram (the ``graph`` header, if
-    any, must be the first declaration; the file-level loader resolves it)."""
+    any, must be the first declaration; the file-level loader resolves it).
+    Each declaration owns the indented rows that follow it; only a ``mech``
+    declaration takes rows."""
     domains: dict[str, int] = {}
     exogenous: dict[str, list[float]] = {}
     mechanisms: dict[str, Mechanism] = {}
-    pending: tuple[int, str, tuple[str, ...], tuple[str, ...], list[list[float]], list[int], int] | None = None
-    declared = False
-
-    def flush():
-        nonlocal pending
-        if pending is None:
-            return
-        lineno, node, parents, exo, rows, row_lines, needed = pending
-        if len(rows) != needed:
-            raise ParseError(f"mechanism for {node} expects {needed} rows, got {len(rows)}", lineno)
-        table = np.array(rows, dtype=float)
-        bad = np.flatnonzero(_bad_rows(table))
-        if bad.size:
-            raise ParseError(f"mechanism rows for {node} must be distributions", row_lines[bad[0]])
-        dom_sizes = tuple(domains[p] for p in parents) + tuple(len(exogenous[u]) for u in exo)
-        table = table.reshape(dom_sizes + (domains[node],))
-        mechanisms[node] = Mechanism(node, parents, exo, table)
-        pending = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if line[0] in " \t":
-            if pending is None:
-                raise ParseError("distribution row outside a mech block", lineno)
-            try:
-                row = [float(t) for t in tokens]
-            except ValueError:
-                raise ParseError("malformed probability row", lineno) from None
-            if len(row) != domains[pending[1]]:
-                raise ParseError(f"expected {domains[pending[1]]} probabilities per row", lineno)
-            pending[4].append(row)
-            pending[5].append(lineno)
-            continue
-        flush()
+    blocks: list[tuple[int, list[str], list[tuple[int, list[str]]]]] = []
+    for lineno, indented, tokens in _declarations(text):
+        if not indented:
+            blocks.append((lineno, tokens, []))
+        elif blocks:
+            blocks[-1][2].append((lineno, tokens))
+        else:
+            raise ParseError("distribution row outside a mech block", lineno)
+    for i, (lineno, tokens, rows) in enumerate(blocks):
         kind = tokens[0]
         if kind == "graph":
-            if declared:
+            if i:
                 raise ParseError("'graph' must be the first declaration", lineno)
             if len(tokens) != 2:
                 raise ParseError("expected 'graph <file>'", lineno)
@@ -623,14 +594,27 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                 raise ParseError(f"node {node} is not in the diagram", lineno)
             if parents != tuple(sorted(diagram.parents(node))):
                 raise ParseError(f"mechanism for {node} does not match the diagram parents", lineno)
-            needed = math.prod(
-                [domains[p] for p in parents] + [len(exogenous[u]) for u in exo]
-            )
-            pending = (lineno, node, parents, exo, [], [], needed)
+            dom_sizes = tuple(domains[p] for p in parents) + tuple(len(exogenous[u]) for u in exo)
+            needed = math.prod(dom_sizes)
+            values = []
+            for row_line, row in rows:
+                try:
+                    values.append([float(t) for t in row])
+                except ValueError:
+                    raise ParseError("malformed probability row", row_line) from None
+                if len(row) != domains[node]:
+                    raise ParseError(f"expected {domains[node]} probabilities per row", row_line)
+            if len(values) != needed:
+                raise ParseError(f"mechanism for {node} expects {needed} rows, got {len(values)}", lineno)
+            table = np.array(values, dtype=float)
+            bad = np.flatnonzero(_bad_rows(table))
+            if bad.size:
+                raise ParseError(f"mechanism rows for {node} must be distributions", rows[bad[0]][0])
+            mechanisms[node] = Mechanism(node, parents, exo, table.reshape(dom_sizes + (domains[node],)))
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
-        declared = True
-    flush()
+        if rows and kind != "mech":
+            raise ParseError("distribution row outside a mech block", rows[0][0])
     try:
         return DiscreteSCM.create(diagram, domains, exogenous, mechanisms.values())
     except ValueError as exc:
@@ -639,28 +623,18 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
 
 def parse_scm_file(path) -> DiscreteSCM:
     """Load an SCM fixture file, resolving its ``graph`` header next to it."""
-    from pathlib import Path
-
-    from .diagram import parse_diagram_text
-
     p = Path(path)
     text = p.read_text()
-    graph_file = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] != "graph":
-            raise ParseError("fixture must start with a 'graph <file>' header", lineno)
-        if len(tokens) != 2:
-            raise ParseError("expected 'graph <file>'", lineno)
-        graph_file = tokens[1]
-        break
-    if graph_file is None:
+    header = next(_declarations(text), None)
+    if header is None:
         raise ParseError("missing 'graph <file>' header")
-    diagram, _space = parse_diagram_text((p.parent / graph_file).read_text())
+    lineno, _indented, tokens = header
+    if tokens[0] != "graph":
+        raise ParseError("fixture must start with a 'graph <file>' header", lineno)
+    if len(tokens) != 2:
+        raise ParseError("expected 'graph <file>'", lineno)
+    diagram, _space = parse_diagram_text((p.parent / tokens[1]).read_text())
     return parse_scm_text(text, diagram)
-
 
 # ---------------------------------------------------------------------------
 # Exact evaluation

@@ -281,6 +281,12 @@ def test_study_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus, workers, poo
     assert batches[:workers] == [(9 * w // workers, 9 * (w + 1) // workers) for w in range(workers)]
 
 
+def test_study_workers_beyond_the_models_run_one_slice_each():
+    # --workers had no upper bound: 10**12 workers built a list of 10**12 + 1
+    # cut points before the empty slices were dropped
+    assert experiments.frontdoor_study(3, workers=10**12) == experiments.frontdoor_study(3, workers=1)
+
+
 @pytest.mark.parametrize("kwargs, golden", [
     ({"models": 200}, "frontdoor_study_m200.txt"),
     ({"models": 100, "samples": 100_000}, "frontdoor_study_m100_s100000.txt"),
@@ -295,6 +301,21 @@ def test_experiment_highway(capsys):
     assert "exact_reward_marginal_policy 0.4721359550" in out
     assert "exact_reward_sideinfo_policy 0.2917960675" in out
     assert "exact_bias 0.1803398875" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    # both raised SystemExit out of main() instead of returning 1
+    (["check", "--graph", "{tmp}/nopolicy.graph"], "--action is required (no policy line in the graph)"),
+    (["fixture", "--name", "nope", "--out", "{tmp}/out"], "no bundled fixture named 'nope'"),
+    # numpy's refusal to allocate 8 PiB of draws ended in a traceback
+    (["simulate", "--scm", "frontdoor_mix", "--n", str(2**50)], "Unable to allocate"),
+], ids=["no-action", "no-fixture", "simulate-memory"])
+def test_command_errors_return_one(tmp_path, capsys, argv, message):
+    (tmp_path / "nopolicy.graph").write_text("node X obs\nnode Y obs\nedge X -> Y\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fixture_list_and_roundtrip(tmp_path, capsys):
@@ -510,6 +531,32 @@ def test_graph_parser_fuzz(text):
     except ParseError:
         return
     assert parse_diagram_text(format_diagram(diagram, space)) == (diagram, space)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["graph", "distribution"]), st.one_of(st.text(), _graph_text(), _edited_distribution_text()),
+       st.data())
+def test_graph_and_distribution_files_ignore_indents_and_comments(kind, text, data):
+    # the shared line reader: an indent, a trailing comment or a comment
+    # line changes nothing in a graph or distribution file, neither the
+    # result nor a parse error's message and line
+    parse = parse_diagram_text if kind == "graph" else parse_distribution_text
+    pads = st.tuples(st.sampled_from(["", " ", "\t", " \t "]), st.sampled_from(["", "#", "  # note", "#a#b"]))
+    lines = text.splitlines()
+    padded = "\n".join(indent + line + comment
+                       for line, (indent, comment) in zip(lines, data.draw(st.lists(
+                           pads, min_size=len(lines), max_size=len(lines)))))
+
+    def outcome(text):
+        try:
+            result = parse(text)
+        except ParseError as exc:
+            return str(exc), exc.line
+        if kind == "graph":
+            return format_diagram(*result)
+        return result.variables, result.domains, result.probs.tobytes()
+
+    assert outcome(padded) == outcome("\n".join(lines))
 
 
 @st.composite

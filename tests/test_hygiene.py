@@ -222,3 +222,19 @@ def test_symbolic_layer_imports_no_numeric_module(module):
 def test_numeric_import_guard_sees_the_numeric_layer():
     assert _numeric_imports(TREES["imitate.py"]) == {"numpy", "scm"}
     assert _numeric_imports(TREES["experiments.py"]) == {"numpy", "imitate", "scm"}
+
+
+def test_only_the_line_reader_splits_lines():
+    # the graph, model and distribution formats share one lexical reader,
+    # diagram._declarations: comments, blank lines and indentation are
+    # decided in one place
+    callers = []
+    for module, tree in TREES.items():
+        scopes = [(module.removesuffix(".py"), node) for node in tree.body]
+        while scopes:
+            prefix, node = scopes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scopes += [(f"{prefix}.{node.name}", child) for child in node.body]
+            elif any(getattr(n, "attr", None) == "splitlines" for n in ast.walk(node)):
+                callers.append(prefix)
+    assert callers == ["diagram._declarations"]
