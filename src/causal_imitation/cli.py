@@ -22,6 +22,7 @@ from .diagram import (
     _declarations,
     _format_instrument,
     _format_nodes,
+    _read_text,
     format_diagram,
     parse_diagram_text,
 )
@@ -89,7 +90,7 @@ def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None]:
     if value in fixtures.DIAGRAM_TEXT:
         case = fixtures.diagram_fixture(value)
         return case.diagram, case.space
-    return parse_diagram_text(Path(value).read_text())
+    return parse_diagram_text(_read_text(value))
 
 
 def _load_scm(value: str) -> DiscreteSCM:
@@ -169,7 +170,7 @@ def _cmd_imitate(args) -> int:
     diagram, space, reward = _problem(args)
     tolerance = imitate.DEFAULT_TOLERANCE
     if args.dist is not None:
-        table = parse_distribution_text(Path(args.dist).read_text())
+        table = parse_distribution_text(_read_text(args.dist))
     else:
         model = _load_scm(args.scm)
         if args.samples:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator
 
 from .errors import ParseError
@@ -357,12 +358,21 @@ def d_separated(
 _OBS_WORDS = {"obs": True, "lat": False}
 
 
+def _read_text(path) -> str:
+    """An input file's text, decoded as UTF-8.  A byte that is not UTF-8
+    becomes a lone surrogate, which ``_declarations`` refuses at its line."""
+    return Path(path).read_text(encoding="utf-8", errors="surrogateescape")
+
+
 def _declarations(text: str) -> Iterator[tuple[int, bool, list[str]]]:
     """The lexical rules every text format shares: ``(line number,
     indented, tokens)`` for each line that holds more than blanks and a
     ``#`` comment.  A line is indented when it starts with a space or a tab;
-    only model files give that a meaning."""
+    only model files give that a meaning.  A line that holds a lone
+    surrogate, a byte ``_read_text`` could not decode, is a parse error."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not raw.isascii() and any("\ud800" <= c <= "\udfff" for c in raw):
+            raise ParseError("not UTF-8 text", lineno)
         tokens = raw.split("#", 1)[0].split()
         if tokens:
             yield lineno, raw[0] in " \t", tokens

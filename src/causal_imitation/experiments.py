@@ -5,13 +5,13 @@ spawned from the base seed by instance index, and reports are assembled in
 instance order regardless of worker count.
 
 The frontdoor study finds its instrument once per process and cuts its
-instances into contiguous slices, one per worker, and each slice into
-chunks of ``_CHUNK`` instances.  Each instance draws its numbers from its
-own seed, and a chunk's models, joints, tables, linear systems, cloning
-policies and L1 distances are stacked along a leading axis and computed as
-array operations, each instance with the bits it would get alone.  Only
-the LPs run one instance at a time.  A chunk keeps only each instance's
-report row, so a worker's memory does not grow with its slice.
+instances once, into contiguous batches of at most ``_CHUNK`` instances,
+the same number of batches for every worker.  Each instance draws its
+numbers from its own seed, and a batch's models, joints, tables, linear
+systems, cloning policies and L1 distances are stacked along a leading axis
+and computed as array operations, each instance with the bits it would get
+alone.  Only the LPs run one instance at a time.  A batch returns only each
+instance's report row, so memory does not grow with the study.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ from .identify import IdFormula
 from .imitate import _l1_to_expert, _sampled_tolerance, solve_policy
 
 
-# instances per chunk of a study slice: a chunk's arrays, tables and
-# policies are freed before the next chunk is drawn.  Chunks of 256 to 4096
+# most instances in a study batch: a batch's arrays, tables and policies
+# are freed before the next batch is drawn.  Batches of 256 to 4096
 # instances time the same on a 5000-instance study (2-core x86 box).
 _CHUNK = 1024
 
@@ -55,25 +55,14 @@ def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
-def _frontdoor_batch(
-    args: tuple[IdFormula, frozenset[str], int, int, int, int],
-) -> list[tuple[bool, float | None, float]]:
+def _frontdoor_batch(args: tuple[int, int, int, int]) -> list[tuple[bool, float | None, float]]:
     """Per instance in ``range(start, stop)``: whether its exact table is
     p-imitable, and the reward L1 of the solved policy (``None`` when
-    unsolved) and of behavior cloning.  A table on which the formula
-    divides by an empty cell is unsolved.  The instances run in chunks of
-    ``_CHUNK``."""
-    formula, surrogate, base_seed, start, stop, samples = args
-    rows = []
-    for lo in range(start, stop, _CHUNK):
-        rows += _frontdoor_chunk(formula, surrogate, base_seed, range(lo, min(lo + _CHUNK, stop)), samples)
-    return rows
-
-
-def _frontdoor_chunk(
-    formula: IdFormula, surrogate: frozenset[str], base_seed: int, indices: range, samples: int,
-) -> list[tuple[bool, float | None, float]]:
-    """``_frontdoor_batch``'s rows for ``indices``, computed as one batch."""
+    unsolved) and of behavior cloning, computed as one batch.  A table on
+    which the formula divides by an empty cell is unsolved."""
+    base_seed, start, stop, samples = args
+    formula, surrogate = frontdoor_instrument()
+    indices = range(start, stop)
     n = len(indices)
     draws = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2)), np.empty((n, 2))
     for j, i in enumerate(indices):
@@ -110,23 +99,22 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     the reward L1 of the solved policy versus behavior cloning."""
     if models < 1:
         raise ValueError("models must be >= 1")
-    formula, surrogate = frontdoor_instrument()
-    # one slice per worker, each a contiguous run of the instances; more
-    # workers than models would only add empty slices
+    # contiguous batches of at most _CHUNK instances, the same number for
+    # every worker; more workers than models would only add empty batches
     workers = min(workers, models)
-    cuts = [models * w // workers for w in range(workers + 1)]
-    args = [(formula, surrogate, seed, start, stop, samples)
-            for start, stop in zip(cuts, cuts[1:]) if start < stop]
-    if len(args) > 1:
+    count = workers * -(-models // (_CHUNK * workers))
+    cuts = [models * b // count for b in range(count + 1)]
+    args = [(seed, start, stop, samples) for start, stop in zip(cuts, cuts[1:])]
+    if workers > 1:
         # imported here, so that commands without a pool do not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
         # a fork pool starts every worker at once: no more than the usable CPUs
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(len(args), cpus)) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
             batches = list(pool.map(_frontdoor_batch, args))
     else:
-        batches = [_frontdoor_batch(args[0])]
+        batches = list(map(_frontdoor_batch, args))
     rows = [row for batch in batches for row in batch]
     lines = [
         f"# frontdoor-study models={models} samples={samples} seed={seed}",

@@ -31,6 +31,7 @@ from .diagram import (
     CausalDiagram,
     PolicySpace,
     _declarations,
+    _read_text,
     manipulated,
     parse_diagram_text,
     require_valid,
@@ -175,6 +176,8 @@ class Policy:
     ) -> "Policy":
         ins = tuple(inputs)
         doms = tuple(input_domains)
+        if len(doms) != len(ins):
+            raise ValueError(f"{len(ins)} inputs but {len(doms)} input domains")
         order = sorted(range(len(ins)), key=lambda i: ins[i])
         arr = np.ascontiguousarray(probs, dtype=float)
         arr = np.transpose(arr, [*order, len(ins)])
@@ -624,7 +627,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
 def parse_scm_file(path) -> DiscreteSCM:
     """Load an SCM fixture file, resolving its ``graph`` header next to it."""
     p = Path(path)
-    text = p.read_text()
+    text = _read_text(p)
     header = next(_declarations(text), None)
     if header is None:
         raise ParseError("missing 'graph <file>' header")
@@ -633,7 +636,7 @@ def parse_scm_file(path) -> DiscreteSCM:
         raise ParseError("fixture must start with a 'graph <file>' header", lineno)
     if len(tokens) != 2:
         raise ParseError("expected 'graph <file>'", lineno)
-    diagram, _space = parse_diagram_text((p.parent / tokens[1]).read_text())
+    diagram, _space = parse_diagram_text(_read_text(p.parent / tokens[1]))
     return parse_scm_text(text, diagram)
 
 # ---------------------------------------------------------------------------
@@ -737,12 +740,13 @@ def evaluate(
         domains.setdefault(policy.action, policy.action_domain)
         policy_axes = _policy_array(policy)
     free = free_variables(formula)
-    for v in list(fixed):
+    for v, value in list(fixed.items()):
+        if v not in domains:
+            raise ValueError(f"fixed variable {v!r} is unknown")
+        if not isinstance(value, (int, np.integer)) or not 0 <= value < domains[v]:
+            raise ValueError(f"fixed value {value!r} of {v!r} is not in range({domains[v]})")
         if v not in free:
-            if v in domains:
-                del fixed[v]
-            else:
-                raise ValueError(f"fixed variable {v!r} is unknown")
+            del fixed[v]
     vs, arr = _eval(formula, observational, policy_axes, domains)
     if np.isnan(arr).any():
         raise UnsupportedConditionalError(

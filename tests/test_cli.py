@@ -275,10 +275,34 @@ def test_study_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus, workers, poo
     batch = experiments._frontdoor_batch
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(experiments, "_frontdoor_batch", lambda args: batches.append(args[3:5]) or batch(args))
+    monkeypatch.setattr(experiments, "_frontdoor_batch", lambda args: batches.append(args[1:3]) or batch(args))
     assert experiments.frontdoor_study(9, 1000, 4, workers) == experiments.frontdoor_study(9, 1000, 4)
     assert sizes == [pool]
     assert batches[:workers] == [(9 * w // workers, 9 * (w + 1) // workers) for w in range(workers)]
+
+
+@pytest.mark.parametrize("models, workers, cuts", [
+    (7, 1, (0, 2, 4, 7)),
+    (7, 2, (0, 1, 3, 5, 7)),
+    (9, 5, (0, 1, 3, 5, 7, 9)),
+    (3, 10**12, (0, 1, 2, 3)),
+])
+def test_study_cuts_its_instances_once(monkeypatch, models, workers, cuts):
+    # contiguous batches of at most _CHUNK instances, the same number for
+    # every worker, each computed by one _frontdoor_batch call
+    import concurrent.futures
+    from contextlib import nullcontext
+    from types import SimpleNamespace
+
+    want = experiments.frontdoor_study(models, 1000, 4)
+    batches = []
+    batch = experiments._frontdoor_batch
+    monkeypatch.setattr(experiments, "_CHUNK", 3)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: nullcontext(SimpleNamespace(map=map)))
+    monkeypatch.setattr(experiments, "_frontdoor_batch", lambda args: batches.append(args[1:3]) or batch(args))
+    assert experiments.frontdoor_study(models, 1000, 4, workers) == want
+    assert batches == list(zip(cuts, cuts[1:]))
 
 
 def test_study_workers_beyond_the_models_run_one_slice_each():
@@ -423,6 +447,29 @@ def test_scm_model_errors_are_parse_errors(tmp_path, capsys):
         parse_scm_file(path)
     assert main(["simulate", "--scm", str(path), "--n", "1"]) == 2
     assert capsys.readouterr().err.startswith("parse error: exogenous UX confounds")
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("g.graph", ["check", "--graph", "g.graph"]),
+    ("t.dist", ["imitate", "--graph", "frontdoor_observed", "--dist", "t.dist"]),
+    ("m.scm", ["simulate", "--scm", "m.scm", "--n", "1"]),
+    ("g.graph", ["simulate", "--scm", "m.scm", "--n", "1"]),  # the graph a model file names
+])
+def test_bytes_that_are_not_utf8_are_parse_errors(tmp_path, capsys, monkeypatch, name, argv):
+    # a byte such as 0xff ended in "'utf-8' codec can't decode" and exit 1,
+    # with no line number
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    model = fixtures.scm_fixture("frontdoor_mix")
+    texts = {"g.graph": format_diagram(case.diagram, case.space), "m.scm": format_scm(model, "g.graph"),
+             "t.dist": format_distribution(observational(model))}
+    for file, text in texts.items():
+        lines = [line.encode() for line in text.splitlines()]
+        if file == name:
+            lines[1] += b" \xff"
+        (tmp_path / file).write_bytes(b"\n".join(lines) + b"\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "parse error: line 2: not UTF-8 text\n"
 
 
 def test_distribution_roundtrip():

@@ -238,3 +238,11 @@ def test_only_the_line_reader_splits_lines():
             elif any(getattr(n, "attr", None) == "splitlines" for n in ast.walk(node)):
                 callers.append(prefix)
     assert callers == ["diagram._declarations"]
+
+
+def test_only_the_file_reader_reads_text():
+    # graph, model and distribution files are decoded in one place,
+    # diagram._read_text, so a byte that is not UTF-8 is a parse error
+    reads = [module for module, tree in TREES.items() for node in ast.walk(tree)
+             if getattr(node, "attr", None) == "read_text"]
+    assert reads == ["diagram.py"]

@@ -214,6 +214,18 @@ def test_evaluate_zero_probability_conditional_errors():
         evaluate(formula, obs, fixed={"X": 0})
 
 
+@pytest.mark.parametrize("fixed", [{"X": -1}, {"X": 1.5}, {"X": 2}, {"W": 2}])
+def test_evaluate_pins_only_values_in_the_domain(fixed):
+    # np.take wrapped -1 to the X = 1 table, truncated 1.5 to it and raised
+    # IndexError on 2; a value of a variable the formula does not mention
+    # is checked too
+    model = fixtures.scm_fixture("frontdoor_mix")
+    formula = identify_atomic(model.diagram, "X", {"Y"})
+    [(name, value)] = fixed.items()
+    with pytest.raises(ValueError, match=rf"fixed value {value} of '{name}' is not in range\(2\)"):
+        evaluate(formula, observational(model), fixed=fixed)
+
+
 def test_evaluate_argument_validation():
     d = fixtures.diagram_fixture("frontdoor_observed").diagram
     formula = identify_atomic(d, "X", {"Y"})

@@ -728,7 +728,7 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
 
     # the study's L1 values are verify_policy's, bit for bit
     formula, surrogate = experiments.frontdoor_instrument()
-    rows = experiments._frontdoor_batch((formula, surrogate, 0, 0, 20, samples))
+    rows = experiments._frontdoor_batch((0, 0, 20, samples))
     for index, (_flag, l1_ci, l1_bc) in enumerate(rows):
         model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
         table = (empirical_observational(model, samples, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
@@ -770,7 +770,7 @@ STUDY_CASES = [
     *[(models, samples, 15, None) for models in (1, 4, 7) for samples in (0, 1000, 100_000)],
     (1, 100_000, 17_000_236, None),
     (4, 100_000, 17_000_236, None),
-    # chunks of 3 cut one slice at 3 and 6, and the second worker's at 6
+    # batches of at most 3: one worker cuts at 2 and 4, two workers at 1, 3 and 5
     *[(7, samples, 15, 3) for samples in (0, 1000)],
 ]
 
@@ -794,7 +794,7 @@ def test_study_matches_the_instance_loop(monkeypatch, models, samples, seed, chu
         assert experiments.frontdoor_study(models, samples, seed, workers) == want
     loop = _bits([frontdoor_instance(formula, surrogate, seed, i, samples) for i in range(models)])
     for cuts in ((0, models), (0, models // 2, models)):
-        batches = [experiments._frontdoor_batch((formula, surrogate, seed, start, stop, samples))
+        batches = [experiments._frontdoor_batch((seed, start, stop, samples))
                    for start, stop in zip(cuts, cuts[1:]) if start < stop]
         assert _bits([row for batch in batches for row in batch]) == loop
 

@@ -260,6 +260,13 @@ def test_policy_validation():
     assert pm.probs[1] == 1.0
 
 
+@pytest.mark.parametrize("input_domains", [(), (2, 3)])
+def test_policy_create_needs_one_domain_per_input(input_domains):
+    # a shorter tuple raised IndexError, and a longer one was cut to fit
+    with pytest.raises(ValueError, match="1 inputs but"):
+        Policy.create("X", 2, np.full((2, 2), 0.5), inputs=("Z",), input_domains=input_domains)
+
+
 def test_scm_text_roundtrip():
     for name in fixtures.scm_names():
         m = fixtures.scm_fixture(name)
