@@ -6,7 +6,9 @@ ground-truth oracles.  The enumeration is blocked and vectorized, and its
 values are still exact: bit for bit those of a loop over single
 configurations.  Mechanisms are stochastic tables (deterministic
 functions are the 0/1 special case); bidirected edges in the diagram are
-realized by shared exogenous variables.
+realized by shared exogenous variables.  Each type checks its invariants
+in its constructor, so a model that ``intervene`` builds is checked too; a
+``create`` factory only sorts its arguments and sets their dtype.
 
 Tables may carry leading batch axes: a batch of models over one diagram,
 of their joints or of policies, one per index.  A batch is computed as
@@ -35,7 +37,6 @@ from .diagram import (
     manipulated,
     parse_diagram_text,
     require_valid,
-    require_valid_space,
 )
 from .errors import ParseError, TooLargeError, UnsupportedConditionalError
 from .identify import (
@@ -83,6 +84,11 @@ def _batch_of(arr: np.ndarray, trailing: int) -> tuple[int, ...]:
     return arr.shape[:arr.ndim - trailing]
 
 
+def _increasing(names: Sequence[str]) -> bool:
+    """Whether ``names`` is sorted without repeats."""
+    return all(a < b for a, b in zip(names, names[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Exact probability table over a sorted tuple of discrete variables.
@@ -95,8 +101,10 @@ class JointTable:
     probs: np.ndarray
 
     def __post_init__(self):
-        if tuple(sorted(self.variables)) != self.variables:
-            raise ValueError("variables must be sorted")
+        if len(self.variables) != len(self.domains):
+            raise ValueError(f"{len(self.variables)} variables but {len(self.domains)} domains")
+        if not _increasing(self.variables):
+            raise ValueError("variables must be sorted and distinct")
         if self.probs.shape[self.probs.ndim - len(self.domains):] != self.domains:
             raise ValueError("probability table shape does not match domains")
         if (self.probs < -ROW_TOL).any():
@@ -157,8 +165,12 @@ class Policy:
     probs: np.ndarray
 
     def __post_init__(self):
-        if tuple(sorted(self.inputs)) != self.inputs:
-            raise ValueError("inputs must be sorted")
+        if len(self.input_domains) != len(self.inputs):
+            raise ValueError(f"{len(self.inputs)} inputs but {len(self.input_domains)} input domains")
+        if not _increasing(self.inputs):
+            raise ValueError("inputs must be sorted and distinct")
+        if self.action in self.inputs:
+            raise ValueError(f"action {self.action} cannot be its own input")
         cells = self.input_domains + (self.action_domain,)
         if self.probs.shape[self.probs.ndim - len(cells):] != cells:
             raise ValueError("policy table shape mismatch")
@@ -176,13 +188,11 @@ class Policy:
     ) -> "Policy":
         ins = tuple(inputs)
         doms = tuple(input_domains)
-        if len(doms) != len(ins):
-            raise ValueError(f"{len(ins)} inputs but {len(doms)} input domains")
         order = sorted(range(len(ins)), key=lambda i: ins[i])
-        arr = np.ascontiguousarray(probs, dtype=float)
-        arr = np.transpose(arr, [*order, len(ins)])
-        return Policy(action, tuple(ins[i] for i in order), action_domain,
-                      tuple(doms[i] for i in order), arr)
+        doms = tuple(doms[i] for i in order) if len(doms) == len(ins) else doms
+        axes = range(-len(ins) - 1, -1)  # the input axes, counted from the end
+        arr = np.moveaxis(np.ascontiguousarray(probs, dtype=float), [axes[i] for i in order], axes)
+        return Policy(action, tuple(ins[i] for i in order), action_domain, doms, arr)
 
     def space(self) -> PolicySpace:
         return PolicySpace.create(self.action, self.inputs)
@@ -227,8 +237,10 @@ class Mechanism:
     table: np.ndarray
 
     def __post_init__(self):
-        if tuple(sorted(self.parents)) != self.parents or tuple(sorted(self.exo)) != self.exo:
-            raise ValueError("mechanism parents and exo names must be sorted")
+        if not (_increasing(self.parents) and _increasing(self.exo)):
+            raise ValueError("mechanism parents and exo names must be sorted and distinct")
+        if self.table.ndim <= len(self.parents) + len(self.exo):
+            raise ValueError(f"mechanism table for {self.node} has too few axes")
         if _bad_rows(self.table).any():
             raise ValueError(f"mechanism rows for {self.node} must be distributions")
         self.table.setflags(write=False)
@@ -253,13 +265,9 @@ class DiscreteSCM:
         exogenous: Mapping[str, Sequence[float]],
         mechanisms: Iterable[Mechanism],
     ) -> "DiscreteSCM":
-        require_valid(diagram)
         mechs = tuple(sorted(mechanisms, key=lambda m: m.node))
         exo = tuple((name, np.ascontiguousarray(p, dtype=float)) for name, p in sorted(exogenous.items()))
-        doms = tuple(sorted(domains.items()))
-        scm = DiscreteSCM(diagram, doms, exo, mechs)
-        scm._validate()
-        return scm
+        return DiscreteSCM(diagram, tuple(sorted(domains.items())), exo, mechs)
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -274,7 +282,8 @@ class DiscreteSCM:
         except ValueError:
             raise ValueError("model tables have batch axes that do not broadcast together") from None
 
-    def _validate(self):
+    def __post_init__(self):
+        require_valid(self.diagram)
         dom = dict(self.domains)
         outside = set(dom) - set(self.diagram.nodes)
         if outside:
@@ -293,10 +302,11 @@ class DiscreteSCM:
             by_node[m.node] = m
         if set(by_node) != set(self.diagram.nodes):
             raise ValueError("mechanisms must cover exactly the diagram nodes")
-        attached: dict[str, list[str]] = {name: [] for name in exo_dom}
         for node in self.diagram.nodes:
             if dom.get(node, 0) < 2:
                 raise ValueError(f"node {node} needs a domain of size >= 2")
+        attached: dict[str, list[str]] = {name: [] for name in exo_dom}
+        for node in self.diagram.nodes:
             m = by_node[node]
             if m.parents != tuple(sorted(self.diagram.parents(node))):
                 raise ValueError(f"mechanism for {node} does not match the diagram parents")
@@ -311,12 +321,9 @@ class DiscreteSCM:
         for name, nodes in attached.items():
             for i, a in enumerate(nodes):
                 for b in nodes[i + 1:]:
-                    pair = (a, b) if a <= b else (b, a)
-                    if pair not in self.diagram.bidirected:
-                        raise ValueError(
-                            f"exogenous {name} confounds {a} and {b} but the diagram "
-                            f"declares no bidirected edge between them"
-                        )
+                    if ((a, b) if a <= b else (b, a)) not in self.diagram.bidirected:
+                        raise ValueError(f"exogenous {name} confounds {a} and {b} but the diagram "
+                                         "declares no bidirected edge between them")
         self.batch  # raises unless the tables' batch axes broadcast together
 
 
@@ -396,17 +403,9 @@ def observational(scm: DiscreteSCM) -> JointTable:
 def intervene(scm: DiscreteSCM, policy: Policy) -> DiscreteSCM:
     """Submodel under a policy intervention.  An atomic do(X=x) is the
     policy with no inputs and a point mass at x."""
-    dom = dict(scm.domains)
-    space = policy.space()
-    require_valid_space(scm.diagram, space)
-    if policy.action_domain != dom[policy.action]:
-        raise ValueError("policy action domain does not match the model")
-    for z, k in zip(policy.inputs, policy.input_domains):
-        if dom[z] != k:
-            raise ValueError(f"policy input domain for {z} does not match the model")
     new_mech = Mechanism(policy.action, policy.inputs, (), np.array(policy.probs))
     mechs = tuple(new_mech if m.node == policy.action else m for m in scm.mechanisms)
-    return DiscreteSCM(manipulated(scm.diagram, space), scm.domains, scm.exogenous, mechs)
+    return DiscreteSCM(manipulated(scm.diagram, policy.space()), scm.domains, scm.exogenous, mechs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,8 +590,8 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                     raise ParseError(f"exogenous {u} is not declared", lineno)
             if node not in domains:
                 raise ParseError(f"node {node} has no domain declaration", lineno)
-            if list(parents) != sorted(parents) or list(exo) != sorted(exo):
-                raise ParseError("mechanism parents and exo names must be sorted", lineno)
+            if not (_increasing(parents) and _increasing(exo)):
+                raise ParseError("mechanism parents and exo names must be sorted and distinct", lineno)
             if not diagram.has_node(node):
                 raise ParseError(f"node {node} is not in the diagram", lineno)
             if parents != tuple(sorted(diagram.parents(node))):

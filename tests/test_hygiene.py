@@ -1,7 +1,7 @@
 """Static checks on the library source: no dead imports, no orphaned helpers,
 no public function or method that only the tests call, no unbounded cache,
-no cache outside a short allow-list, and no handler that catches an
-undefined conditional.
+no cache outside a short allow-list, no handler that catches an
+undefined conditional, and no check outside the constructors.
 
 All are read off the syntax tree, so they hold without importing anything.
 ``__init__.py`` is skipped for imports.  Its exports are loaded lazily, by
@@ -246,3 +246,39 @@ def test_only_the_file_reader_reads_text():
     reads = [module for module, tree in TREES.items() for node in ast.walk(tree)
              if getattr(node, "attr", None) == "read_text"]
     assert reads == ["diagram.py"]
+
+
+CHECKS = {"require_valid", "require_valid_space", "_validate"}
+
+
+def _factories_and_intervene():
+    """Each ``create`` staticmethod, as ``module:Class.create``, and
+    ``scm:intervene``, with its node."""
+    for module, tree in TREES.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and node.name == "create"
+                        and any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)):
+                    yield f"{module.removesuffix('.py')}:{cls.name}.create", node
+    [intervene] = [node for node in TREES["scm.py"].body
+                   if isinstance(node, ast.FunctionDef) and node.name == "intervene"]
+    yield "scm:intervene", intervene
+
+
+def test_checks_live_in_the_constructors():
+    # each type checks its invariants in __post_init__; a factory only
+    # normalises its arguments, and intervene leaves its model to the
+    # constructor, so no path can skip a check or hold one of its own
+    found = []
+    for label, func in _factories_and_intervene():
+        for node in ast.walk(func):
+            if isinstance(node, ast.Raise):
+                found.append(f"{label}:{node.lineno}")
+            elif isinstance(node, ast.Call) and (getattr(node.func, "id", None) in CHECKS
+                                                 or getattr(node.func, "attr", None) in CHECKS):
+                found.append(f"{label}:{node.lineno}")
+    assert found == []
+    labels = {label for label, _ in _factories_and_intervene()}
+    assert {"scm:Policy.create", "scm:DiscreteSCM.create", "scm:intervene"} <= labels
+    assert [f"{module}:{node.name}" for module, tree in TREES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_validate"] == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causal_imitation import fixtures
 from causal_imitation.diagram import CausalDiagram
@@ -287,6 +287,268 @@ def test_scm_text_roundtrip_random_models(seed, n_nodes, k):
 
 
 def test_intervene_rejects_bad_domain():
+    # the intervened model's constructor reports a policy domain that does
+    # not match the model as its mechanism's shape
     m = fixtures.scm_fixture("frontdoor_mix")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mechanism table for X has shape \(3,\), expected \(2,\)"):
         intervene(m, Policy.create("X", 3, np.full(3, 1 / 3)))
+    m = fixtures.scm_fixture("highway_xor")
+    with pytest.raises(ValueError, match=r"mechanism table for X has shape \(3, 2\), expected \(2, 2\)"):
+        intervene(m, Policy.create("X", 2, np.full((3, 2), 0.5), inputs=("Z",), input_domains=(3,)))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: JointTable(("X",), (2, 2), np.full((2, 2), 0.25)), "1 variables but 2 domains",
+                 id="joint-table-domain-count"),
+    pytest.param(lambda: JointTable(("X", "X"), (2, 2), np.full((2, 2), 0.25)), "sorted and distinct",
+                 id="joint-table-repeated-variable"),
+    pytest.param(lambda: Policy("X", ("Z", "Z"), 2, (2, 2), np.full((2, 2, 2), 0.5)), "sorted and distinct",
+                 id="policy-repeated-input"),
+    pytest.param(lambda: Policy("X", ("X",), 2, (2,), np.full((2, 2), 0.5)), "cannot be its own input",
+                 id="policy-action-among-inputs"),
+    pytest.param(lambda: Policy("X", ("Z",), 2, (2, 3), np.full((2, 3, 2), 0.5)), "1 inputs but 2 input domains",
+                 id="policy-input-domain-count"),
+    pytest.param(lambda: Mechanism("X", ("A", "A"), (), np.full((2, 2, 2), 0.5)), "sorted and distinct",
+                 id="mechanism-repeated-parent"),
+    pytest.param(lambda: Mechanism("X", (), ("U", "U"), np.full((2, 2, 2), 0.5)), "sorted and distinct",
+                 id="mechanism-repeated-exo"),
+    pytest.param(lambda: Mechanism("X", ("A", "B"), (), np.full(2, 0.5)), "too few axes",
+                 id="mechanism-too-few-axes"),
+    pytest.param(lambda: DiscreteSCM.create(
+        CausalDiagram.create(observed="AB", directed=[("B", "A")]), {"A": 2}, {},
+        [Mechanism("A", ("B",), (), np.full((2, 2), 0.5)), Mechanism("B", (), (), np.full(2, 0.5))]),
+        "node B needs a domain", id="model-missing-parent-domain"),
+])
+def test_constructor_refuses(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_model_constructor_checks_what_create_checks():
+    m = fixtures.scm_fixture("frontdoor_mix")
+    with pytest.raises(ValueError, match="mechanisms must cover exactly the diagram nodes"):
+        DiscreteSCM(m.diagram, m.domains, m.exogenous, m.mechanisms[:-1])
+
+
+# Each type, built from drawn arguments with at most one fault: the valid
+# arguments must be accepted and every fault refused with a ValueError, and
+# a factory must agree with the constructor that gets what it would pass.
+
+NAMES = "ABCDEFG"
+
+
+def _outcome(build) -> str:
+    try:
+        build()
+    except ValueError:
+        return "ValueError"
+    return "ok"
+
+
+def _table(rng, shape, axes=1):
+    """Random table whose last ``axes`` axes hold distributions."""
+    raw = rng.uniform(size=shape) + 1e-9
+    return raw / raw.sum(axis=tuple(range(-axes, 0)), keepdims=True)
+
+
+def _names(rng, count):
+    return tuple(str(v) for v in rng.choice(list(NAMES), count, replace=False))
+
+
+def _value_fault(fault, table, axes=1):
+    """``table`` with the rows (or the whole table, for ``axes`` > 1) of its
+    first index broken, or ``table`` itself for any other fault."""
+    first = table.reshape(table.shape[:table.ndim - axes] + (-1,)).copy()
+    if fault == "rows":
+        first[(0,) * (first.ndim - 1)] *= 0.5
+    elif fault == "nan":
+        first[(0,) * first.ndim] = np.nan
+    elif fault == "negative":
+        first[(0,) * first.ndim] -= 1.0
+        first[(0,) * (first.ndim - 1) + (-1,)] += 1.0
+    else:
+        return table
+    return first.reshape(table.shape)
+
+
+VALUE_FAULTS = ["rows", "nan", "negative"]
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       fault=st.sampled_from([None, "length", "shape", "unsorted", "repeat", *VALUE_FAULTS]))
+def test_joint_table_accepts_exactly_valid_arguments(seed, fault):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 5))
+    variables = tuple(sorted(_names(rng, n)))
+    domains = tuple(int(k) for k in rng.integers(2, 4, n))
+    probs = _value_fault(fault, _table(rng, (2,) * int(rng.integers(0, 2)) + domains, axes=n), axes=n)
+    if fault == "length":
+        domains = domains[:-1] if rng.uniform() < 0.5 else domains + (2,)
+    elif fault == "shape":
+        domains = domains[:-1] + (domains[-1] + 1,)
+    elif fault == "unsorted":
+        variables = variables[::-1]
+    elif fault == "repeat":
+        variables = (variables[0],) + variables[:-1]
+    assert _outcome(lambda: JointTable(variables, domains, probs)) == ("ok" if fault is None else "ValueError")
+
+
+def _policy_constructor_arguments(action, action_domain, probs, inputs, input_domains):
+    """The arguments ``Policy.create`` passes to the constructor: inputs in
+    sorted order with their domains and table axes (where there is one per
+    input), as floats."""
+    order = sorted(range(len(inputs)), key=lambda i: inputs[i])
+    if len(input_domains) == len(inputs):
+        input_domains = tuple(input_domains[i] for i in order)
+    arr = np.ascontiguousarray(probs, dtype=float)
+    if arr.ndim > len(inputs):
+        arr = np.moveaxis(arr, [i - len(inputs) - 1 for i in order], range(-len(inputs) - 1, -1))
+    return action, tuple(inputs[i] for i in order), action_domain, input_domains, arr
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       fault=st.sampled_from([None, "length", "shape", "axes", "repeat", "own-input", *VALUE_FAULTS]))
+def test_policy_create_and_constructor_agree(seed, fault):
+    rng = np.random.default_rng(seed)
+    action, *pool = _names(rng, 4)
+    inputs = pool[:int(rng.integers(1 if fault == "repeat" else 0, 4))]  # in drawn order: create sorts
+    action_domain = int(rng.integers(2, 4))
+    input_domains = [int(k) for k in rng.integers(2, 4, len(inputs))]
+    if fault == "repeat":
+        inputs.append(inputs[0])
+        input_domains.append(input_domains[0])
+    elif fault == "own-input":
+        inputs.append(action)
+        input_domains.append(action_domain)
+    batch = (2,) * int(rng.integers(0, 2))
+    probs = _value_fault(fault, _table(rng, batch + tuple(input_domains) + (action_domain,)))
+    if fault == "length":
+        input_domains = input_domains[:-1] if input_domains and rng.uniform() < 0.5 else input_domains + [2]
+    elif fault == "shape":
+        action_domain += 1
+    elif fault == "axes":
+        probs = probs[(0,) * (len(batch) + 1)] if inputs else probs[..., None]
+    args = (action, action_domain, probs, tuple(inputs), tuple(input_domains))
+    via_create = _outcome(lambda: Policy.create(*args))
+    assert via_create == _outcome(lambda: Policy(*_policy_constructor_arguments(*args)))
+    assert via_create == ("ok" if fault is None else "ValueError")
+
+
+# each fault with the fewest parents and exogenous names it needs
+MECHANISM_FAULTS = {None: (0, 0), "unsorted-parents": (2, 0), "repeat-parent": (1, 0), "unsorted-exo": (0, 2),
+                    "repeat-exo": (0, 1), "axes": (1, 0), "rows": (0, 0), "nan": (0, 0), "negative": (0, 0)}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(list(MECHANISM_FAULTS)))
+def test_mechanism_accepts_exactly_valid_arguments(seed, fault):
+    rng = np.random.default_rng(seed)
+    node, *pool = _names(rng, 4)
+    least_parents, least_exo = MECHANISM_FAULTS[fault]
+    parents = sorted(pool[:int(rng.integers(least_parents, 4))])
+    exo = [f"U{i}" for i in range(int(rng.integers(least_exo, 3)))]
+    if fault == "unsorted-parents":
+        parents.reverse()
+    elif fault == "repeat-parent":
+        parents.append(parents[-1])
+    elif fault == "unsorted-exo":
+        exo.reverse()
+    elif fault == "repeat-exo":
+        exo.append(exo[-1])
+    shape = (2,) * int(rng.integers(0, 2)) + tuple(rng.integers(2, 4, len(parents) + len(exo) + 1))
+    table = _value_fault(fault, _table(rng, shape))
+    if fault == "axes":
+        table = table.reshape(-1, shape[-1])[0]
+    outcome = _outcome(lambda: Mechanism(node, tuple(parents), tuple(exo), table))
+    assert outcome == ("ok" if fault is None else "ValueError")
+
+
+MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "domain-outside", "mechanism-outside",
+                "missing-mechanism", "duplicate-mechanism", "small-domain", "missing-domain", "wrong-parents",
+                "unknown-exo", "exo-clash", "exo-rows", "exo-nan", "table-shape", "mechanism-rows", "unlicensed",
+                "batch"]
+
+
+def _model_arguments(rng, fault):
+    """Diagram, domains, exogenous distributions and mechanism specs of a
+    random model with ``fault`` in it."""
+    d = random_diagram(rng, int(rng.integers(2, 6)), latent_fraction=0.3)
+    a, b = d.nodes[:2]
+    if fault == "cycle":
+        d = CausalDiagram.create(d.observed, d.latent, d.directed | {(a, b), (b, a)}, d.bidirected)
+    elif fault == "unlicensed":
+        d = CausalDiagram.create(d.observed, d.latent, d.directed, d.bidirected - {(a, b)})
+    domains = {v: int(rng.integers(2, 4)) for v in d.nodes}
+    exogenous = {}
+    attached = {v: [] for v in d.nodes}
+    for i, pair in enumerate(sorted(d.bidirected)):
+        exogenous[f"U{i}"] = _table(rng, (int(rng.integers(2, 4)),))
+        for v in pair:
+            attached[v].append(f"U{i}")
+    for v in d.nodes:
+        if rng.uniform() < 0.3:
+            exogenous[f"E{v}"] = _table(rng, (2,))
+            attached[v].append(f"E{v}")
+    if fault == "unlicensed":
+        exogenous["S9"] = _table(rng, (2,))
+        attached[a].append("S9")
+        attached[b].append("S9")
+    batch = (2,) if fault != "batch" and rng.uniform() < 0.3 else ()
+    mechs = {}
+    for v in d.nodes:
+        parents = sorted(d.parents(v))
+        exo = sorted(attached[v])
+        if fault == "wrong-parents" and v == b:
+            parents = parents[1:] if parents else [a]
+        if fault == "unknown-exo" and v == a:
+            exo = sorted(exo + ["Z9"])
+        # the undeclared exogenous Z9 gets two values
+        sizes = [domains[p] for p in parents] + [len(exogenous.get(u, (0, 0))) for u in exo] + [domains[v]]
+        mechs[v] = [v, tuple(parents), tuple(exo), _table(rng, batch + tuple(sizes))]
+    mechs = list(mechs.values())
+    if fault == "undeclared-edge-node":
+        d = CausalDiagram(d.nodes, d.observed, d.directed | {(a, "Q")}, d.bidirected)
+    elif fault == "domain-outside":
+        domains["Q"] = 2
+    elif fault == "mechanism-outside":
+        mechs.append(["Q", (), (), _table(rng, (2,))])
+    elif fault == "missing-mechanism":
+        mechs.pop(int(rng.integers(len(mechs))))
+    elif fault == "duplicate-mechanism":
+        mechs.append(list(mechs[int(rng.integers(len(mechs)))]))
+    elif fault == "small-domain":
+        domains[b] = 1
+    elif fault == "missing-domain":
+        del domains[d.nodes[int(rng.integers(len(d.nodes)))]]
+    elif fault == "exo-clash":
+        exogenous[a] = [0.5, 0.5]
+    elif fault == "exo-rows":
+        exogenous["V9"] = [0.3, 0.3]
+    elif fault == "exo-nan":
+        exogenous["V9"] = [np.nan, 1.0]
+    elif fault == "table-shape":
+        table = mechs[0][3]
+        mechs[0][3] = np.concatenate([table, np.zeros(table.shape[:-1] + (1,))], axis=-1)
+    elif fault == "mechanism-rows":
+        mechs[1][3] = _value_fault("rows", mechs[1][3])
+    elif fault == "batch":
+        mechs[0][3] = np.stack([mechs[0][3]] * 2)
+        mechs[1][3] = np.stack([mechs[1][3]] * 3)
+    return d, domains, exogenous, mechs
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(MODEL_FAULTS))
+def test_model_create_and_constructor_agree(seed, fault):
+    d, domains, exogenous, mechs = _model_arguments(np.random.default_rng(seed), fault)
+
+    def via_constructor():
+        exo = tuple((name, np.ascontiguousarray(p, dtype=float)) for name, p in sorted(exogenous.items()))
+        mechanisms = tuple(sorted((Mechanism(*m) for m in mechs), key=lambda m: m.node))
+        return DiscreteSCM(d, tuple(sorted(domains.items())), exo, mechanisms)
+
+    via_create = _outcome(lambda: DiscreteSCM.create(d, domains, exogenous, [Mechanism(*m) for m in mechs]))
+    assert via_create == _outcome(via_constructor)
+    assert via_create == ("ok" if fault is None else "ValueError")
