@@ -8,14 +8,20 @@ to the behavior-cloning conditional (a deterministic, behaviorally
 plausible tie-break).  Where the matching and simplex rows are
 rank-deficient only up to rounding, "residual-optimal" and "closest" hold
 only up to HiGHS's feasibility tolerance: read exactly, the float data
-may describe another polytope.  The tie-break LP is skipped when the
-system is matched exactly and its matching rows over the simplex rows have
-full column rank: then no other policy fits, and that LP could only return
-the policy already found.  A batch of tables is solved in one call: the linear
-systems, cloning references and rank tests are array operations over the
-batch, and only the LPs run one table at a time, each on the batch's one
-matching system and through ``linprog``: a dense matrix, row bounds with
-the inequality rows first, and column upper bounds.
+may describe another polytope.
+
+A system is pinned when its matching rows over the simplex rows have full
+column rank: then at most one policy fits it exactly, and that policy is
+the rows' least-squares solution (Golub & Van Loan, Matrix Computations,
+ch. 5).  Where that solution lies in the box and fits to 1e-9, it is the
+answer and no LP runs; HiGHS runs only on the systems it does not settle.
+On those, the tie-break LP is still skipped when the system is pinned and
+the residual LP matches it to 1e-9: that LP could only return the policy
+already found.  A batch of tables is solved in one call: the linear
+systems, cloning references, rank tests and least-squares solutions are
+array operations over the batch, and only the LPs run one table at a time,
+each on the batch's one matching system and through ``linprog``: a dense
+matrix, row bounds with the inequality rows first, and column upper bounds.
 """
 from __future__ import annotations
 
@@ -311,9 +317,12 @@ def solve_policy(
     simplex rows are rank-deficient only up to rounding, this holds only up
     to HiGHS's feasibility tolerance.
 
-    A batched table gives a list of these pairs, one per table.  The
-    systems, the cloning references and the rank tests are array operations
-    over the batch; only the LPs run one table at a time."""
+    A pinned system, one that at most one policy fits exactly, is solved in
+    closed form from the SVD of its policy columns; HiGHS runs only on the
+    systems that closed form does not settle.  A batched table gives a list
+    of these pairs, one per table.  The systems, the cloning references and
+    the SVDs are array operations over the batch; only the LPs run one
+    table at a time."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     n_pi = n_pa * k
@@ -321,25 +330,42 @@ def solve_policy(
     m, b = _matching_system(a2, t.reshape(-1, n_s), n_pa, k)
     undefined = np.isnan(a2).any(axis=(1, 2))
     refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(len(a2), -1)
-    # the policy columns of the matching rows over the simplex rows: at full
-    # column rank, no two policies fit the system exactly.  An undefined
-    # system is zeroed: one NaN fails the SVD of the whole stack.
-    pinned = np.linalg.matrix_rank(np.where(undefined[:, None, None], 0.0, m[:, :, :n_pi])) == n_pi
-    pairs = [(None, None) if nan else _solve_system(a, system, rhs, ref, unique, ph, in_doms, k, tolerance)
-             for a, system, rhs, ref, unique, nan in zip(a2, m, b, refs, pinned, undefined)]
+    # one SVD of the policy columns of the matching rows over the simplex
+    # rows gives their rank, with matrix_rank's threshold: at full column
+    # rank, no two policies fit the system exactly.  It also gives the
+    # least-squares solution V diag(1/s) U^T [t; 1], the only candidate on
+    # such a system.  An undefined system is zeroed: one NaN fails the SVD
+    # of the whole stack.
+    u, s, vt = np.linalg.svd(np.where(undefined[:, None, None], 0.0, m[:, :, :n_pi]), full_matrices=False)
+    kept = s > s.max(axis=-1, keepdims=True) * max(m.shape[1], n_pi) * np.finfo(s.dtype).eps
+    pinned = kept.sum(axis=-1) == n_pi
+    scaled = np.divide(np.einsum("nij,ni->nj", u, b), s, out=np.zeros_like(s), where=kept)
+    closed = np.einsum("nji,nj->ni", vt, scaled)
+    pairs = [(None, None) if nan else _solve_system(a, system, rhs, ref, unique, x, ph, in_doms, k, tolerance)
+             for a, system, rhs, ref, unique, x, nan in zip(a2, m, b, refs, pinned, closed, undefined)]
     return pairs if observational.batch else pairs[0]
 
 
 def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, pinned: bool,
-                  ph: PolicyFactor, in_doms: tuple[int, ...], k: int,
+                  closed: np.ndarray, ph: PolicyFactor, in_doms: tuple[int, ...], k: int,
                   tolerance: float) -> tuple[Policy | None, float]:
     """``solve_policy`` for one system A pi = t (``a2``, and ``m``, ``b`` from
-    ``_matching_system``), with ``ref`` the cloning policy and ``pinned``
-    whether at most one policy fits exactly."""
+    ``_matching_system``), with ``ref`` the cloning policy, ``pinned``
+    whether at most one policy fits exactly and ``closed`` the
+    least-squares solution of the matching and simplex rows."""
     n_pi, t = a2.shape[1], b[:len(a2)]
 
     def exact_residual(policy: Policy) -> float:
         return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
+
+    if pinned and ((closed >= -1e-12) & (closed <= 1 + 1e-12)).all():
+        # the only policy that could fit exactly: where it does, it is the
+        # residual LP's solution and the tie-break skip's answer.  Cells
+        # within rounding of 0 are put at 0, where the LP's vertex has them.
+        best = _as_policy(np.where(closed <= 1e-12, 0.0, closed), ph, in_doms, k)
+        best_res = exact_residual(best)
+        if best_res <= min(tolerance, 1e-9):
+            return best, best_res
 
     raw, objective = _lp_min_residual(m, b, n_pi)
     best = _as_policy(raw, ph, in_doms, k)

@@ -284,6 +284,8 @@ class DiscreteSCM:
 
     def __post_init__(self):
         require_valid(self.diagram)
+        if not all(_increasing([name for name, _ in pairs]) for pairs in (self.domains, self.exogenous)):
+            raise ValueError("domains and exogenous must be sorted by distinct name")
         dom = dict(self.domains)
         outside = set(dom) - set(self.diagram.nodes)
         if outside:

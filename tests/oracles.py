@@ -9,7 +9,8 @@ enumerators by filtering all subsets, and surrogates and instruments from
 the paper's definitions.  ``do`` builds an atomic intervention from the
 library's policy intervention.  The frontdoor study is checked against a
 loop over its instances, one library call per instance, and the policy
-solve against the solve that always runs the tie-break LP.
+solve against the solve by linear programming alone, with and without the
+tie-break LP's skip.
 """
 from __future__ import annotations
 
@@ -327,32 +328,45 @@ def random_diagram(rng: np.random.Generator, n_nodes: int, p_dir=0.35, p_bi=0.2,
     )
 
 
-def solve_policy_with_tiebreak(formula, observational: JointTable, surrogate, tolerance: float):
-    """``imitate.solve_policy`` on one table as it was before it learned to
-    skip the tie-break LP: every feasible system runs that LP, also when
-    the exact system admits one policy only."""
+def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance: float, skip: bool = True):
+    """``imitate.solve_policy`` by linear programming alone, as it was before
+    it solved pinned systems in closed form: the residual LP, then the
+    tie-break LP.  With ``skip``, the tie-break LP is skipped where the
+    residual LP matches the system to 1e-9 and the matching and simplex rows
+    have full column rank by ``np.linalg.matrix_rank``; without it, every
+    feasible system runs that LP, also when the exact system admits one
+    policy only.  A batched table gives a list of pairs, one per table; a
+    table on which the formula divides by an empty cell gives ``(None, None)``."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
-    n_s, n_pa = len(t), coeff.shape[1]
-    a2 = coeff.reshape(n_s, n_pa * k)
-    m, b = _matching_system(a2, t, n_pa, k)
+    n_s, n_pa = t.shape[-1], coeff.shape[-2]
+    n_pi = n_pa * k
+    refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(-1, n_pi)
 
-    def exact_residual(policy: Policy) -> float:
-        return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
+    def solve(a2, t, ref):
+        m, b = _matching_system(a2, t, n_pa, k)
 
-    raw, objective = _lp_min_residual(m, b, n_pa * k)
-    best = _as_policy(raw, ph, in_doms, k)
-    best_res = exact_residual(best)
-    if best_res > tolerance:
-        return None, best_res
-    ref = np.asarray(conditional_policy(observational, ph.action, ph.inputs).probs).reshape(-1)
-    cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
-    raw2 = _lp_closest(m, b, n_pa * k, ref, cap)
-    if raw2 is not None:
-        cand = _as_policy(raw2, ph, in_doms, k)
-        cand_res = exact_residual(cand)
-        if cand_res <= max(tolerance, best_res):
-            return cand, cand_res
-    return best, best_res
+        def exact_residual(policy: Policy) -> float:
+            return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
+
+        raw, objective = _lp_min_residual(m, b, n_pi)
+        best = _as_policy(raw, ph, in_doms, k)
+        best_res = exact_residual(best)
+        if best_res > tolerance:
+            return None, best_res
+        if skip and best_res <= 1e-9 and np.linalg.matrix_rank(m[:, :n_pi]) == n_pi:
+            return best, best_res
+        cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
+        raw2 = _lp_closest(m, b, n_pi, ref, cap)
+        if raw2 is not None:
+            cand = _as_policy(raw2, ph, in_doms, k)
+            cand_res = exact_residual(cand)
+            if cand_res <= max(tolerance, best_res):
+                return cand, cand_res
+        return best, best_res
+
+    pairs = [(None, None) if np.isnan(a2).any() else solve(a2, t1, ref)
+             for a2, t1, ref in zip(coeff.reshape(-1, n_s, n_pi), t.reshape(-1, n_s), refs)]
+    return pairs if observational.batch else pairs[0]
 
 
 def frontdoor_instance(formula, surrogate, base_seed: int, index: int, samples: int):

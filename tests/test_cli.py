@@ -396,6 +396,26 @@ def test_commands_import_only_what_they_use(argv, loaded):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
 
 
+def test_imitate_on_a_pinned_pair_loads_no_highs():
+    # `python -m causal_imitation.cli imitate` on the mix pair, run as -m
+    # runs it: the pair's system is pinned and its closed form fits, so
+    # HiGHS's binding is never loaded
+    argv = ["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix"]
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['causal_imitation.cli', *{argv!r}]\n"
+        "try:\n"
+        "    runpy.run_module('causal_imitation.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(json.dumps([exc.code, 'scipy.optimize._highspy._core' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("status p-imitable\n")
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("node A obs\nnode A obs\n")

@@ -86,7 +86,7 @@ def _action_blind_frontdoor():
 
 @pytest.mark.parametrize("seed, lps", [
     (0, 1),  # infeasible: the residual LP alone
-    (4, 1),  # the exact system pins the policy: no tie-break LP
+    (4, 0),  # the exact system pins the policy: its closed form, no LP
     pytest.param(None, 2, id="action_blind-2"),  # feasible, not pinned: the tie-break LP too
 ])
 def test_lps_go_through_module_linprog(monkeypatch, seed, lps):
@@ -117,28 +117,50 @@ def test_sampled_table_off_the_exact_fit_keeps_the_tie_break_lp(monkeypatch):
     raise AssertionError("no sampled table fits within its tolerance but not exactly")
 
 
+def _closed_form_fits(formula, table, surrogate) -> bool:
+    """Whether the least-squares solution of the matching and simplex rows,
+    from ``np.linalg.pinv``, lies in [0, 1] up to 1e-12 and fits the
+    system to 1e-9: the systems whose policy needs no LP."""
+    m, b, n_pi, _ph, _in_doms, k = _lp_system(formula, table, surrogate)
+    n_s = len(b) - n_pi // k
+    x = np.linalg.pinv(m[:, :n_pi]) @ b
+    if not ((x >= -1e-12) & (x <= 1 + 1e-12)).all():
+        return False
+    rows = np.clip(x, 0.0, None).reshape(-1, k)
+    policy = (rows / rows.sum(axis=1, keepdims=True)).reshape(-1)
+    return np.abs(m[:n_s, :n_pi] @ policy - b[:n_s]).sum() <= 1e-9
+
+
 def test_study_solves_one_lp_per_exact_instance(monkeypatch):
-    # every exact frontdoor system has full column rank, so the study runs
-    # the residual LP and never the tie-break LP
-    from causal_imitation.experiments import frontdoor_study
+    # every exact frontdoor system has full column rank: an instance whose
+    # closed form fits needs no LP, and each other one runs the residual LP
+    # and never the tie-break LP
+    from causal_imitation.experiments import frontdoor_instrument, frontdoor_study
 
-    assert len(_capture_lps(monkeypatch, lambda: frontdoor_study(200))) == 200
+    formula, surrogate = frontdoor_instrument()
+    turned_down = sum(not _closed_form_fits(formula, observational(random_frontdoor(
+        np.random.SeedSequence(entropy=0, spawn_key=(i,)))), surrogate) for i in range(200))
+    lps = _capture_lps(monkeypatch, lambda: frontdoor_study(200))
+    assert 50 < turned_down < 150
+    assert len(lps) == turned_down
+    assert all(np.isfinite(inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments["row_lower"]).all()
+               for args, kwargs in lps)  # no -inf row: no tie-break LP
 
 
-def test_pipeline_on_the_mix_fixture_solves_one_lp(monkeypatch):
+def test_pipeline_on_the_mix_fixture_solves_no_lp(monkeypatch):
     case = fixtures.diagram_fixture("frontdoor_observed")
     table = observational(fixtures.scm_fixture("frontdoor_mix"))
     result = []
     lps = _capture_lps(monkeypatch, lambda: result.append(
         imitate_pipeline(case.diagram, case.space, table, case.reward)))
-    assert result[0].status == "p-imitable" and len(lps) == 1
+    assert result[0].status == "p-imitable" and len(lps) == 0
 
 
 def test_tie_break_skip_returns_the_tie_break_policy():
     # where the skip applies, the tie-break LP's feasible set is one policy:
     # the solve with the skip and the solve without it agree to 1e-12
     from causal_imitation.experiments import frontdoor_instrument
-    from oracles import solve_policy_with_tiebreak
+    from oracles import solve_policy_by_lp
 
     def same(got, want):
         (policy, residual), (want_policy, want_residual) = got, want
@@ -152,8 +174,9 @@ def test_tie_break_skip_returns_the_tie_break_policy():
     tables = [observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
               for i in range(1000)]
     batch = JointTable(tables[0].variables, tables[0].domains, np.stack([t.probs for t in tables]))
-    solved = sum(same(got, solve_policy_with_tiebreak(formula, table, surrogate, 1e-9))
-                 for got, table in zip(solve_policy(formula, batch, surrogate, 1e-9), tables, strict=True))
+    solved = sum(same(got, want) for got, want in zip(solve_policy(formula, batch, surrogate, 1e-9),
+                                                      solve_policy_by_lp(formula, batch, surrogate, 1e-9, skip=False),
+                                                      strict=True))
     assert solved > 400
     checked = 0
     for diagram, space, reward, obs in _fixture_instrument_cases():
@@ -162,9 +185,81 @@ def test_tie_break_skip_returns_the_tie_break_policy():
             if got == (None, None):
                 # the formula divides by an empty cell: there is no system to solve
                 continue
-            same(got, solve_policy_with_tiebreak(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE))
+            same(got, solve_policy_by_lp(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE, skip=False))
             checked += 1
     assert checked >= 10
+
+
+def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
+    """``solve_policy``'s pairs on a table (batched or not), each with the
+    number of LPs its system ran, or ``None`` where the system is undefined."""
+    solve_system, linprog, counts = imitate._solve_system, imitate.linprog, []
+
+    def record_system(*args):
+        counts.append(0)
+        return solve_system(*args)
+
+    def record_lp(*args, **kwargs):
+        counts[-1] += 1
+        return linprog(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(imitate, "_solve_system", record_system)
+        patch.setattr(imitate, "linprog", record_lp)
+        pairs = solve_policy(formula, table, surrogate, tolerance)
+    lps = iter(counts)
+    return [(pair, None if pair == (None, None) else next(lps))
+            for pair in (pairs if table.batch else [pairs])]
+
+
+def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
+    # a system solved without an LP took the closed form: where the LP
+    # matches it to 1e-9, the two policies agree to 1e-12 and give the same
+    # verdict, and elsewhere the closed form fits better than the LP.  The
+    # systems: the bundled pairs' and a 2000-instance study's, exact and at
+    # 100000 samples.  A bundled pair's system that ran an LP also gets the
+    # LP path's answer bit for bit.
+    from causal_imitation.experiments import frontdoor_instrument
+    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
+    from oracles import solve_policy_by_lp
+
+    def check(formula, table, surrogate, tolerance, lp_path=False):
+        """The number of the table's systems (one per table of a batch)
+        solved in closed form, each checked; with ``lp_path``, the systems
+        that ran an LP are checked too."""
+        got = _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance)
+        picked = [i for i, (_, lps) in enumerate(got) if lps == 0 or lps and lp_path]
+        if not picked:
+            return 0
+        probs = np.reshape(table.probs, (-1,) + table.domains)[picked]
+        wants = solve_policy_by_lp(formula, JointTable(table.variables, table.domains, probs), surrogate, tolerance)
+        for i, (want_policy, want_residual) in zip(picked, wants, strict=True):
+            (policy, residual), lps = got[i]
+            if lps > 0:
+                assert (policy is None) == (want_policy is None) and residual == want_residual
+                assert policy is None or np.array_equal(policy.probs, want_policy.probs)
+                continue
+            assert policy is not None and residual <= 1e-9
+            if want_residual <= 1e-9:
+                assert want_policy is not None
+                assert np.abs(np.asarray(policy.probs) - np.asarray(want_policy.probs)).max() <= 1e-12
+            else:
+                assert residual < want_residual
+        return sum(got[i][1] == 0 for i in picked)
+
+    closed = 0
+    for diagram, space, reward, obs in _fixture_instrument_cases(range(20)):
+        for surrogate, formula in _policy_instruments(diagram, space, reward):
+            closed += check(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE, lp_path=True)
+    assert closed >= 100
+    # the study's 2000 models, drawn and stacked as its batches do
+    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(2000)]
+    models = _frontdoor_model(*(np.stack(column) for column in zip(*draws)))
+    formula, surrogate = frontdoor_instrument()
+    assert check(formula, observational(models), surrogate, 1e-9) > 800
+    seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(2000)]
+    sampled = empirical_observational(models, 100_000, seeds)
+    assert check(formula, sampled, surrogate, imitate._sampled_tolerance(100_000)) > 800
 
 
 def test_point_mass_solution_for_mix_fixture():
@@ -283,14 +378,16 @@ def _random_instrument_cases():
         yield d, space, reward, observational(random_scm(d, seed=trial))
 
 
-def _fixture_instrument_cases():
+def _fixture_instrument_cases(seeds=(0,)):
     """(diagram, space, reward, table) for every bundled pair whose model
-    observes the diagram's nodes, with the exact and a 1000-sample table."""
+    observes the diagram's nodes, with the exact table and a 1000-sample
+    table per seed."""
     for name in fixtures.diagram_names():
         case = fixtures.diagram_fixture(name)
         for model in fixtures.scm_names():
             scm = fixtures.scm_fixture(model)
-            for obs in (observational(scm), empirical_observational(scm, 1000, np.random.SeedSequence(0))):
+            sampled = [empirical_observational(scm, 1000, np.random.SeedSequence(seed)) for seed in seeds]
+            for obs in [observational(scm), *sampled]:
                 if case.diagram.observed <= set(obs.variables):
                     yield case.diagram, case.space, case.reward, obs
 
@@ -450,8 +547,8 @@ def _oracle_outcome(args, kwargs):
 def _study_lps(monkeypatch):
     from causal_imitation.experiments import frontdoor_study
 
-    return (_capture_lps(monkeypatch, lambda: frontdoor_study(60))
-            + _capture_lps(monkeypatch, lambda: frontdoor_study(60, samples=100_000)))
+    return (_capture_lps(monkeypatch, lambda: frontdoor_study(100))
+            + _capture_lps(monkeypatch, lambda: frontdoor_study(100, samples=100_000)))
 
 
 def _instrument_lps(monkeypatch, cases):
@@ -479,11 +576,13 @@ def _infeasible_tie_break_lp(monkeypatch):
 def _lp_groups(monkeypatch) -> dict:
     """The LPs the package builds: the frontdoor study's (exact and sampled),
     the instruments' of random models and of every bundled pair, and an
-    infeasible tie-break LP."""
+    infeasible tie-break LP.  The bundled pairs' exact systems and most of
+    their sampled ones take the closed form, so the pairs are sampled
+    under 20 seeds."""
     return {
         "study": _study_lps(monkeypatch),
         "random": _instrument_lps(monkeypatch, list(_random_instrument_cases())),
-        "fixtures": _instrument_lps(monkeypatch, list(_fixture_instrument_cases())),
+        "fixtures": _instrument_lps(monkeypatch, list(_fixture_instrument_cases(range(20)))),
         "infeasible": [_infeasible_tie_break_lp(monkeypatch)],
     }
 
@@ -602,7 +701,7 @@ def record(*args, **kwargs):
     return res
 
 imitate.linprog = record
-frontdoor_study(20)
+frontdoor_study(60)
 case = fixtures.diagram_fixture("frontdoor_observed")
 # at 100000 samples this pair's table is matched within its tolerance, not
 # exactly, so the tie-break LP runs too
@@ -817,6 +916,17 @@ def test_study_reports_an_empty_cell_instance_as_unsolved():
             if not line.startswith("#")]
     unsolved = {int(index) for index, _flag, l1_ci, _l1_bc in rows if l1_ci == "-"}
     assert {2, 4} <= unsolved and len(unsolved) < 7
+
+
+def test_study_solves_the_pinned_instance_highs_misses():
+    # instance 19256 of the seed-0 study: HiGHS returns the vertex x = [1, 0]
+    # with objective -6.3e-8, whose exact residual 6.3e-8 is above 1e-9;
+    # the system's unique solution, near [1 - 1.06e-5, 1.06e-5], lies in the
+    # box and fits to rounding, so the instance is p-imitable
+    from causal_imitation.experiments import _frontdoor_batch
+
+    [(flag, l1_ci, _l1_bc)] = _frontdoor_batch((0, 19256, 19257, 0))
+    assert flag and l1_ci is not None and l1_ci <= 1e-9
 
 
 # ------------------------------------------------------------- pipeline

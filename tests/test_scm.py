@@ -318,6 +318,9 @@ def test_intervene_rejects_bad_domain():
         CausalDiagram.create(observed="AB", directed=[("B", "A")]), {"A": 2}, {},
         [Mechanism("A", ("B",), (), np.full((2, 2), 0.5)), Mechanism("B", (), (), np.full(2, 0.5))]),
         "node B needs a domain", id="model-missing-parent-domain"),
+    pytest.param(lambda: DiscreteSCM(
+        CausalDiagram.create(observed="A"), (("A", 2),), (("U", np.full(2, 0.5)), ("U", np.array([0.1, 0.9]))),
+        (Mechanism("A", (), ("U",), np.eye(2)),)), "sorted by distinct name", id="model-repeated-exo"),
 ])
 def test_constructor_refuses(build, message):
     with pytest.raises(ValueError, match=message):
@@ -465,10 +468,12 @@ def test_mechanism_accepts_exactly_valid_arguments(seed, fault):
     assert outcome == ("ok" if fault is None else "ValueError")
 
 
+# faults that create's mappings cannot hold: only the constructor gets them
+CONSTRUCTOR_FAULTS = ["unsorted-domains", "repeat-domain", "unsorted-exo", "repeat-exo"]
 MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "domain-outside", "mechanism-outside",
                 "missing-mechanism", "duplicate-mechanism", "small-domain", "missing-domain", "wrong-parents",
                 "unknown-exo", "exo-clash", "exo-rows", "exo-nan", "table-shape", "mechanism-rows", "unlicensed",
-                "batch"]
+                "batch", *CONSTRUCTOR_FAULTS]
 
 
 def _model_arguments(rng, fault):
@@ -536,6 +541,9 @@ def _model_arguments(rng, fault):
     elif fault == "batch":
         mechs[0][3] = np.stack([mechs[0][3]] * 2)
         mechs[1][3] = np.stack([mechs[1][3]] * 3)
+    elif fault in ("unsorted-exo", "repeat-exo"):
+        # two unused entries: names to reorder or repeat in every draw
+        exogenous["V8"] = exogenous["V9"] = _table(rng, (2,))
     return d, domains, exogenous, mechs
 
 
@@ -547,8 +555,18 @@ def test_model_create_and_constructor_agree(seed, fault):
     def via_constructor():
         exo = tuple((name, np.ascontiguousarray(p, dtype=float)) for name, p in sorted(exogenous.items()))
         mechanisms = tuple(sorted((Mechanism(*m) for m in mechs), key=lambda m: m.node))
-        return DiscreteSCM(d, tuple(sorted(domains.items())), exo, mechanisms)
+        domain_pairs = tuple(sorted(domains.items()))
+        if fault == "unsorted-domains":
+            domain_pairs = domain_pairs[::-1]
+        elif fault == "repeat-domain":
+            domain_pairs += domain_pairs[-1:]
+        elif fault == "unsorted-exo":
+            exo = exo[::-1]
+        elif fault == "repeat-exo":
+            exo += exo[-1:]
+        return DiscreteSCM(d, domain_pairs, exo, mechanisms)
 
-    via_create = _outcome(lambda: DiscreteSCM.create(d, domains, exogenous, [Mechanism(*m) for m in mechs]))
-    assert via_create == _outcome(via_constructor)
-    assert via_create == ("ok" if fault is None else "ValueError")
+    outcome = _outcome(via_constructor)
+    if fault not in CONSTRUCTOR_FAULTS:
+        assert _outcome(lambda: DiscreteSCM.create(d, domains, exogenous, [Mechanism(*m) for m in mechs])) == outcome
+    assert outcome == ("ok" if fault is None else "ValueError")
