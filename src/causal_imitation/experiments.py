@@ -33,6 +33,7 @@ from .scm import (
 import numpy as np
 
 from . import fixtures
+from .diagram import CausalDiagram
 from .enumerators import instruments
 from .identify import IdFormula
 from .imitate import _l1_to_expert, _sampled_tolerance, solve_policy
@@ -45,13 +46,13 @@ _CHUNK = 1024
 
 
 @lru_cache(maxsize=1)
-def frontdoor_instrument() -> tuple[IdFormula, frozenset[str]]:
+def frontdoor_instrument() -> tuple[IdFormula, frozenset[str], CausalDiagram]:
     """Formula and surrogate of the first instrument the search finds for
-    the latent-reward mediator chain; every instance of the study uses it.
-    The search runs once per process."""
+    the latent-reward mediator chain, and its diagram: the parse and the
+    search run once per process, for every instance of the study."""
     case = fixtures.diagram_fixture("frontdoor_latent")
     for _subspace, surrogate, formula in instruments(case.diagram, case.space, case.reward):
-        return formula, surrogate
+        return formula, surrogate, case.diagram
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
@@ -61,7 +62,7 @@ def _frontdoor_batch(args: tuple[int, int, int, int]) -> list[tuple[bool, float 
     unsolved) and of behavior cloning, computed as one batch.  A table on
     which the formula divides by an empty cell is unsolved."""
     base_seed, start, stop, samples = args
-    formula, surrogate = frontdoor_instrument()
+    formula, surrogate, diagram = frontdoor_instrument()
     indices = range(start, stop)
     n = len(indices)
     draws = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2)), np.empty((n, 2))
@@ -69,7 +70,7 @@ def _frontdoor_batch(args: tuple[int, int, int, int]) -> list[tuple[bool, float 
         drawn = _frontdoor_draw(np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)))
         for column, value in zip(draws, drawn):
             column[j] = value
-    models = _frontdoor_model(*draws)
+    models = _frontdoor_model(*draws, diagram)
     # one exact joint gives the observed tables and the expert's reward
     full = joint(models)
     exact = full.marginal(models.diagram.observed)

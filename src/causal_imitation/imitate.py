@@ -10,18 +10,24 @@ rank-deficient only up to rounding, "residual-optimal" and "closest" hold
 only up to HiGHS's feasibility tolerance: read exactly, the float data
 may describe another polytope.
 
+Each system takes one of three paths, and HiGHS runs only on the third.
 A system is pinned when its matching rows over the simplex rows have full
 column rank: then at most one policy fits it exactly, and that policy is
 the rows' least-squares solution (Golub & Van Loan, Matrix Computations,
-ch. 5).  Where that solution lies in the box and fits to 1e-9, it is the
-answer and no LP runs; HiGHS runs only on the systems it does not settle.
-On those, the tie-break LP is still skipped when the system is pinned and
-the residual LP matches it to 1e-9: that LP could only return the policy
-already found.  A batch of tables is solved in one call: the linear
-systems, cloning references, rank tests and least-squares solutions are
-array operations over the batch, and only the LPs run one table at a time,
-each on the batch's one matching system and through ``linprog``: a dense
-matrix, row bounds with the inequality rows first, and column upper bounds.
+ch. 5).  First, where that solution lies in the box and fits to 1e-9, it
+is the answer.  Second, a duality certificate clips the solution into the
+box: where weak LP duality bounds every policy's residual from below by
+more than the tolerance, and the clipped policy's residual meets that
+bound to 1e-9, no policy fits and that residual is the LP's optimum
+(Boyd & Vandenberghe, Convex Optimization, sec. 5.2).  Third, every other
+system runs the residual LP, and the tie-break LP unless the system is
+pinned and the residual LP matches it to 1e-9: that LP could only return
+the policy already found.  A batch of tables is solved in one call: the
+linear systems, cloning references, rank tests, least-squares solutions
+and certificates are array operations over the batch, and only the LPs
+run one table at a time, each on the batch's one matching system and
+through ``linprog``: a dense matrix, row bounds with the inequality rows
+first, and column upper bounds.
 """
 from __future__ import annotations
 
@@ -317,17 +323,20 @@ def solve_policy(
     simplex rows are rank-deficient only up to rounding, this holds only up
     to HiGHS's feasibility tolerance.
 
-    A pinned system, one that at most one policy fits exactly, is solved in
-    closed form from the SVD of its policy columns; HiGHS runs only on the
-    systems that closed form does not settle.  A batched table gives a list
-    of these pairs, one per table.  The systems, the cloning references and
-    the SVDs are array operations over the batch; only the LPs run one
-    table at a time."""
+    Three paths, in order: a pinned system, one that at most one policy
+    fits exactly, whose least-squares solution from the SVD of its policy
+    columns lies in the box and fits, gets that solution; a system whose
+    duality certificate (``_certificate``) proves every policy's residual
+    above the tolerance gets ``(None, residual)``; HiGHS runs only on the
+    rest.  A batched table gives a list of these pairs, one per table.  The
+    systems, the cloning references, the SVDs and the certificates are
+    array operations over the batch; only the LPs run one table at a
+    time."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     n_pi = n_pa * k
-    a2 = coeff.reshape(-1, n_s, n_pi)
-    m, b = _matching_system(a2, t.reshape(-1, n_s), n_pa, k)
+    a2, t2 = coeff.reshape(-1, n_s, n_pi), t.reshape(-1, n_s)
+    m, b = _matching_system(a2, t2, n_pa, k)
     undefined = np.isnan(a2).any(axis=(1, 2))
     refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(len(a2), -1)
     # one SVD of the policy columns of the matching rows over the simplex
@@ -341,9 +350,35 @@ def solve_policy(
     pinned = kept.sum(axis=-1) == n_pi
     scaled = np.divide(np.einsum("nij,ni->nj", u, b), s, out=np.zeros_like(s), where=kept)
     closed = np.einsum("nji,nj->ni", vt, scaled)
-    pairs = [(None, None) if nan else _solve_system(a, system, rhs, ref, unique, x, ph, in_doms, k, tolerance)
-             for a, system, rhs, ref, unique, x, nan in zip(a2, m, b, refs, pinned, closed, undefined)]
+    # where the duality bounds meet to 1e-9 above the tolerance, no policy
+    # fits and upper is the residual LP's optimum: no LP runs
+    lower, upper = _certificate(a2, t2, closed, k)
+    settled = ~undefined & (lower > tolerance) & (upper - lower <= 1e-9)
+    pairs = [(None, None) if nan else (None, float(res)) if sure
+             else _solve_system(a, system, rhs, ref, unique, x, ph, in_doms, k, tolerance)
+             for a, system, rhs, ref, unique, x, nan, sure, res
+             in zip(a2, m, b, refs, pinned, closed, undefined, settled, upper)]
     return pairs if observational.batch else pairs[0]
+
+
+def _certificate(a2: np.ndarray, t: np.ndarray, closed: np.ndarray, k: int):
+    """Bounds ``(lower, upper)`` on the least L1 residual |A pi - t|_1 over
+    the policies pi, one pair per system of the stack A = ``a2``.
+
+    ``upper`` is the exact residual of the policy ``_as_policy`` builds from
+    ``closed`` clipped to [0, 1]; a row clipped to all zeros is uniform.
+    ``lower`` is weak LP duality's bound for y = sign(A pi - t) at that
+    policy: any policy pi' has |A pi' - t|_1 >= y^T (A pi' - t) >=
+    sum_pa min_x (A^T y)[pa, x] - y^T t (Boyd & Vandenberghe, Convex
+    Optimization, sec. 5.2).  The two meet where the policy puts its mass
+    only on the cells that minimize A^T y in each row."""
+    clipped = np.clip(closed, 0.0, 1.0).reshape(len(a2), -1, k)
+    sums = clipped.sum(axis=-1, keepdims=True)
+    policy = np.divide(clipped, sums, out=np.full_like(clipped, 1.0 / k), where=sums > 0)
+    gaps = (a2 @ policy.reshape(len(a2), -1, 1))[..., 0] - t
+    y = np.sign(gaps)
+    dual = np.einsum("ns,nsi->ni", y, a2).reshape(clipped.shape).min(axis=-1).sum(axis=-1)
+    return dual - np.einsum("ns,ns->n", y, t), np.abs(gaps).sum(axis=-1)
 
 
 def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, pinned: bool,

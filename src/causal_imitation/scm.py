@@ -452,7 +452,7 @@ def random_frontdoor(seed) -> DiscreteSCM:
     The confounder is realized by a shared exogenous variable carrying the
     action's value, so the observational joint factorizes exactly as drawn.
     """
-    return _frontdoor_model(*_frontdoor_draw(seed))
+    return _frontdoor_model(*_frontdoor_draw(seed), fixtures.diagram_fixture("frontdoor_latent").diagram)
 
 
 def _frontdoor_draw(seed) -> tuple[np.ndarray, ...]:
@@ -462,9 +462,9 @@ def _frontdoor_draw(seed) -> tuple[np.ndarray, ...]:
     return np.asarray(rng.uniform()), rng.uniform(size=2), rng.uniform(size=(2, 2)), rng.uniform(size=2)
 
 
-def _frontdoor_model(p_x, p_w, p_s, p_y) -> DiscreteSCM:
-    """The mediator-chain model with the drawn parameters; leading axes
-    shared by all four make a batch of models."""
+def _frontdoor_model(p_x, p_w, p_s, p_y, diagram: CausalDiagram) -> DiscreteSCM:
+    """The mediator-chain model on the ``frontdoor_latent`` ``diagram`` with
+    the drawn parameters; leading axes shared by all four make a batch of models."""
 
     def bern(p):
         return np.stack([1.0 - p, p], axis=-1)
@@ -478,7 +478,7 @@ def _frontdoor_model(p_x, p_w, p_s, p_y) -> DiscreteSCM:
         Mechanism("Y", ("S",), (), bern(p_y)),
     ]
     return DiscreteSCM.create(
-        fixtures.diagram_fixture("frontdoor_latent").diagram,
+        diagram,
         domains={"X": 2, "W": 2, "S": 2, "Y": 2},
         exogenous={"U": bern(p_x)},
         mechanisms=mechs,

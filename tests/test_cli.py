@@ -416,6 +416,23 @@ def test_imitate_on_a_pinned_pair_loads_no_highs():
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, False]
 
 
+def test_exact_frontdoor_study_loads_no_highs():
+    # every exact frontdoor system is pinned: the closed form settles those
+    # whose solution fits in the box, the duality certificate those whose
+    # solution lies outside it, so the study never loads HiGHS's binding
+    code = (
+        "import json, sys\n"
+        "from causal_imitation.experiments import frontdoor_study\n"
+        "flags = {line.split()[1] for line in frontdoor_study(200).splitlines() if not line.startswith('#')}\n"
+        "print(json.dumps([sorted(flags), 'scipy.optimize._highspy._core' in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # both verdicts occur: the study has instances of either kind
+    assert json.loads(proc.stdout) == [["0", "1"], False]
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("node A obs\nnode A obs\n")

@@ -85,7 +85,7 @@ def _action_blind_frontdoor():
 
 
 @pytest.mark.parametrize("seed, lps", [
-    (0, 1),  # infeasible: the residual LP alone
+    (0, 0),  # infeasible, settled by the duality certificate: no LP
     (4, 0),  # the exact system pins the policy: its closed form, no LP
     pytest.param(None, 2, id="action_blind-2"),  # feasible, not pinned: the tie-break LP too
 ])
@@ -131,20 +131,21 @@ def _closed_form_fits(formula, table, surrogate) -> bool:
     return np.abs(m[:n_s, :n_pi] @ policy - b[:n_s]).sum() <= 1e-9
 
 
-def test_study_solves_one_lp_per_exact_instance(monkeypatch):
+def test_study_solves_no_lp_on_exact_instances(monkeypatch):
     # every exact frontdoor system has full column rank: an instance whose
-    # closed form fits needs no LP, and each other one runs the residual LP
-    # and never the tie-break LP
+    # closed form fits needs no LP, and the duality certificate finds each
+    # other one not p-imitable, also without an LP
     from causal_imitation.experiments import frontdoor_instrument, frontdoor_study
 
-    formula, surrogate = frontdoor_instrument()
+    formula, surrogate, _diagram = frontdoor_instrument()
     turned_down = sum(not _closed_form_fits(formula, observational(random_frontdoor(
         np.random.SeedSequence(entropy=0, spawn_key=(i,)))), surrogate) for i in range(200))
-    lps = _capture_lps(monkeypatch, lambda: frontdoor_study(200))
+    report = []
+    lps = _capture_lps(monkeypatch, lambda: report.append(frontdoor_study(200)))
     assert 50 < turned_down < 150
-    assert len(lps) == turned_down
-    assert all(np.isfinite(inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments["row_lower"]).all()
-               for args, kwargs in lps)  # no -inf row: no tie-break LP
+    assert lps == []
+    flags = [line.split()[1] for line in report[0].splitlines() if not line.startswith("#")]
+    assert len(flags) == 200 and flags.count("0") == turned_down
 
 
 def test_pipeline_on_the_mix_fixture_solves_no_lp(monkeypatch):
@@ -170,7 +171,7 @@ def test_tie_break_skip_returns_the_tie_break_policy():
             assert abs(residual - want_residual) <= 1e-12
         return policy is not None
 
-    formula, surrogate = frontdoor_instrument()
+    formula, surrogate, _diagram = frontdoor_instrument()
     tables = [observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
               for i in range(1000)]
     batch = JointTable(tables[0].variables, tables[0].domains, np.stack([t.probs for t in tables]))
@@ -192,12 +193,14 @@ def test_tie_break_skip_returns_the_tie_break_policy():
 
 def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
     """``solve_policy``'s pairs on a table (batched or not), each with the
-    number of LPs its system ran, or ``None`` where the system is undefined."""
-    solve_system, linprog, counts = imitate._solve_system, imitate.linprog, []
+    number of LPs its system ran, or ``None`` where the system did not reach
+    ``_solve_system``: it is undefined, or the duality certificate settled it."""
+    solve_system, linprog, returned, counts = imitate._solve_system, imitate.linprog, [], []
 
     def record_system(*args):
         counts.append(0)
-        return solve_system(*args)
+        returned.append(solve_system(*args))
+        return returned[-1]
 
     def record_lp(*args, **kwargs):
         counts[-1] += 1
@@ -207,9 +210,30 @@ def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
         patch.setattr(imitate, "_solve_system", record_system)
         patch.setattr(imitate, "linprog", record_lp)
         pairs = solve_policy(formula, table, surrogate, tolerance)
-    lps = iter(counts)
-    return [(pair, None if pair == (None, None) else next(lps))
-            for pair in (pairs if table.batch else [pairs])]
+    # each pair _solve_system returned is the very object solve_policy lists
+    lps = {id(pair): count for pair, count in zip(returned, counts)}
+    return [(pair, lps.get(id(pair))) for pair in (pairs if table.batch else [pairs])]
+
+
+def _settled(monkeypatch, formula, table, surrogate, tolerance):
+    """The systems of ``table`` that the duality certificate settled, as
+    (index into the batch, pair); an unbatched table has index 0."""
+    return [(i, pair) for i, (pair, lps) in enumerate(_solves_and_lps(monkeypatch, formula, table, surrogate, tolerance))
+            if lps is None and pair != (None, None)]
+
+
+def _study_tables(models: int):
+    """The exact and the 100000-sample tables of a frontdoor study's first
+    ``models`` instances, drawn and stacked as its batches do, each with the
+    study's tolerance."""
+    from causal_imitation.experiments import frontdoor_instrument
+    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
+
+    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(models)]
+    batch = _frontdoor_model(*(np.stack(column) for column in zip(*draws)), frontdoor_instrument()[2])
+    seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(models)]
+    return [(observational(batch), 1e-9),
+            (empirical_observational(batch, 100_000, seeds), imitate._sampled_tolerance(100_000))]
 
 
 def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
@@ -220,7 +244,6 @@ def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
     # 100000 samples.  A bundled pair's system that ran an LP also gets the
     # LP path's answer bit for bit.
     from causal_imitation.experiments import frontdoor_instrument
-    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
     from oracles import solve_policy_by_lp
 
     def check(formula, table, surrogate, tolerance, lp_path=False):
@@ -252,14 +275,89 @@ def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
         for surrogate, formula in _policy_instruments(diagram, space, reward):
             closed += check(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE, lp_path=True)
     assert closed >= 100
-    # the study's 2000 models, drawn and stacked as its batches do
-    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(2000)]
-    models = _frontdoor_model(*(np.stack(column) for column in zip(*draws)))
-    formula, surrogate = frontdoor_instrument()
-    assert check(formula, observational(models), surrogate, 1e-9) > 800
-    seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(2000)]
-    sampled = empirical_observational(models, 100_000, seeds)
-    assert check(formula, sampled, surrogate, imitate._sampled_tolerance(100_000)) > 800
+    formula, surrogate, _diagram = frontdoor_instrument()
+    for table, tolerance in _study_tables(2000):
+        assert check(formula, table, surrogate, tolerance) > 800
+
+
+def test_certificate_matches_the_lp_oracle(monkeypatch):
+    # a system the duality certificate settles runs no LP and gets no
+    # policy: the LP path finds none either, with a residual equal to the
+    # certificate's to 1e-9, and here bit for bit.  The systems: the
+    # bundled pairs', exact and at 20, 1000 and 100000 samples under five
+    # seeds; a 2000-instance study's, exact and at 100000 samples; and the
+    # instruments of 218 random models with 2-3 policy inputs
+    from causal_imitation.experiments import frontdoor_instrument
+    from oracles import solve_policy_by_lp
+
+    residuals = []
+
+    def check(formula, table, surrogate, tolerance):
+        """The number of the table's systems (one per table of a batch)
+        that the certificate settled, each checked."""
+        settled = _settled(monkeypatch, formula, table, surrogate, tolerance)
+        if not settled:
+            return 0
+        probs = np.reshape(table.probs, (-1,) + table.domains)[[i for i, _ in settled]]
+        wants = solve_policy_by_lp(formula, JointTable(table.variables, table.domains, probs), surrogate, tolerance)
+        for (_, (policy, residual)), (want_policy, want_residual) in zip(settled, wants, strict=True):
+            assert policy is None and want_policy is None
+            assert residual > tolerance and abs(residual - want_residual) <= 1e-9
+            residuals.append((residual, want_residual))
+        return len(settled)
+
+    def check_instruments(cases):
+        return sum(check(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE)
+                   for diagram, space, reward, obs in cases
+                   for surrogate, formula in _policy_instruments(diagram, space, reward))
+
+    assert check_instruments(_fixture_instrument_cases(range(5), (20, 1000, 100_000))) >= 3
+    formula, surrogate, _diagram = frontdoor_instrument()
+    (exact, exact_tolerance), (sampled, sampled_tolerance) = _study_tables(2000)
+    # every exact system the closed form turns down lies outside the box
+    assert check(formula, exact, surrogate, exact_tolerance) == 1040
+    assert check(formula, sampled, surrogate, sampled_tolerance) > 600
+    cases = list(_random_instrument_cases(300))
+    assert len(cases) >= 200 and check_instruments(cases) > 0
+    assert all(got == want for got, want in residuals)
+
+
+def test_certificate_lower_bound_holds_on_the_simplex():
+    # weak duality: whatever the candidate, the certificate's lower bound is
+    # at most the exact residual of every policy: the candidate's own and
+    # 100 random ones per system.  The candidates: each system's
+    # least-squares solution, where the bounds meet on the systems the
+    # certificate settles, and a random point of [-0.5, 1.5].  The systems:
+    # a 200-instance study's, exact and at 100000 samples, the bundled
+    # pairs' and those of random models.
+    from causal_imitation.experiments import frontdoor_instrument
+
+    rng = np.random.default_rng(0)
+
+    def check(formula, table, surrogate):
+        coeff, t, _ph, _in_doms, k = _linear_system(formula, table, surrogate)
+        n_s, n_pa = t.shape[-1], coeff.shape[-2]
+        n_pi = n_pa * k
+        a2, t2 = coeff.reshape(-1, n_s, n_pi), t.reshape(-1, n_s)
+        defined = ~np.isnan(a2).any(axis=(1, 2))
+        if not defined.any():
+            return 0
+        a2, t2 = a2[defined], t2[defined]
+        m, b = imitate._matching_system(a2, t2, n_pa, k)
+        least_squares = (np.linalg.pinv(m[..., :n_pi]) @ b[..., None])[..., 0]
+        policies = rng.dirichlet(np.ones(k), size=(len(a2), 100, n_pa)).reshape(len(a2), 100, n_pi)
+        residuals = np.abs(np.einsum("nsi,npi->nps", a2, policies) - t2[:, None]).sum(axis=-1)
+        for closed in (least_squares, rng.uniform(-0.5, 1.5, least_squares.shape)):
+            lower, upper = imitate._certificate(a2, t2, closed, k)
+            assert (lower <= upper + 1e-12).all()
+            assert (lower[:, None] <= residuals + 1e-12).all()
+        return len(a2)
+
+    formula, surrogate, _diagram = frontdoor_instrument()
+    assert sum(check(formula, table, surrogate) for table, _tolerance in _study_tables(200)) == 400
+    cases = [*_fixture_instrument_cases(), *_random_instrument_cases()]
+    assert sum(check(formula, obs, surrogate) for diagram, space, reward, obs in cases
+               for surrogate, formula in _policy_instruments(diagram, space, reward)) > 50
 
 
 def test_point_mass_solution_for_mix_fixture():
@@ -355,14 +453,15 @@ def test_lp_closest_backdoor_segment():
     assert checked > 5
 
 
-def _random_instrument_cases():
+def _random_instrument_cases(trials=40):
     """(diagram, space, reward, exact table) for random 7-10-node models
-    with 2-3 policy inputs."""
+    with 2-3 policy inputs, from ``trials`` draws of which some are passed
+    over; the first 40 draws are the same for any ``trials``."""
     from causal_imitation.diagram import validate_space
     from oracles import random_diagram
 
     rng = np.random.default_rng(0)
-    for trial in range(40):
+    for trial in range(trials):
         d = random_diagram(rng, int(rng.integers(7, 11)), latent_fraction=0.3)
         obs_nodes = sorted(d.observed)
         candidates = [(x, y) for x in obs_nodes for y in sorted(d.descendants({x}, False))]
@@ -378,15 +477,15 @@ def _random_instrument_cases():
         yield d, space, reward, observational(random_scm(d, seed=trial))
 
 
-def _fixture_instrument_cases(seeds=(0,)):
+def _fixture_instrument_cases(seeds=(0,), sizes=(1000,)):
     """(diagram, space, reward, table) for every bundled pair whose model
-    observes the diagram's nodes, with the exact table and a 1000-sample
-    table per seed."""
+    observes the diagram's nodes, with the exact table and a sampled table
+    per sample size and seed."""
     for name in fixtures.diagram_names():
         case = fixtures.diagram_fixture(name)
         for model in fixtures.scm_names():
             scm = fixtures.scm_fixture(model)
-            sampled = [empirical_observational(scm, 1000, np.random.SeedSequence(seed)) for seed in seeds]
+            sampled = [empirical_observational(scm, n, np.random.SeedSequence(seed)) for n in sizes for seed in seeds]
             for obs in [observational(scm), *sampled]:
                 if case.diagram.observed <= set(obs.variables):
                     yield case.diagram, case.space, case.reward, obs
@@ -426,7 +525,7 @@ def test_linear_system_bit_identical_to_basis_loop():
                 checked += 1
         return checked
 
-    formula, surrogate = frontdoor_instrument()
+    formula, surrogate, _diagram = frontdoor_instrument()
     for i in range(100):
         scm = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,)))
         assert_same(formula, observational(scm), surrogate)
@@ -545,17 +644,35 @@ def _oracle_outcome(args, kwargs):
 
 
 def _study_lps(monkeypatch):
-    from causal_imitation.experiments import frontdoor_study
+    """The LPs of the frontdoor study's first 150 instances, exact and at
+    100000 samples, as the study ran them before the duality certificate:
+    the residual LP of each system the certificate settles, built directly,
+    and the LPs the sampled study still runs (the exact one runs none)."""
+    from causal_imitation.experiments import frontdoor_instrument, frontdoor_study
 
-    return (_capture_lps(monkeypatch, lambda: frontdoor_study(100))
-            + _capture_lps(monkeypatch, lambda: frontdoor_study(100, samples=100_000)))
+    formula, surrogate, _diagram = frontdoor_instrument()
+    settled = [JointTable(table.variables, table.domains, table.probs[i]) for table, tolerance in _study_tables(150)
+               for i, _pair in _settled(monkeypatch, formula, table, surrogate, tolerance)]
+
+    def residual_lps():
+        for table in settled:
+            m, b, n_pi, _ph, _in_doms, _k = _lp_system(formula, table, surrogate)
+            imitate._lp_min_residual(m, b, n_pi)
+
+    return (_capture_lps(monkeypatch, residual_lps)
+            + _capture_lps(monkeypatch, lambda: frontdoor_study(150, samples=100_000)))
 
 
 def _instrument_lps(monkeypatch, cases):
+    """The LPs of the instruments' systems on the cases' tables, with the
+    residual LP of each system the duality certificate settles built
+    directly, as the solve ran it before the certificate."""
     def run():
         for diagram, space, reward, obs in cases:
             for surrogate, formula in _policy_instruments(diagram, space, reward):
-                solve_policy(formula, obs, surrogate)
+                if _settled(monkeypatch, formula, obs, surrogate, imitate.DEFAULT_TOLERANCE):
+                    m, b, n_pi, _ph, _in_doms, _k = _lp_system(formula, obs, surrogate)
+                    imitate._lp_min_residual(m, b, n_pi)
 
     return _capture_lps(monkeypatch, run)
 
@@ -689,9 +806,11 @@ _FRESH_INTERPRETER_LPS = """
 import json, sys
 import numpy as np
 from causal_imitation import fixtures, imitate
-from causal_imitation.experiments import frontdoor_study
-from causal_imitation.imitate import _sampled_tolerance, imitate_pipeline
-from causal_imitation.scm import empirical_observational
+from causal_imitation.experiments import frontdoor_instrument
+from causal_imitation.imitate import (
+    _linear_system, _lp_min_residual, _matching_system, _sampled_tolerance, imitate_pipeline, solve_policy,
+)
+from causal_imitation.scm import empirical_observational, observational, random_frontdoor
 
 lps, solve = [], imitate.linprog
 
@@ -701,7 +820,15 @@ def record(*args, **kwargs):
     return res
 
 imitate.linprog = record
-frontdoor_study(60)
+# the exact study runs no LP: the residual LPs of the instances the duality
+# certificate settles, built directly
+formula, surrogate, _diagram = frontdoor_instrument()
+for i in range(60):
+    table = observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
+    if solve_policy(formula, table, surrogate, 1e-9)[0] is None:
+        coeff, t, _ph, _in_doms, k = _linear_system(formula, table, surrogate)
+        m, b = _matching_system(coeff.reshape(len(t), -1), t, coeff.shape[1], k)
+        _lp_min_residual(m, b, coeff.shape[1] * k)
 case = fixtures.diagram_fixture("frontdoor_observed")
 # at 100000 samples this pair's table is matched within its tolerance, not
 # exactly, so the tie-break LP runs too
@@ -826,7 +953,7 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
     assert max(model.batch[-1] for model in calls) == 3
 
     # the study's L1 values are verify_policy's, bit for bit
-    formula, surrogate = experiments.frontdoor_instrument()
+    formula, surrogate, _diagram = experiments.frontdoor_instrument()
     rows = experiments._frontdoor_batch((0, 0, 20, samples))
     for index, (_flag, l1_ci, l1_bc) in enumerate(rows):
         model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
@@ -839,24 +966,34 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
 
 
 def test_study_finds_its_instrument_once_per_process(monkeypatch):
+    # the instrument search runs, and the diagram is parsed, once per
+    # process: not once per study, nor once per batch
     from causal_imitation import enumerators, experiments
 
     found = experiments.frontdoor_instrument()
     assert found == experiments.frontdoor_instrument.__wrapped__()  # a fresh search
     assert experiments.frontdoor_instrument() is found
-    queries = []
+    queries, parsed, parse = [], [], fixtures.parse_diagram_text
 
     def counted(*args):
         queries.append(args)
         return identify_policy(*args)
 
+    def counted_parse(text):
+        parsed.append(text)
+        return parse(text)
+
     monkeypatch.setattr(enumerators, "identify_policy", counted)
+    monkeypatch.setattr(fixtures, "parse_diagram_text", counted_parse)
     experiments.frontdoor_instrument.cache_clear()
     experiments.frontdoor_study(4)
-    assert queries  # the first study of the process runs the search
+    # the first study of the process runs the search and parses the diagram
+    assert queries and parsed == [fixtures.DIAGRAM_TEXT["frontdoor_latent"]]
     queries.clear()
-    experiments.frontdoor_study(4)
-    assert queries == []
+    parsed.clear()
+    monkeypatch.setattr(experiments, "_CHUNK", 2)
+    experiments.frontdoor_study(4)  # two batches
+    assert queries == [] and parsed == []
 
 
 def _bits(rows):
@@ -887,7 +1024,7 @@ def test_study_matches_the_instance_loop(monkeypatch, models, samples, seed, chu
 
     if chunk is not None:
         monkeypatch.setattr(experiments, "_CHUNK", chunk)
-    formula, surrogate = experiments.frontdoor_instrument()
+    formula, surrogate, _diagram = experiments.frontdoor_instrument()
     want = frontdoor_study_loop(formula, surrogate, models, samples, seed)
     for workers in (1, 2):
         assert experiments.frontdoor_study(models, samples, seed, workers) == want
@@ -904,7 +1041,7 @@ def test_study_reports_an_empty_cell_instance_as_unsolved():
     # instance reports no l1_ci, and the others carry on
     from causal_imitation import experiments
 
-    formula, surrogate = experiments.frontdoor_instrument()
+    formula, surrogate, _diagram = experiments.frontdoor_instrument()
     model = random_frontdoor(np.random.SeedSequence(entropy=17_000_236, spawn_key=(0,)))
     table = empirical_observational(model, 100_000, np.random.SeedSequence(entropy=17_000_236, spawn_key=(0, 1)))
     assert solve_policy(formula, table, surrogate, imitate._sampled_tolerance(100_000)) == (None, None)
