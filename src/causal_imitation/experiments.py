@@ -100,6 +100,8 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
     the reward L1 of the solved policy versus behavior cloning."""
     if models < 1:
         raise ValueError("models must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     # contiguous batches of at most _CHUNK instances, the same number for
     # every worker; more workers than models would only add empty batches
     workers = min(workers, models)

@@ -10,24 +10,20 @@ rank-deficient only up to rounding, "residual-optimal" and "closest" hold
 only up to HiGHS's feasibility tolerance: read exactly, the float data
 may describe another polytope.
 
-Each system takes one of three paths, and HiGHS runs only on the third.
+Each system takes one of two steps, and HiGHS runs only in the second.
 A system is pinned when its matching rows over the simplex rows have full
 column rank: then at most one policy fits it exactly, and that policy is
 the rows' least-squares solution (Golub & Van Loan, Matrix Computations,
-ch. 5).  First, where that solution lies in the box and fits to 1e-9, it
-is the answer.  Second, a duality certificate clips the solution into the
-box: where weak LP duality bounds every policy's residual from below by
-more than the tolerance, and the clipped policy's residual meets that
-bound to 1e-9, no policy fits and that residual is the LP's optimum
-(Boyd & Vandenberghe, Convex Optimization, sec. 5.2).  Third, every other
-system runs the residual LP, and the tie-break LP unless the system is
-pinned and the residual LP matches it to 1e-9: that LP could only return
-the policy already found.  A batch of tables is solved in one call: the
-linear systems, cloning references, rank tests, least-squares solutions
-and certificates are array operations over the batch, and only the LPs
-run one table at a time, each on the batch's one matching system and
-through ``linprog``: a dense matrix, row bounds with the inequality rows
-first, and column upper bounds.
+ch. 5).  First, one closed-form step over the batch rounds each system's
+least-squares solution onto the simplex.  Where the system is pinned, the
+solution lies in the box and the rounded policy fits to 1e-9, that policy
+is the answer.  Where weak LP duality at the rounded policy bounds every
+residual from below by more than the tolerance, and the rounded policy's
+residual meets that bound to 1e-9, no policy fits and that residual is
+the LP's optimum (Boyd & Vandenberghe, Convex Optimization, sec. 5.2).
+Second, every other system runs the residual LP, then the tie-break LP,
+one table at a time through ``linprog``: a dense matrix, row bounds with
+the inequality rows first, and column upper bounds.
 """
 from __future__ import annotations
 
@@ -301,9 +297,14 @@ def _lp_closest(m: np.ndarray, b: np.ndarray, n_pi: int, ref: np.ndarray, cap: f
 
 
 def _as_policy(raw: np.ndarray, ph: PolicyFactor, in_doms: tuple[int, ...], k: int) -> Policy:
-    table = np.clip(raw.reshape(in_doms + (k,)), 0.0, None)
-    table = table / table.sum(axis=-1, keepdims=True)
-    return Policy(ph.action, ph.inputs, k, in_doms, np.ascontiguousarray(table))
+    """The policy of the cells ``raw``, with any leading batch axes: cells at
+    or below 1e-12 go to 0, where an LP's vertex has them, and cells above 1
+    to 1; each row is renormalised, and a row left all zero is uniform."""
+    table = np.clip(raw.reshape(raw.shape[:-1] + in_doms + (k,)), None, 1.0)
+    table = np.where(table <= 1e-12, 0.0, table)
+    sums = table.sum(axis=-1, keepdims=True)
+    table = np.divide(table, sums, out=np.full_like(table, 1.0 / k), where=sums > 0)
+    return Policy(ph.action, ph.inputs, k, in_doms, table)
 
 
 def solve_policy(
@@ -323,15 +324,14 @@ def solve_policy(
     simplex rows are rank-deficient only up to rounding, this holds only up
     to HiGHS's feasibility tolerance.
 
-    Three paths, in order: a pinned system, one that at most one policy
-    fits exactly, whose least-squares solution from the SVD of its policy
-    columns lies in the box and fits, gets that solution; a system whose
-    duality certificate (``_certificate``) proves every policy's residual
-    above the tolerance gets ``(None, residual)``; HiGHS runs only on the
-    rest.  A batched table gives a list of these pairs, one per table.  The
-    systems, the cloning references, the SVDs and the certificates are
-    array operations over the batch; only the LPs run one table at a
-    time."""
+    Two steps: one closed-form step over the batch rounds each system's
+    least-squares solution, from the SVD of its policy columns, onto the
+    simplex.  A pinned system, one that at most one policy fits exactly,
+    whose solution lies in the box and fits, gets that policy; a system
+    whose duality certificate (``_certificate``) at that policy proves
+    every policy's residual above the tolerance gets ``(None, residual)``.
+    HiGHS runs only on the rest, one table at a time (``_solve_system``).
+    A batched table gives a list of these pairs, one per table."""
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     n_pi = n_pa * k
@@ -350,66 +350,55 @@ def solve_policy(
     pinned = kept.sum(axis=-1) == n_pi
     scaled = np.divide(np.einsum("nij,ni->nj", u, b), s, out=np.zeros_like(s), where=kept)
     closed = np.einsum("nji,nj->ni", vt, scaled)
-    # where the duality bounds meet to 1e-9 above the tolerance, no policy
-    # fits and upper is the residual LP's optimum: no LP runs
-    lower, upper = _certificate(a2, t2, closed, k)
-    settled = ~undefined & (lower > tolerance) & (upper - lower <= 1e-9)
+    # the closed form rounded onto the simplex, one candidate per system:
+    # the answer where the system is pinned, its solution lies in the box
+    # and the candidate fits to 1e-9, and the duality certificate's policy
+    policy = _as_policy(closed, ph, in_doms, k)
+    lower, upper = _certificate(a2, t2, policy)
+    in_box = ((closed >= -1e-12) & (closed <= 1 + 1e-12)).all(axis=-1)
+    fits = pinned & in_box & (upper <= min(tolerance, 1e-9))
+    settled = (lower > tolerance) & (upper - lower <= 1e-9)
     pairs = [(None, None) if nan else (None, float(res)) if sure
-             else _solve_system(a, system, rhs, ref, unique, x, ph, in_doms, k, tolerance)
-             for a, system, rhs, ref, unique, x, nan, sure, res
-             in zip(a2, m, b, refs, pinned, closed, undefined, settled, upper)]
+             else (Policy(ph.action, ph.inputs, k, in_doms, probs), float(res)) if fit
+             else _solve_system(a, system, rhs, ref, ph, in_doms, k, tolerance)
+             for a, system, rhs, ref, probs, nan, fit, sure, res
+             in zip(a2, m, b, refs, policy.probs, undefined, fits, settled, upper)]
     return pairs if observational.batch else pairs[0]
 
 
-def _certificate(a2: np.ndarray, t: np.ndarray, closed: np.ndarray, k: int):
+def _certificate(a2: np.ndarray, t: np.ndarray, policy: Policy):
     """Bounds ``(lower, upper)`` on the least L1 residual |A pi - t|_1 over
-    the policies pi, one pair per system of the stack A = ``a2``.
+    the policies pi, one pair per system of the stack A = ``a2``, from
+    ``policy``, which holds one policy per system.
 
-    ``upper`` is the exact residual of the policy ``_as_policy`` builds from
-    ``closed`` clipped to [0, 1]; a row clipped to all zeros is uniform.
-    ``lower`` is weak LP duality's bound for y = sign(A pi - t) at that
-    policy: any policy pi' has |A pi' - t|_1 >= y^T (A pi' - t) >=
-    sum_pa min_x (A^T y)[pa, x] - y^T t (Boyd & Vandenberghe, Convex
-    Optimization, sec. 5.2).  The two meet where the policy puts its mass
-    only on the cells that minimize A^T y in each row."""
-    clipped = np.clip(closed, 0.0, 1.0).reshape(len(a2), -1, k)
-    sums = clipped.sum(axis=-1, keepdims=True)
-    policy = np.divide(clipped, sums, out=np.full_like(clipped, 1.0 / k), where=sums > 0)
-    gaps = (a2 @ policy.reshape(len(a2), -1, 1))[..., 0] - t
+    ``upper`` is that policy's exact residual.  ``lower`` is weak LP
+    duality's bound for y = sign(A pi - t) at that policy: any policy pi'
+    has |A pi' - t|_1 >= y^T (A pi' - t) >= sum_pa min_x (A^T y)[pa, x] -
+    y^T t (Boyd & Vandenberghe, Convex Optimization, sec. 5.2).  The two
+    meet where the policy puts its mass only on the cells that minimize
+    A^T y in each row."""
+    probs = policy.probs.reshape(len(a2), -1, policy.action_domain)
+    gaps = (a2 @ probs.reshape(len(a2), -1, 1))[..., 0] - t
     y = np.sign(gaps)
-    dual = np.einsum("ns,nsi->ni", y, a2).reshape(clipped.shape).min(axis=-1).sum(axis=-1)
+    dual = np.einsum("ns,nsi->ni", y, a2).reshape(probs.shape).min(axis=-1).sum(axis=-1)
     return dual - np.einsum("ns,ns->n", y, t), np.abs(gaps).sum(axis=-1)
 
 
-def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, pinned: bool,
-                  closed: np.ndarray, ph: PolicyFactor, in_doms: tuple[int, ...], k: int,
-                  tolerance: float) -> tuple[Policy | None, float]:
-    """``solve_policy`` for one system A pi = t (``a2``, and ``m``, ``b`` from
-    ``_matching_system``), with ``ref`` the cloning policy, ``pinned``
-    whether at most one policy fits exactly and ``closed`` the
-    least-squares solution of the matching and simplex rows."""
+def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, ph: PolicyFactor,
+                  in_doms: tuple[int, ...], k: int, tolerance: float) -> tuple[Policy | None, float]:
+    """``solve_policy``'s LP path for one system A pi = t (``a2``, and ``m``,
+    ``b`` from ``_matching_system``), with ``ref`` the cloning policy: the
+    residual LP, then the tie-break LP among the policies that match."""
     n_pi, t = a2.shape[1], b[:len(a2)]
 
     def exact_residual(policy: Policy) -> float:
-        return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
-
-    if pinned and ((closed >= -1e-12) & (closed <= 1 + 1e-12)).all():
-        # the only policy that could fit exactly: where it does, it is the
-        # residual LP's solution and the tie-break skip's answer.  Cells
-        # within rounding of 0 are put at 0, where the LP's vertex has them.
-        best = _as_policy(np.where(closed <= 1e-12, 0.0, closed), ph, in_doms, k)
-        best_res = exact_residual(best)
-        if best_res <= min(tolerance, 1e-9):
-            return best, best_res
+        return float(np.abs(a2 @ policy.probs.reshape(-1) - t).sum())
 
     raw, objective = _lp_min_residual(m, b, n_pi)
     best = _as_policy(raw, ph, in_doms, k)
     best_res = exact_residual(best)
     if best_res > tolerance:
         return None, best_res
-    if best_res <= 1e-9 and pinned:
-        # the tie-break LP's matching rows would admit this policy alone
-        return best, best_res
     # an exactly feasible system keeps a hard matching constraint, so the
     # tie-break moves only within the policies that fit exactly
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
@@ -443,9 +432,11 @@ def imitate_pipeline(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ImitationResult:
     """Full decision procedure: graphical criteria first, then the
-    instrument search with the linear solver.  An instrument whose formula
-    divides by an empty cell of the table is passed over; when none gives
-    a residual, the status is ``no-instrument-found``."""
+    instrument search with the linear solver, on one table.  An instrument
+    whose formula divides by an empty cell of the table is passed over;
+    when none gives a residual, the status is ``no-instrument-found``."""
+    if observational.batch:
+        raise ValueError("imitate_pipeline takes one table, not a batch")
     missing = diagram.observed - set(observational.variables)
     if missing:
         raise ValueError("the table has no column for observed node(s) " + " ".join(sorted(missing)))

@@ -28,7 +28,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import fixtures
 from .diagram import (
     CausalDiagram,
     PolicySpace,
@@ -452,7 +451,9 @@ def random_frontdoor(seed) -> DiscreteSCM:
     The confounder is realized by a shared exogenous variable carrying the
     action's value, so the observational joint factorizes exactly as drawn.
     """
-    return _frontdoor_model(*_frontdoor_draw(seed), fixtures.diagram_fixture("frontdoor_latent").diagram)
+    from .experiments import frontdoor_instrument  # experiments imports this module
+
+    return _frontdoor_model(*_frontdoor_draw(seed), frontdoor_instrument()[2])
 
 
 def _frontdoor_draw(seed) -> tuple[np.ndarray, ...]:

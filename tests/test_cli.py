@@ -311,12 +311,42 @@ def test_study_workers_beyond_the_models_run_one_slice_each():
     assert experiments.frontdoor_study(3, workers=10**12) == experiments.frontdoor_study(3, workers=1)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_study_refuses_fewer_than_one_worker(workers):
+    # the CLI refuses these values, and the library does too, with a
+    # ValueError rather than a division by zero
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        experiments.frontdoor_study(3, workers=workers)
+
+
 @pytest.mark.parametrize("kwargs, golden", [
     ({"models": 200}, "frontdoor_study_m200.txt"),
     ({"models": 100, "samples": 100_000}, "frontdoor_study_m100_s100000.txt"),
 ])
 def test_frontdoor_study_report_bytes(kwargs, golden):
     assert experiments.frontdoor_study(seed=0, **kwargs) == (DATA / golden).read_text()
+
+
+def test_imitate_report_bytes_on_the_bundled_pairs(capsys):
+    # the byte contract of imitate: every bundled diagram with every bundled
+    # model that observes the diagram's nodes, on the exact table and at 20,
+    # 1000 and 100000 samples under seeds 0-2, each report after a
+    # "# diagram model samples seed" header
+    reports = []
+    for graph in fixtures.diagram_names():
+        observed = fixtures.diagram_fixture(graph).diagram.observed
+        for model in fixtures.scm_names():
+            if not observed <= fixtures.scm_fixture(model).diagram.observed:
+                continue
+            for samples, seed in [(0, None)] + [(n, s) for n in (20, 1000, 100_000) for s in range(3)]:
+                argv = ["imitate", "--graph", graph, "--scm", model]
+                if samples:
+                    argv += ["--samples", str(samples), "--seed", str(seed)]
+                rc, out = run(capsys, *argv)
+                assert rc == 0
+                reports.append(f"# {graph} {model} {samples} {'-' if seed is None else seed}\n" + out)
+    assert len(reports) == 130
+    assert "".join(reports) == (DATA / "imitate_bundled_pairs.txt").read_text()
 
 
 def test_experiment_highway(capsys):

@@ -148,6 +148,19 @@ def test_study_solves_no_lp_on_exact_instances(monkeypatch):
     assert len(flags) == 200 and flags.count("0") == turned_down
 
 
+def test_exact_study_takes_the_closed_form_step_only(monkeypatch):
+    # every exact frontdoor system is decided by the one closed-form step
+    # over the batch: a fit or a duality certificate, never _solve_system
+    from causal_imitation.experiments import frontdoor_study
+
+    reached = []
+    monkeypatch.setattr(imitate, "_solve_system", lambda *args: reached.append(args))
+    report = frontdoor_study(200)
+    assert reached == []
+    flags = [line.split()[1] for line in report.splitlines() if not line.startswith("#")]
+    assert 0 < flags.count("1") < 200
+
+
 def test_pipeline_on_the_mix_fixture_solves_no_lp(monkeypatch):
     case = fixtures.diagram_fixture("frontdoor_observed")
     table = observational(fixtures.scm_fixture("frontdoor_mix"))
@@ -157,9 +170,10 @@ def test_pipeline_on_the_mix_fixture_solves_no_lp(monkeypatch):
     assert result[0].status == "p-imitable" and len(lps) == 0
 
 
-def test_tie_break_skip_returns_the_tie_break_policy():
-    # where the skip applies, the tie-break LP's feasible set is one policy:
-    # the solve with the skip and the solve without it agree to 1e-12
+def test_closed_form_returns_the_tie_break_policy():
+    # where the closed form answers, the tie-break LP's feasible set is one
+    # policy: the solve and the LP oracle that runs the tie-break LP on
+    # every feasible system agree to 1e-12
     from causal_imitation.experiments import frontdoor_instrument
     from oracles import solve_policy_by_lp
 
@@ -194,7 +208,8 @@ def test_tie_break_skip_returns_the_tie_break_policy():
 def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
     """``solve_policy``'s pairs on a table (batched or not), each with the
     number of LPs its system ran, or ``None`` where the system did not reach
-    ``_solve_system``: it is undefined, or the duality certificate settled it."""
+    ``_solve_system``: it is undefined, its closed form fits, or the duality
+    certificate settled it."""
     solve_system, linprog, returned, counts = imitate._solve_system, imitate.linprog, [], []
 
     def record_system(*args):
@@ -215,11 +230,17 @@ def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
     return [(pair, lps.get(id(pair))) for pair in (pairs if table.batch else [pairs])]
 
 
+def _closed_form(pair, lps) -> bool:
+    """Whether a pair of ``_solves_and_lps`` is a closed-form fit: a policy
+    from a system that did not reach ``_solve_system``."""
+    return lps is None and pair[0] is not None
+
+
 def _settled(monkeypatch, formula, table, surrogate, tolerance):
     """The systems of ``table`` that the duality certificate settled, as
     (index into the batch, pair); an unbatched table has index 0."""
     return [(i, pair) for i, (pair, lps) in enumerate(_solves_and_lps(monkeypatch, formula, table, surrogate, tolerance))
-            if lps is None and pair != (None, None)]
+            if lps is None and pair[0] is None and pair[1] is not None]
 
 
 def _study_tables(models: int):
@@ -251,14 +272,14 @@ def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
         solved in closed form, each checked; with ``lp_path``, the systems
         that ran an LP are checked too."""
         got = _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance)
-        picked = [i for i, (_, lps) in enumerate(got) if lps == 0 or lps and lp_path]
+        picked = [i for i, (pair, lps) in enumerate(got) if _closed_form(pair, lps) or lps and lp_path]
         if not picked:
             return 0
         probs = np.reshape(table.probs, (-1,) + table.domains)[picked]
         wants = solve_policy_by_lp(formula, JointTable(table.variables, table.domains, probs), surrogate, tolerance)
         for i, (want_policy, want_residual) in zip(picked, wants, strict=True):
             (policy, residual), lps = got[i]
-            if lps > 0:
+            if lps is not None:
                 assert (policy is None) == (want_policy is None) and residual == want_residual
                 assert policy is None or np.array_equal(policy.probs, want_policy.probs)
                 continue
@@ -268,7 +289,7 @@ def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
                 assert np.abs(np.asarray(policy.probs) - np.asarray(want_policy.probs)).max() <= 1e-12
             else:
                 assert residual < want_residual
-        return sum(got[i][1] == 0 for i in picked)
+        return sum(_closed_form(*got[i]) for i in picked)
 
     closed = 0
     for diagram, space, reward, obs in _fixture_instrument_cases(range(20)):
@@ -325,9 +346,10 @@ def test_certificate_matches_the_lp_oracle(monkeypatch):
 def test_certificate_lower_bound_holds_on_the_simplex():
     # weak duality: whatever the candidate, the certificate's lower bound is
     # at most the exact residual of every policy: the candidate's own and
-    # 100 random ones per system.  The candidates: each system's
-    # least-squares solution, where the bounds meet on the systems the
-    # certificate settles, and a random point of [-0.5, 1.5].  The systems:
+    # 100 random ones per system.  The candidates, each rounded onto the
+    # simplex by _as_policy: each system's least-squares solution, where
+    # the bounds meet on the systems the certificate settles, and a random
+    # point of [-0.5, 1.5].  The systems:
     # a 200-instance study's, exact and at 100000 samples, the bundled
     # pairs' and those of random models.
     from causal_imitation.experiments import frontdoor_instrument
@@ -335,7 +357,7 @@ def test_certificate_lower_bound_holds_on_the_simplex():
     rng = np.random.default_rng(0)
 
     def check(formula, table, surrogate):
-        coeff, t, _ph, _in_doms, k = _linear_system(formula, table, surrogate)
+        coeff, t, ph, in_doms, k = _linear_system(formula, table, surrogate)
         n_s, n_pa = t.shape[-1], coeff.shape[-2]
         n_pi = n_pa * k
         a2, t2 = coeff.reshape(-1, n_s, n_pi), t.reshape(-1, n_s)
@@ -348,7 +370,7 @@ def test_certificate_lower_bound_holds_on_the_simplex():
         policies = rng.dirichlet(np.ones(k), size=(len(a2), 100, n_pa)).reshape(len(a2), 100, n_pi)
         residuals = np.abs(np.einsum("nsi,npi->nps", a2, policies) - t2[:, None]).sum(axis=-1)
         for closed in (least_squares, rng.uniform(-0.5, 1.5, least_squares.shape)):
-            lower, upper = imitate._certificate(a2, t2, closed, k)
+            lower, upper = imitate._certificate(a2, t2, imitate._as_policy(closed, ph, in_doms, k))
             assert (lower <= upper + 1e-12).all()
             assert (lower[:, None] <= residuals + 1e-12).all()
         return len(a2)
@@ -555,30 +577,33 @@ def test_lp_closest_infeasible_returns_none():
 
 def test_lps_read_the_one_matching_system(monkeypatch):
     # on tables whose tie-break LP runs, both LPs hold _matching_system's
-    # system, and the rank test reads that system's policy columns: the
-    # action-blind table is matched exactly but not pinned, the sampled mix
-    # table is pinned but matched only within its tolerance
+    # system, and the SVD behind the rank test and the closed form reads
+    # that system's policy columns: the action-blind table is matched
+    # exactly but not pinned, the sampled mix table is pinned but matched
+    # only within its tolerance
     case = fixtures.diagram_fixture("frontdoor_observed")
     mix = empirical_observational(fixtures.scm_fixture("frontdoor_mix"), 100_000, np.random.SeedSequence(entropy=0))
     cases = [(_frontdoor_formula(), observational(_action_blind_frontdoor()), {"S"}, 1e-9, False),
              (identify_policy(case.diagram, PolicySpace.create("X", ()), {"Y"}), mix, {"Y"},
               imitate._sampled_tolerance(100_000), True)]
-    solve_system, pinned = imitate._solve_system, []
+    svd, read = np.linalg.svd, []
 
-    def record(a2, m, b, ref, unique, *rest):
-        pinned.append(unique)
-        return solve_system(a2, m, b, ref, unique, *rest)
+    def record(a, *args, **kwargs):
+        read.append(a)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(imitate, "_solve_system", record)
+    monkeypatch.setattr(imitate.np.linalg, "svd", record)
     for formula, table, surrogate, tolerance, unique in cases:
-        pinned.clear()
+        read.clear()
         lps = _capture_lps(monkeypatch, lambda: solve_policy(formula, table, surrogate, tolerance))
         residual_lp, tie_break_lp = (inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments["a"]
                                      for args, kwargs in lps)
         m, b, n_pi, _ph, _in_doms, _k = _lp_system(formula, table, surrogate)
         assert np.array_equal(residual_lp, m)
         assert np.array_equal(tie_break_lp[1:1 + len(m)], np.pad(m, ((0, 0), (0, 2 * n_pi))))
-        assert pinned == [np.linalg.matrix_rank(m[:, :n_pi]) == n_pi] == [unique]
+        [policy_columns] = read
+        assert np.array_equal(policy_columns, m[None, :, :n_pi])
+        assert (np.linalg.matrix_rank(policy_columns[0]) == n_pi) == unique
 
 
 # ------------------------------------------------------------- the LP layer
@@ -994,6 +1019,12 @@ def test_study_finds_its_instrument_once_per_process(monkeypatch):
     monkeypatch.setattr(experiments, "_CHUNK", 2)
     experiments.frontdoor_study(4)  # two batches
     assert queries == [] and parsed == []
+    # random_frontdoor takes the diagram the study holds
+    experiments.frontdoor_instrument.cache_clear()
+    parsed.clear()
+    for i in range(100):
+        random_frontdoor(i)
+    assert parsed == [fixtures.DIAGRAM_TEXT["frontdoor_latent"]]
 
 
 def _bits(rows):
@@ -1222,6 +1253,21 @@ def test_pipeline_passes_over_an_instrument_undefined_on_the_table():
     res = imitate_pipeline(d, space, table, "E", tolerance)
     assert res.status == "p-imitable" and res.witness == (s2, sub2) and sub2.inputs == frozenset()
     assert res.residual <= tolerance
+
+
+def test_pipeline_refuses_a_batched_table(monkeypatch):
+    # the pipeline decides one table: on a batch of two frontdoor tables it
+    # would read instance 0's (None, residual) pair as a policy, so the
+    # batch is refused before the graphical criteria run
+    from causal_imitation.experiments import frontdoor_instrument
+    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
+
+    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(2)]
+    batch = _frontdoor_model(*(np.stack(column) for column in zip(*draws)), frontdoor_instrument()[2])
+    case = fixtures.diagram_fixture("frontdoor_latent")
+    monkeypatch.setattr(imitate, "graphical_verdict", lambda *args: pytest.fail("the criteria ran"))
+    with pytest.raises(ValueError, match="one table, not a batch"):
+        imitate_pipeline(case.diagram, case.space, observational(batch), case.reward)
 
 
 def test_pipeline_sound_on_random_environments():
