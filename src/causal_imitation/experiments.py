@@ -10,8 +10,8 @@ the same number of batches for every worker.  Each instance draws its
 numbers from its own seed, and a batch's models, joints, tables, linear
 systems, cloning policies and L1 distances are stacked along a leading axis
 and computed as array operations, each instance with the bits it would get
-alone.  Only the LPs run one instance at a time.  A batch returns only each
-instance's report row, so memory does not grow with the study.
+alone.  Only the LPs run one instance at a time.  A batch returns its
+flags and L1 distances as three arrays, and the report is built from them.
 """
 from __future__ import annotations
 
@@ -56,11 +56,11 @@ def frontdoor_instrument() -> tuple[IdFormula, frozenset[str], CausalDiagram]:
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
-def _frontdoor_batch(args: tuple[int, int, int, int]) -> list[tuple[bool, float | None, float]]:
-    """Per instance in ``range(start, stop)``: whether its exact table is
-    p-imitable, and the reward L1 of the solved policy (``None`` when
-    unsolved) and of behavior cloning, computed as one batch.  A table on
-    which the formula divides by an empty cell is unsolved."""
+def _frontdoor_batch(args: tuple[int, int, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per instance in ``range(start, stop)``, as three arrays computed as
+    one batch: whether its exact table is p-imitable, and the reward L1 of
+    the solved policy (NaN when unsolved) and of behavior cloning.  A table
+    on which the formula divides by an empty cell is unsolved."""
     base_seed, start, stop, samples = args
     formula, surrogate, diagram = frontdoor_instrument()
     indices = range(start, stop)
@@ -75,24 +75,20 @@ def _frontdoor_batch(args: tuple[int, int, int, int]) -> list[tuple[bool, float 
     full = joint(models)
     exact = full.marginal(models.diagram.observed)
     expert = full.marginal(("Y",))
-    exact_solutions = solve_policy(formula, exact, surrogate, 1e-9)
+    policy, _residual, p_imitable = solve_policy(formula, exact, surrogate, 1e-9)
     if samples:
         seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=(i, 1)) for i in indices]
         table = empirical_observational(models, samples, seeds)
-        solutions = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))
+        policy, _residual, found = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))
     else:
-        table, solutions = exact, exact_solutions
+        table, found = exact, p_imitable
     cloning = conditional_policy(table, "X", ())
-    # an unsolved instance is verified under its cloning policy and reports
-    # no L1; the solved and the cloning policies make one batch of shape
-    # (2, n), against which the models' batch (n,) broadcasts
-    solved = np.stack([bc if policy is None else policy.probs
-                       for (policy, _), bc in zip(solutions, cloning.probs)])
+    # the solved policy, with the cloning row where unsolved, and the cloning
+    # policy make one batch of shape (2, n) against the models' batch (n,)
     both = Policy(cloning.action, cloning.inputs, cloning.action_domain, cloning.input_domains,
-                  np.stack([solved, cloning.probs]))
+                  np.stack([policy.probs, cloning.probs]))
     l1_ci, l1_bc = _l1_to_expert(models, expert, both)
-    return [(exact_policy is not None, None if policy is None else float(ci), float(bc))
-            for (exact_policy, _), (policy, _), ci, bc in zip(exact_solutions, solutions, l1_ci, l1_bc)]
+    return p_imitable, np.where(found, l1_ci, np.nan), l1_bc
 
 
 def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int = 1) -> str:
@@ -118,21 +114,20 @@ def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int =
             batches = list(pool.map(_frontdoor_batch, args))
     else:
         batches = list(map(_frontdoor_batch, args))
-    rows = [row for batch in batches for row in batch]
+    flags, l1_ci, l1_bc = (np.concatenate(column) for column in zip(*batches))
     lines = [
         f"# frontdoor-study models={models} samples={samples} seed={seed}",
         "# columns: instance p_imitable l1_ci l1_bc",
         "# mean_l1_ci averages the solved instances; mean_l1_bc averages all",
     ]
-    for index, (flag, l1_ci, l1_bc) in enumerate(rows):
-        ci = f"{l1_ci:.10f}" if l1_ci is not None else "-"
-        lines.append(f"{index} {int(flag)} {ci} {l1_bc:.10f}")
-    flags = [flag for flag, _, _ in rows]
-    solved = [ci for _, ci, _ in rows if ci is not None]
+    for index, (flag, ci, bc) in enumerate(zip(flags, l1_ci, l1_bc)):
+        ci = "-" if np.isnan(ci) else f"{ci:.10f}"
+        lines.append(f"{index} {int(flag)} {ci} {bc:.10f}")
+    solved = l1_ci[~np.isnan(l1_ci)]
     lines.append(f"# fraction_p_imitable {np.mean(flags):.10f}")
-    if solved:
+    if solved.size:
         lines.append(f"# mean_l1_ci {np.mean(solved):.10f}")
-    lines.append(f"# mean_l1_bc {np.mean([bc for *_, bc in rows]):.10f}")
+    lines.append(f"# mean_l1_bc {np.mean(l1_bc):.10f}")
     return "\n".join(lines) + "\n"
 
 

@@ -22,8 +22,7 @@ residual from below by more than the tolerance, and the rounded policy's
 residual meets that bound to 1e-9, no policy fits and that residual is
 the LP's optimum (Boyd & Vandenberghe, Convex Optimization, sec. 5.2).
 Second, every other system runs the residual LP, then the tie-break LP,
-one table at a time through ``linprog``: a dense matrix, row bounds with
-the inequality rows first, and column upper bounds.
+one table at a time through ``linprog``.
 """
 from __future__ import annotations
 
@@ -312,26 +311,25 @@ def solve_policy(
     observational: JointTable,
     surrogate: Iterable[str],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[Policy | None, float | None] | list[tuple[Policy | None, float | None]]:
+) -> tuple[Policy | None, float | None] | tuple[Policy, np.ndarray, np.ndarray]:
     """The policy making the formula's surrogate distribution match the
     observed one within ``tolerance`` (L1), or ``None`` when none does,
     together with the exact L1 residual: the policy's, or the minimal
     achievable one.  Where the formula divides by an empty cell of the
     table, it is undefined: no policy and no residual, ``(None, None)``.
-
     Among the policies that match, the one closest in L1 to the
-    behavior-cloning conditional is returned.  Where the matching and
-    simplex rows are rank-deficient only up to rounding, this holds only up
-    to HiGHS's feasibility tolerance.
+    behavior-cloning conditional is returned, up to HiGHS's tolerance as
+    the module docstring says.  Each system takes the two steps set out
+    there: the closed-form fit or the duality certificate (``_certificate``)
+    over the whole batch at once, then the LPs (``_solve_system``) one
+    table at a time.
 
-    Two steps: one closed-form step over the batch rounds each system's
-    least-squares solution, from the SVD of its policy columns, onto the
-    simplex.  A pinned system, one that at most one policy fits exactly,
-    whose solution lies in the box and fits, gets that policy; a system
-    whose duality certificate (``_certificate``) at that policy proves
-    every policy's residual above the tolerance gets ``(None, residual)``.
-    HiGHS runs only on the rest, one table at a time (``_solve_system``).
-    A batched table gives a list of these pairs, one per table."""
+    A batched table gives arrays with its batch axes in front: one
+    ``Policy``, with the cloning row where no policy matches; the
+    residuals, NaN where undefined; and the mask ``found`` of the tables
+    that match."""
+    if not tolerance >= 0:
+        raise ValueError("tolerance must be >= 0")
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     n_pi = n_pa * k
@@ -353,17 +351,24 @@ def solve_policy(
     # the closed form rounded onto the simplex, one candidate per system:
     # the answer where the system is pinned, its solution lies in the box
     # and the candidate fits to 1e-9, and the duality certificate's policy
-    policy = _as_policy(closed, ph, in_doms, k)
-    lower, upper = _certificate(a2, t2, policy)
+    candidate = _as_policy(closed, ph, in_doms, k)
+    lower, upper = _certificate(a2, t2, candidate)
     in_box = ((closed >= -1e-12) & (closed <= 1 + 1e-12)).all(axis=-1)
-    fits = pinned & in_box & (upper <= min(tolerance, 1e-9))
     settled = (lower > tolerance) & (upper - lower <= 1e-9)
-    pairs = [(None, None) if nan else (None, float(res)) if sure
-             else (Policy(ph.action, ph.inputs, k, in_doms, probs), float(res)) if fit
-             else _solve_system(a, system, rhs, ref, ph, in_doms, k, tolerance)
-             for a, system, rhs, ref, probs, nan, fit, sure, res
-             in zip(a2, m, b, refs, policy.probs, undefined, fits, settled, upper)]
-    return pairs if observational.batch else pairs[0]
+    # found is a mask of its own, not residual <= tolerance: a settled
+    # system's upper bound can round to just below the tolerance
+    found = ~settled & pinned & in_box & (upper <= min(tolerance, 1e-9))
+    probs = np.where(found[:, None], candidate.probs.reshape(len(a2), -1), refs)
+    residual = np.where(undefined, np.nan, upper)
+    for i in np.flatnonzero(~(undefined | found | settled)):
+        policy, residual[i] = _solve_system(a2[i], m[i], b[i], refs[i], ph, in_doms, k, tolerance)
+        if policy is not None:
+            found[i], probs[i] = True, policy.probs.reshape(-1)
+    batch = observational.batch
+    policy = Policy(ph.action, ph.inputs, k, in_doms, probs.reshape(batch + in_doms + (k,)))
+    if batch:
+        return policy, residual.reshape(batch), found.reshape(batch)
+    return policy if found[0] else None, None if undefined[0] else float(residual[0])
 
 
 def _certificate(a2: np.ndarray, t: np.ndarray, policy: Policy):

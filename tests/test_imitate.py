@@ -189,7 +189,7 @@ def test_closed_form_returns_the_tie_break_policy():
     tables = [observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
               for i in range(1000)]
     batch = JointTable(tables[0].variables, tables[0].domains, np.stack([t.probs for t in tables]))
-    solved = sum(same(got, want) for got, want in zip(solve_policy(formula, batch, surrogate, 1e-9),
+    solved = sum(same(got, want) for got, want in zip(_pairs(solve_policy(formula, batch, surrogate, 1e-9)),
                                                       solve_policy_by_lp(formula, batch, surrogate, 1e-9, skip=False),
                                                       strict=True))
     assert solved > 400
@@ -205,17 +205,27 @@ def test_closed_form_returns_the_tie_break_policy():
     assert checked >= 10
 
 
+def _pairs(answer) -> list:
+    """A batched table's ``solve_policy`` answer as one pair per table, in
+    batch order: ``(Policy | None, float | None)``, as the table alone gets."""
+    policy, residual, found = answer
+    cells = policy.input_domains + (policy.action_domain,)
+    return [(Policy(policy.action, policy.inputs, policy.action_domain, policy.input_domains, row) if hit else None,
+             None if np.isnan(res) else float(res))
+            for row, res, hit in zip(policy.probs.reshape((-1,) + cells), residual.reshape(-1), found.reshape(-1))]
+
+
 def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
-    """``solve_policy``'s pairs on a table (batched or not), each with the
-    number of LPs its system ran, or ``None`` where the system did not reach
-    ``_solve_system``: it is undefined, its closed form fits, or the duality
-    certificate settled it."""
-    solve_system, linprog, returned, counts = imitate._solve_system, imitate.linprog, [], []
+    """``solve_policy``'s pairs on a table (batched or not), one per table,
+    each with the number of LPs its system ran, or ``None`` where the system
+    did not reach ``_solve_system``: it is undefined, its closed form fits,
+    or the duality certificate settled it."""
+    solve_system, linprog, systems, counts = imitate._solve_system, imitate.linprog, [], []
 
     def record_system(*args):
+        systems.append(args[1:3])
         counts.append(0)
-        returned.append(solve_system(*args))
-        return returned[-1]
+        return solve_system(*args)
 
     def record_lp(*args, **kwargs):
         counts[-1] += 1
@@ -224,10 +234,20 @@ def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
     with monkeypatch.context() as patch:
         patch.setattr(imitate, "_solve_system", record_system)
         patch.setattr(imitate, "linprog", record_lp)
-        pairs = solve_policy(formula, table, surrogate, tolerance)
-    # each pair _solve_system returned is the very object solve_policy lists
-    lps = {id(pair): count for pair, count in zip(returned, counts)}
-    return [(pair, lps.get(id(pair))) for pair in (pairs if table.batch else [pairs])]
+        answer = solve_policy(formula, table, surrogate, tolerance)
+    pairs = _pairs(answer) if table.batch else [answer]
+    # _solve_system takes the systems in batch order: each call belongs to
+    # the first table after the previous call's whose matching system (m, b)
+    # it got, bit for bit
+    m, b, *_ = _lp_system(formula, table, surrogate)
+    m, b = m.reshape((-1,) + m.shape[-2:]), b.reshape(-1, b.shape[-1])
+    lps, row = {}, 0
+    for (got_m, got_b), count in zip(systems, counts, strict=True):
+        while not (np.array_equal(got_m, m[row]) and np.array_equal(got_b, b[row])):
+            row += 1
+        lps[row] = count
+        row += 1
+    return [(pair, lps.get(i)) for i, pair in enumerate(pairs)]
 
 
 def _closed_form(pair, lps) -> bool:
@@ -343,6 +363,64 @@ def test_certificate_matches_the_lp_oracle(monkeypatch):
     assert all(got == want for got, want in residuals)
 
 
+def test_batch_answers_as_its_tables_alone(monkeypatch):
+    # a batch of 300 tables at 20 samples over 300 exact ones, with batch
+    # shape (2, 300) and the 20-sample tolerance: undefined, closed-form
+    # and LP-path rows.  Each row is what its table alone gets: found
+    # where that table gets a policy, with the same policy bit for bit, and
+    # the cloning row elsewhere; the same residual bit for bit, NaN where it
+    # has none
+    from causal_imitation.experiments import frontdoor_instrument
+    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
+
+    formula, surrogate, diagram = frontdoor_instrument()
+    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(300)]
+    models = _frontdoor_model(*(np.stack(column) for column in zip(*draws)), diagram)
+    seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(300)]
+    sampled, exact = empirical_observational(models, 20, seeds), observational(models)
+    batch = JointTable(exact.variables, exact.domains, np.stack([sampled.probs, exact.probs]))
+    tolerance = imitate._sampled_tolerance(20)
+    solve_system, lp_path = imitate._solve_system, []
+    with monkeypatch.context() as patch:
+        patch.setattr(imitate, "_solve_system", lambda *args: lp_path.append(1) or solve_system(*args))
+        policy, residual, found = solve_policy(formula, batch, surrogate, tolerance)
+    assert residual.shape == found.shape == (2, 300) and found.dtype == bool
+    assert policy.probs.shape == (2, 300) + policy.input_domains + (policy.action_domain,)
+    cloning = conditional_policy(batch, policy.action, policy.inputs).probs
+    undefined = 0
+    for index in np.ndindex(2, 300):
+        alone = JointTable(batch.variables, batch.domains, batch.probs[index])
+        want_policy, want_residual = solve_policy(formula, alone, surrogate, tolerance)
+        assert found[index] == (want_policy is not None)
+        row = want_policy.probs if found[index] else cloning[index]
+        assert policy.probs[index].tobytes() == np.asarray(row).tobytes()
+        if want_residual is None:
+            assert np.isnan(residual[index])
+        else:
+            assert residual[index].hex() == want_residual.hex()
+        undefined += want_residual is None
+    assert found[0].sum() > 100 and undefined > 100 and len(lp_path) > 100
+
+
+def test_solve_policy_refuses_a_nan_or_negative_tolerance():
+    # every comparison with NaN is false: a NaN tolerance let the LP path
+    # hand back a policy with residual 0.33, single table or batch
+    from causal_imitation.experiments import frontdoor_instrument
+
+    formula, surrogate, _diagram = frontdoor_instrument()
+    table = observational(random_frontdoor(np.random.SeedSequence(1)))
+    batch = JointTable(table.variables, table.domains, np.stack([table.probs] * 2))
+    for bad in (float("nan"), -1e-9, -np.inf):
+        for obs in (table, batch):
+            with pytest.raises(ValueError, match="tolerance must be >= 0"):
+                solve_policy(formula, obs, surrogate, bad)
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        imitate_pipeline(case.diagram, case.space, observational(fixtures.scm_fixture("frontdoor_mix")),
+                         case.reward, float("nan"))
+    assert solve_policy(formula, table, surrogate, 0.0)[1] > 0.3
+
+
 def test_certificate_lower_bound_holds_on_the_simplex():
     # weak duality: whatever the candidate, the certificate's lower bound is
     # at most the exact residual of every policy: the candidate's own and
@@ -439,10 +517,12 @@ def test_solver_requires_placeholder():
 def _lp_system(formula, obs, surrogate):
     """The LPs' inputs: the matching system and its right-hand side, from
     ``_matching_system``, and the number of policy cells, plus the
-    placeholder, input domains and k for turning a solution into a policy."""
+    placeholder, input domains and k for turning a solution into a policy.
+    A batched table gives one system per table, with its batch axes in front."""
     coeff, t, ph, in_doms, k = _linear_system(formula, obs, surrogate)
-    m, b = imitate._matching_system(coeff.reshape(len(t), -1), t, coeff.shape[1], k)
-    return m, b, coeff.shape[1] * k, ph, in_doms, k
+    n_s, n_pa = t.shape[-1], coeff.shape[-2]
+    m, b = imitate._matching_system(coeff.reshape(t.shape[:-1] + (n_s, -1)), t, n_pa, k)
+    return m, b, n_pa * k, ph, in_doms, k
 
 
 def test_lp_closest_backdoor_segment():
@@ -979,15 +1059,47 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
 
     # the study's L1 values are verify_policy's, bit for bit
     formula, surrogate, _diagram = experiments.frontdoor_instrument()
-    rows = experiments._frontdoor_batch((0, 0, 20, samples))
+    rows = zip(*experiments._frontdoor_batch((0, 0, 20, samples)), strict=True)
     for index, (_flag, l1_ci, l1_bc) in enumerate(rows):
         model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
         table = (empirical_observational(model, samples, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
                  if samples else observational(model))
         tolerance = imitate._sampled_tolerance(samples) if samples else 1e-9
         solved, _residual = solve_policy(formula, table, surrogate, tolerance)
-        assert l1_ci == (None if solved is None else verify_policy(model, solved, {"Y"}))
+        assert np.isnan(l1_ci) if solved is None else l1_ci == verify_policy(model, solved, {"Y"})
         assert l1_bc == verify_policy(model, conditional_policy(table, "X", ()), {"Y"})
+
+
+def test_study_batch_builds_no_policy_per_instance(monkeypatch):
+    # the solved policies of a batch stay one array: an exact batch of 8
+    # instances and one of 200 construct as many Policy objects.  At 100000
+    # samples, only the LP path builds more, at most 2 per _solve_system call
+    from causal_imitation import experiments, scm as scm_module
+
+    built, inside = [], []
+    post_init, solve_system = scm_module.Policy.__post_init__, imitate._solve_system
+
+    def count(policy):
+        built.append(1)
+        post_init(policy)
+
+    def system(*args):
+        before = len(built)
+        answer = solve_system(*args)
+        inside.append(len(built) - before)
+        return answer
+
+    monkeypatch.setattr(scm_module.Policy, "__post_init__", count)
+    monkeypatch.setattr(imitate, "_solve_system", system)
+    counts = {}
+    for samples in (0, 100_000):
+        for models in (8, 200):
+            del built[:], inside[:]
+            experiments._frontdoor_batch((0, 0, models, samples))
+            counts[samples, models] = len(built) - sum(inside), len(inside)
+            assert all(made <= 2 for made in inside)
+    assert counts[0, 8] == counts[0, 200] and counts[0, 8][1] == 0
+    assert counts[100_000, 8][0] == counts[100_000, 200][0] and counts[100_000, 200][1] > 20
 
 
 def test_study_finds_its_instrument_once_per_process(monkeypatch):
@@ -1031,6 +1143,17 @@ def _bits(rows):
     return [(flag, None if ci is None else ci.hex(), bc.hex()) for flag, ci, bc in rows]
 
 
+def _batch_rows(batches):
+    """The rows of ``_frontdoor_batch`` arrays, as ``frontdoor_instance``
+    gives them: ``(p_imitable, l1_ci or None, l1_bc)``."""
+    rows = []
+    for flags, l1_ci, l1_bc in batches:
+        assert flags.dtype == bool and flags.shape == l1_ci.shape == l1_bc.shape
+        rows += [(bool(flag), None if np.isnan(ci) else float(ci), float(bc))
+                 for flag, ci, bc in zip(flags, l1_ci, l1_bc)]
+    return rows
+
+
 # seed 15 at 1000 samples: instances 2 and 4 have a sampled table with an
 # empty conditioning cell; seed 17000236 at 100000 samples: instance 0
 STUDY_CASES = [
@@ -1063,7 +1186,7 @@ def test_study_matches_the_instance_loop(monkeypatch, models, samples, seed, chu
     for cuts in ((0, models), (0, models // 2, models)):
         batches = [experiments._frontdoor_batch((seed, start, stop, samples))
                    for start, stop in zip(cuts, cuts[1:]) if start < stop]
-        assert _bits([row for batch in batches for row in batch]) == loop
+        assert _bits(_batch_rows(batches)) == loop
 
 
 def test_study_reports_an_empty_cell_instance_as_unsolved():
@@ -1093,8 +1216,8 @@ def test_study_solves_the_pinned_instance_highs_misses():
     # box and fits to rounding, so the instance is p-imitable
     from causal_imitation.experiments import _frontdoor_batch
 
-    [(flag, l1_ci, _l1_bc)] = _frontdoor_batch((0, 19256, 19257, 0))
-    assert flag and l1_ci is not None and l1_ci <= 1e-9
+    [flag], [l1_ci], [_l1_bc] = _frontdoor_batch((0, 19256, 19257, 0))
+    assert flag and not np.isnan(l1_ci) and l1_ci <= 1e-9
 
 
 # ------------------------------------------------------------- pipeline
