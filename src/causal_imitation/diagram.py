@@ -4,18 +4,25 @@ A diagram has directed edges (cause -> effect) and bidirected edges
 (a <-> b, standing for an unobserved common cause of a and b).  Nodes are
 flagged observed or latent.  Everything here is immutable and pure; node
 iteration order is lexicographic throughout so results are deterministic.
+
+Each diagram is indexed and checked once, in its constructor.  Bit ``i`` of
+every mask is the ``i``-th node in sorted order, and each node holds its
+parents, children and siblings as integer masks.  Every structural query is
+one walk over masks, ``_reach``.  Where a query reads bidirected edges as
+hidden common causes, the ``j``-th bidirected edge in sorted order becomes
+a hidden fork at bit ``n + j``, past the ``n`` nodes, so no fork can clash
+with a declared node.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParseError
 
 HAT_SUFFIX = "^"
+_INVALID = "invalid diagram: "
 
 
 def hat_name(action: str) -> str:
@@ -27,6 +34,36 @@ def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def _bits(m: int) -> list[int]:
+    """The positions of the set bits of ``m``, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _spread(m: int, step: Sequence[int]) -> int:
+    """The union of ``step[i]`` over the bits ``i`` of ``m``."""
+    out = 0
+    while m:
+        low = m & -m
+        out |= step[low.bit_length() - 1]
+        m ^= low
+    return out
+
+
+def _reach(seeds: int, step: Sequence[int], stop: int = 0) -> int:
+    """The seeds plus every bit reached from them by repeated ``step``,
+    never entering a bit of ``stop``."""
+    seen = frontier = seeds
+    while frontier:
+        frontier = _spread(frontier, step) & ~seen & ~stop
+        seen |= frontier
+    return seen
+
+
 @dataclass(frozen=True)
 class CausalDiagram:
     """Acyclic mixed graph with observed/latent node flags."""
@@ -35,6 +72,55 @@ class CausalDiagram:
     observed: frozenset[str]
     directed: frozenset[tuple[str, str]]
     bidirected: frozenset[tuple[str, str]]
+    # the index: sorted names, name -> bit, masks per bit, observed mask
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _bit: dict[str, int] = field(init=False, repr=False, compare=False)
+    _pa: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _ch: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _sib: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _obs: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        names = tuple(sorted(set(self.nodes)))
+        bit = {n: i for i, n in enumerate(names)}
+        pa, sib = [0] * len(names), [0] * len(names)
+        for a, b in self.directed:
+            if a in bit and b in bit:
+                pa[bit[b]] |= 1 << bit[a]
+        for a, b in self.bidirected:
+            if a in bit and b in bit:
+                sib[bit[a]] |= 1 << bit[b]
+                sib[bit[b]] |= 1 << bit[a]
+        self._index(names, bit, tuple(pa), tuple(sib))
+        problems = validate(self)
+        if problems:
+            raise ValueError(_INVALID + "; ".join(problems))
+
+    def _index(self, names, bit, pa: tuple[int, ...], sib: tuple[int, ...]) -> None:
+        ch = [0] * len(names)
+        for i, m in enumerate(pa):
+            for p in _bits(m):
+                ch[p] |= 1 << i
+        obs = sum(1 << bit[n] for n in self.observed if n in bit)
+        for name, value in (("_names", names), ("_bit", bit), ("_pa", pa), ("_ch", tuple(ch)),
+                            ("_sib", sib), ("_obs", obs)):
+            object.__setattr__(self, name, value)
+
+    def _derive(self, pa: tuple[int, ...], sib: tuple[int, ...], observed: frozenset[str] | None = None,
+                nodes: tuple[str, ...] | None = None) -> "CausalDiagram":
+        """The acyclic diagram with the edges of ``pa`` and ``sib`` over this
+        one's nodes or the sorted ``nodes``: indexed from the masks, not checked."""
+        names, out = self._names if nodes is None else nodes, object.__new__(CausalDiagram)
+        directed = self.directed if pa is self._pa else frozenset(
+            (names[p], names[i]) for i, m in enumerate(pa) for p in _bits(m))
+        bidirected = self.bidirected if sib is self._sib else frozenset(
+            (names[i], names[j]) for i, m in enumerate(sib) for j in _bits(m >> i + 1 << i + 1))
+        for name, value in (("nodes", self.nodes if nodes is None else nodes),
+                            ("observed", self.observed if observed is None else observed),
+                            ("directed", directed), ("bidirected", bidirected)):
+            object.__setattr__(out, name, value)
+        out._index(names, self._bit if nodes is None else {n: i for i, n in enumerate(nodes)}, pa, sib)
+        return out
 
     @staticmethod
     def create(
@@ -44,139 +130,92 @@ class CausalDiagram:
         bidirected: Iterable[tuple[str, str]] = (),
     ) -> "CausalDiagram":
         obs = frozenset(observed)
-        lat = frozenset(latent)
-        nodes = tuple(sorted(obs | lat))
-        return CausalDiagram(
-            nodes=nodes,
-            observed=obs,
-            directed=frozenset((a, b) for a, b in directed),
-            bidirected=frozenset(_pair(a, b) for a, b in bidirected),
-        )
+        return CausalDiagram(tuple(sorted(obs | frozenset(latent))), obs, frozenset((a, b) for a, b in directed),
+                             frozenset(_pair(a, b) for a, b in bidirected))
 
     @property
     def latent(self) -> frozenset[str]:
         return frozenset(self.nodes) - self.observed
 
-    @cached_property
-    def _adjacency(self) -> dict[str, tuple[frozenset[str], frozenset[str], frozenset[str]]]:
-        """Per node: (parents, children, siblings)."""
-        out: dict[str, tuple[set[str], set[str], set[str]]] = {
-            n: (set(), set(), set()) for n in self.nodes
-        }
-        for a, b in self.directed:
-            if a in out and b in out:
-                out[b][0].add(a)
-                out[a][1].add(b)
-        for a, b in self.bidirected:
-            if a in out and b in out:
-                out[a][2].add(b)
-                out[b][2].add(a)
-        # most nodes lack one of the three relations; sharing one empty set
-        # keeps a diagram's cache about as small as a single relation's was
-        empty: frozenset[str] = frozenset()
-        return {n: tuple(frozenset(x) if x else empty for x in sets) for n, sets in out.items()}
+    def _mask(self, nodes: Iterable[str]) -> int:
+        """The mask of ``nodes``; an unknown name is a ValueError."""
+        m = 0
+        for n in nodes:
+            if n not in self._bit:
+                raise ValueError(f"unknown node {n!r}")
+            m |= 1 << self._bit[n]
+        return m
+
+    def _names_of(self, m: int) -> frozenset[str]:
+        return frozenset([self._names[i] for i in _bits(m)])
+
+    def _expanded(self) -> tuple[list[int], list[int]]:
+        """Parent and child masks of the DAG in which each bidirected edge,
+        in sorted order, is a hidden fork past the nodes."""
+        pa, ch = list(self._pa), list(self._ch)
+        for i, m in enumerate(self._sib):
+            for j in _bits(m >> i + 1 << i + 1):
+                fork = 1 << len(pa)
+                pa[i], pa[j] = pa[i] | fork, pa[j] | fork
+                pa.append(0)
+                ch.append(1 << i | 1 << j)
+        return pa, ch
 
     def parents(self, node: str) -> frozenset[str]:
-        return self._adjacency[node][0]
+        return self._names_of(self._pa[self._bit[node]])
 
     def children(self, node: str) -> frozenset[str]:
-        return self._adjacency[node][1]
+        return self._names_of(self._ch[self._bit[node]])
 
     def siblings(self, node: str) -> frozenset[str]:
         """Nodes joined to ``node`` by a bidirected edge."""
-        return self._adjacency[node][2]
+        return self._names_of(self._sib[self._bit[node]])
 
     def has_node(self, node: str) -> bool:
-        return node in self._adjacency
+        return node in self._bit
 
-    def _closure(self, seed: Iterable[str], step, inclusive: bool) -> frozenset[str]:
-        seeds = frozenset(seed)
-        for n in seeds:
-            if not self.has_node(n):
-                raise ValueError(f"unknown node {n!r}")
+    def _closure(self, seed: Iterable[str], step: tuple[int, ...], inclusive: bool) -> frozenset[str]:
+        seeds = self._mask(seed)
         if not inclusive:
-            seeds = frozenset(m for n in seeds for m in step(n))
-        return frozenset(_reach(seeds, step))
+            seeds = _spread(seeds, step)
+        return self._names_of(_reach(seeds, step))
 
     def ancestors(self, seed: Iterable[str], inclusive: bool = True) -> frozenset[str]:
-        return self._closure(seed, self.parents, inclusive)
+        return self._closure(seed, self._pa, inclusive)
 
     def descendants(self, seed: Iterable[str], inclusive: bool = True) -> frozenset[str]:
-        return self._closure(seed, self.children, inclusive)
-
-    def induced(self, keep: Iterable[str]) -> "CausalDiagram":
-        """Subgraph on ``keep``; edges with an endpoint outside are dropped."""
-        ks = frozenset(keep)
-        return CausalDiagram(
-            nodes=tuple(n for n in self.nodes if n in ks),
-            observed=self.observed & ks,
-            directed=frozenset(e for e in self.directed if e[0] in ks and e[1] in ks),
-            bidirected=frozenset(e for e in self.bidirected if e[0] in ks and e[1] in ks),
-        )
+        return self._closure(seed, self._ch, inclusive)
 
     def with_observed(self, extra: Iterable[str]) -> "CausalDiagram":
         """Copy with the given nodes flagged observed."""
         xs = frozenset(extra)
-        unknown = xs - set(self.nodes)
+        unknown = xs - self._bit.keys()
         if unknown:
             raise ValueError(f"unknown nodes {sorted(unknown)}")
-        return CausalDiagram(self.nodes, self.observed | xs, self.directed, self.bidirected)
+        return self._derive(self._pa, self._sib, self.observed | xs)
 
     def topological_order(self) -> tuple[str, ...]:
         """Topological order of the directed part, lexicographic among ties."""
-        indeg = {n: 0 for n in self.nodes}
-        for a, b in self.directed:
-            if a in indeg and b in indeg and a != b:
-                indeg[b] += 1
-        ready = [n for n in self.nodes if indeg[n] == 0]
-        heapq.heapify(ready)
-        out = []
-        while ready:
-            n = heapq.heappop(ready)
-            out.append(n)
-            for m in sorted(self.children(n)):
-                indeg[m] -= 1
-                if indeg[m] == 0:
-                    heapq.heappush(ready, m)
-        if len(out) != len(self.nodes):
-            raise ValueError("directed part contains a cycle")
+        out, done, todo = [], 0, list(range(len(self._names)))
+        while todo:
+            for k, i in enumerate(todo):
+                if not self._pa[i] & ~done:
+                    break
+            else:
+                raise ValueError("directed part contains a cycle")
+            del todo[k]
+            done |= 1 << i
+            out.append(self._names[i])
         return tuple(out)
-
-    def _expanded(self) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
-        """DAG view where each bidirected edge becomes a fresh hidden fork.
-
-        Returns (children map, hidden node names).  Hidden names cannot clash
-        with declared nodes because they contain a space.
-        """
-        ch: dict[str, set[str]] = {n: set(self.children(n)) for n in self.nodes}
-        hidden = set()
-        for a, b in sorted(self.bidirected):
-            h = f"{a} {b} <->"
-            hidden.add(h)
-            ch[h] = {a, b}
-        return {n: frozenset(v) for n, v in ch.items()}, frozenset(hidden)
 
 
 # ---------------------------------------------------------------------------
 # Graph operations
 
 
-def _reach(seeds: Iterable[str], step: Callable[[str], Iterable[str]],
-           stop: Container[str] = ()) -> set[str]:
-    """The seeds plus every node reached from them by repeated ``step``,
-    never entering a node in ``stop``."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for m in step(stack.pop()):
-            if m not in seen and m not in stop:
-                seen.add(m)
-                stack.append(m)
-    return seen
-
-
 def validate(diagram: CausalDiagram) -> list[str]:
-    """Return every invariant violation; an empty list means the diagram is ok."""
+    """Every invariant violation of the diagram's fields.  The constructor
+    raises on any, so a diagram that exists gives an empty list."""
     problems = []
     declared = set(diagram.nodes)
     if len(diagram.nodes) != len(declared):
@@ -185,7 +224,7 @@ def validate(diagram: CausalDiagram) -> list[str]:
         if not n:
             problems.append("empty node name")
     for arrow, edges in (("->", diagram.directed), ("<->", diagram.bidirected)):
-        for a, b in sorted(edges):
+        for a, b in sorted(e for e in edges if e[0] not in declared or e[1] not in declared or e[0] == e[1]):
             for end in (a, b):
                 if end not in declared:
                     problems.append(f"unknown node {end!r} in edge {a} {arrow} {b}")
@@ -201,17 +240,8 @@ def validate(diagram: CausalDiagram) -> list[str]:
     return problems
 
 
-def require_valid(diagram: CausalDiagram) -> None:
-    problems = validate(diagram)
-    if problems:
-        raise ValueError("invalid diagram: " + "; ".join(problems))
-
-
-def mutilate(
-    diagram: CausalDiagram,
-    cut_incoming: Iterable[str] = (),
-    cut_outgoing: Iterable[str] = (),
-) -> CausalDiagram:
+def mutilate(diagram: CausalDiagram, cut_incoming: Iterable[str] = (),
+             cut_outgoing: Iterable[str] = ()) -> CausalDiagram:
     """Remove edges with an arrowhead into ``cut_incoming`` nodes and directed
     edges out of ``cut_outgoing`` nodes.
 
@@ -219,21 +249,16 @@ def mutilate(
     ``cut_incoming`` node are removed as well; ``cut_outgoing`` leaves them
     untouched.  The node set is unchanged.
     """
-    inc = frozenset(cut_incoming)
-    out = frozenset(cut_outgoing)
-    for n in inc | out:
-        if not diagram.has_node(n):
-            raise ValueError(f"unknown node {n!r}")
-    return CausalDiagram(
-        nodes=diagram.nodes,
-        observed=diagram.observed,
-        directed=frozenset(
-            (a, b) for a, b in diagram.directed if b not in inc and a not in out
-        ),
-        bidirected=frozenset(
-            (a, b) for a, b in diagram.bidirected if a not in inc and b not in inc
-        ),
-    )
+    pa, sib = _cut(diagram, diagram._mask(cut_incoming), diagram._mask(cut_outgoing))
+    return diagram._derive(tuple(pa), sib)
+
+
+def _cut(diagram: CausalDiagram, inc: int, out: int) -> tuple[list[int], tuple[int, ...]]:
+    """The parent and sibling masks of ``mutilate``."""
+    pa = [0 if inc >> i & 1 else m & ~out for i, m in enumerate(diagram._pa)]
+    if not inc:
+        return pa, diagram._sib
+    return pa, tuple(0 if inc >> i & 1 else m & ~inc for i, m in enumerate(diagram._sib))
 
 
 @dataclass(frozen=True)
@@ -281,77 +306,50 @@ def augment_policy(diagram: CausalDiagram, space: PolicySpace) -> CausalDiagram:
     hat = hat_name(space.action)
     if diagram.has_node(hat):
         raise ValueError(f"node name {hat!r} is reserved for the decision node")
-    directed = set(diagram.directed)
-    directed.add((hat, space.action))
-    directed.update((z, space.action) for z in space.inputs)
-    return CausalDiagram(
-        nodes=tuple(sorted(diagram.nodes + (hat,))),
-        observed=diagram.observed | {hat},
-        directed=frozenset(directed),
-        bidirected=diagram.bidirected,
-    )
+    return CausalDiagram(tuple(sorted(diagram.nodes + (hat,))), diagram.observed | {hat},
+                         diagram.directed | {(z, space.action) for z in space.inputs | {hat}}, diagram.bidirected)
 
 
 def manipulated(diagram: CausalDiagram, space: PolicySpace) -> CausalDiagram:
     """Diagram of the policy-intervened model: incoming edges of the action
     are cut, then input -> action edges are added."""
     require_valid_space(diagram, space)
-    cut = mutilate(diagram, cut_incoming={space.action})
-    directed = set(cut.directed)
-    directed.update((z, space.action) for z in space.inputs)
-    return CausalDiagram(cut.nodes, cut.observed, frozenset(directed), cut.bidirected)
+    a = diagram._bit[space.action]
+    pa, sib = _cut(diagram, 1 << a, 0)
+    pa[a] = diagram._mask(space.inputs)
+    return diagram._derive(tuple(pa), sib)
 
 
-def _moral_adjacency(
-    diagram: CausalDiagram, anchor: frozenset[str]
-) -> dict[str, set[str]]:
-    """Moralized undirected adjacency of the ancestral subgraph of ``anchor``.
+def _moral_adjacency(diagram: CausalDiagram, anchor: int) -> tuple[int, list[int]]:
+    """The ancestral set of ``anchor`` and the moralized undirected
+    adjacency of its subgraph, as masks.
 
     Bidirected edges are expanded to hidden forks first, so confounding is a
     two-step link through a hidden vertex plus a marriage of its endpoints.
     """
-    children, _hidden = diagram._expanded()
-    parents: dict[str, set[str]] = {}
-    for p, chs in children.items():
-        for c in chs:
-            parents.setdefault(c, set()).add(p)
-    anc = _reach(anchor, lambda n: parents.get(n, ()))
-    adj: dict[str, set[str]] = {n: set() for n in anc}
-    for n in anc:
-        ps = [p for p in parents.get(n, ()) if p in anc]
-        for p in ps:
-            adj[n].add(p)
-            adj[p].add(n)
-        for i, p in enumerate(ps):
-            for q in ps[i + 1 :]:
-                adj[p].add(q)
-                adj[q].add(p)
-    return adj
+    pa = diagram._expanded()[0]
+    anc = _reach(anchor, pa)
+    adj = [0] * len(pa)
+    for i in _bits(anc):
+        adj[i] |= pa[i]
+        for p in _bits(pa[i]):
+            adj[p] |= pa[i] | 1 << i
+    return anc, adj
 
 
-def d_separated(
-    diagram: CausalDiagram,
-    a: Iterable[str],
-    b: Iterable[str],
-    c: Iterable[str] = (),
-) -> bool:
+def d_separated(diagram: CausalDiagram, a: Iterable[str], b: Iterable[str], c: Iterable[str] = ()) -> bool:
     """True iff every path between ``a`` and ``b`` is blocked given ``c``.
 
     Uses moralization of the ancestral subgraph, with bidirected edges read
     as hidden common causes.
     """
-    aset, bset, cset = frozenset(a), frozenset(b), frozenset(c)
-    for n in aset | bset | cset:
-        if not diagram.has_node(n):
-            raise ValueError(f"unknown node {n!r}")
-    if aset & bset or aset & cset or bset & cset:
+    am, bm, cm = diagram._mask(a), diagram._mask(b), diagram._mask(c)
+    if am & bm or am & cm or bm & cm:
         raise ValueError("node sets must be disjoint")
-    if not aset or not bset:
+    if not am or not bm:
         return True
-    adj = _moral_adjacency(diagram, aset | bset | cset)
-    return not (_reach(aset, adj.__getitem__, cset) & bset)
-
-
+    _anc, adj = _moral_adjacency(diagram, am | bm | cm)
+    return not _reach(am, adj, cm) & bm
 # ---------------------------------------------------------------------------
 # Text format
 
@@ -418,15 +416,15 @@ def parse_diagram_text(text: str) -> tuple[CausalDiagram, PolicySpace | None]:
             space = PolicySpace.create(tokens[2], tokens[4:])
         else:
             raise ParseError(f"unknown declaration {kind!r}", lineno)
-    diagram = CausalDiagram(
-        nodes=tuple(sorted(observed)),
-        observed=frozenset(n for n, o in observed.items() if o),
-        directed=frozenset(directed),
-        bidirected=frozenset(bidirected),
-    )
-    problems = validate(diagram)
-    if problems:
-        raise ParseError("; ".join(problems))
+    try:
+        diagram = CausalDiagram(
+            nodes=tuple(sorted(observed)),
+            observed=frozenset(n for n, o in observed.items() if o),
+            directed=frozenset(directed),
+            bidirected=frozenset(bidirected),
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc).removeprefix(_INVALID)) from None
     if space is not None:
         sp = validate_space(diagram, space)
         if sp:

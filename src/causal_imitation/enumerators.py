@@ -14,30 +14,17 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .diagram import (
-    CausalDiagram,
-    PolicySpace,
-    _moral_adjacency,
-    _reach,
-    augment_policy,
-    d_separated,
-    hat_name,
-)
+from .diagram import (CausalDiagram, PolicySpace, _bits, _moral_adjacency, _reach, _spread, augment_policy,
+                      d_separated, hat_name)
 from .identify import IdFormula, identify_policy
 
 
-def _neighborhood(adj: dict[str, set[str]], comp: set[str]) -> frozenset[str]:
-    out: set[str] = set()
-    for n in comp:
-        out |= adj[n]
-    return frozenset(out - comp)
-
-
-def _trim(adj: dict[str, set[str]], a: str, b: str, sep: frozenset[str]) -> frozenset[str]:
+def _trim(adj: list[int], a: int, b: int, sep: int) -> int:
     """Shrink a separator to an inclusion-minimal one: keep the boundary of
     a's component, then the boundary of b's component of what remains."""
-    s1 = _neighborhood(adj, _reach({a}, adj.__getitem__, sep))
-    return _neighborhood(adj, _reach({b}, adj.__getitem__, s1))
+    comp = _reach(a, adj, sep)
+    comp = _reach(b, adj, _spread(comp, adj) & ~comp)
+    return _spread(comp, adj) & ~comp
 
 
 def list_min_separators(diagram: CausalDiagram, a: str, b: str,
@@ -45,54 +32,57 @@ def list_min_separators(diagram: CausalDiagram, a: str, b: str,
     """Yield every inclusion-minimal set within ``restrict`` that d-separates
     ``a`` from ``b``, each exactly once, smallest lexicographic order first.
     """
-    for n in (a, b):
-        if not diagram.has_node(n):
-            raise ValueError(f"unknown node {n!r}")
-    adj = _moral_adjacency(diagram, frozenset({a, b}))
-    candidates = frozenset(restrict) & frozenset(adj) - {a, b}
-
-    def separates(cut: frozenset[str]) -> bool:
-        return b not in _reach({a}, adj.__getitem__, cut)
-
-    found: set[frozenset[str]] = set()
-    stack = [frozenset()]
-    seen_excl: set[frozenset[str]] = {frozenset()}
+    am, bm = diagram._mask({a}), diagram._mask({b})
+    anc, adj = _moral_adjacency(diagram, am | bm)
+    candidates = diagram._mask(r for r in restrict if diagram.has_node(r)) & anc & ~(am | bm)
+    found: set[int] = set()
+    stack = [0]
+    seen_excl: set[int] = {0}
     while stack:
         excluded = stack.pop()
-        allowed = candidates - excluded
-        if not separates(allowed):
+        allowed = candidates & ~excluded
+        if _reach(am, adj, allowed) & bm:
             continue
-        sep = _trim(adj, a, b, allowed)
+        sep = _trim(adj, am, bm, allowed)
         found.add(sep)
         # branch on every member even when sep was seen before: a target
         # separator may only be reachable through this exclusion state
-        for v in sorted(sep):
-            nxt = excluded | {v}
+        for v in _bits(sep):
+            nxt = excluded | 1 << v
             if nxt not in seen_excl:
                 seen_excl.add(nxt)
                 stack.append(nxt)
-    yield from sorted(found, key=lambda s: tuple(sorted(s)))
+    for sep in sorted(found, key=lambda s: [diagram._names[i] for i in _bits(s)]):
+        yield diagram._names_of(sep)
+
+
+def _id_subspaces(diagram: CausalDiagram, space: PolicySpace,
+                  target: frozenset[str]) -> Iterator[tuple[PolicySpace, IdFormula]]:
+    """``list_id_subspaces`` with each subspace's identifying formula."""
+
+    def helper(lower: frozenset[str], upper: frozenset[str], formula: IdFormula):
+        # lower is known identifiable and the exclude branch keeps it, so
+        # every space is asked about once
+        if lower == upper:
+            yield PolicySpace(space.action, lower), formula
+            return
+        v = min(upper - lower)
+        wider = identify_policy(diagram, PolicySpace(space.action, lower | {v}), target)
+        if wider is not None:
+            yield from helper(lower | {v}, upper, wider)
+        yield from helper(lower, upper - {v}, formula)
+
+    formula = identify_policy(diagram, PolicySpace(space.action, frozenset()), target)
+    if formula is not None:
+        yield from helper(frozenset(), space.inputs, formula)
 
 
 def list_id_subspaces(diagram: CausalDiagram, space: PolicySpace,
                       outcome: Iterable[str]) -> Iterator[PolicySpace]:
     """Yield every policy subspace whose interventional outcome distribution
     is identifiable, exactly once, include-branch first."""
-    target = frozenset(outcome)
-
-    def helper(lower: frozenset[str], upper: frozenset[str]) -> Iterator[PolicySpace]:
-        # lower is known identifiable and the exclude branch keeps it, so
-        # every space is asked about once
-        if lower == upper:
-            yield PolicySpace(space.action, lower)
-            return
-        v = min(upper - lower)
-        if identify_policy(diagram, PolicySpace(space.action, lower | {v}), target) is not None:
-            yield from helper(lower | {v}, upper)
-        yield from helper(lower, upper - {v})
-
-    if identify_policy(diagram, PolicySpace(space.action, frozenset()), target) is not None:
-        yield from helper(frozenset(), space.inputs)
+    for subspace, _formula in _id_subspaces(diagram, space, frozenset(outcome)):
+        yield subspace
 
 
 def surrogate_candidates(diagram: CausalDiagram, subspace: PolicySpace,
@@ -117,8 +107,13 @@ def instruments(diagram: CausalDiagram, space: PolicySpace,
     minimal surrogates within each, yielding ``(subspace, surrogate,
     formula)`` for each pair whose surrogate distribution is identified."""
     g_reward_obs = diagram.with_observed({reward})
-    for subspace in list_id_subspaces(g_reward_obs, space, {reward}):
+    for subspace, reward_formula in _id_subspaces(g_reward_obs, space, frozenset({reward})):
         for surrogate in surrogate_candidates(diagram, subspace, reward):
-            formula = identify_policy(diagram, subspace, surrogate)
+            if reward in diagram.observed and surrogate == {reward}:
+                # g_reward_obs is the diagram, so the subspace search has
+                # asked this query already
+                formula = reward_formula
+            else:
+                formula = identify_policy(diagram, subspace, surrogate)
             if formula is not None:
                 yield subspace, surrogate, formula

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .diagram import CausalDiagram, PolicySpace, _reach, mutilate, manipulated, require_valid_space
+from .diagram import CausalDiagram, PolicySpace, _reach, require_valid_space
 from .projection import project
 
 
@@ -155,19 +155,22 @@ def format_formula(formula: IdFormula) -> str:
 # C-components
 
 
+def _components(h: CausalDiagram, v: int) -> list[int]:
+    """Masks of the bidirected components of ``h`` restricted to ``v``,
+    ordered by smallest member."""
+    comps, rest = [], v
+    while rest:
+        comps.append(_reach(rest & -rest, h._sib, ~v))
+        rest &= ~comps[-1]
+    return comps
+
+
 def c_components(diagram: CausalDiagram) -> tuple[frozenset[str], ...]:
     """Partition of a semi-Markovian diagram by bidirected connectivity,
     ordered by smallest member."""
     if diagram.latent:
         raise ValueError("c-components are defined on semi-Markovian diagrams only")
-    seen: set[str] = set()
-    comps = []
-    for start in diagram.nodes:
-        if start not in seen:
-            comp = frozenset(_reach({start}, diagram.siblings))
-            seen |= comp
-            comps.append(comp)
-    return tuple(sorted(comps, key=min))
+    return tuple(map(diagram._names_of, _components(diagram, (1 << len(diagram.nodes)) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,39 +210,43 @@ class _Dist:
         return Quotient(num, den)
 
 
-def _id(y: frozenset[str], x: frozenset[str], dist: _Dist, g: CausalDiagram,
-        order: tuple[str, ...]) -> IdFormula:
-    v = frozenset(g.nodes)
+def _id(y: int, x: int, dist: _Dist, v: int, h: CausalDiagram, order: tuple[int, ...]) -> IdFormula:
+    """The recursion on the subgraph of ``h`` induced by the mask ``v``;
+    ``order`` is a topological order of ``h``'s bits."""
+    names = h._names_of
     if not x:
-        return dist.marginal_expr(y)
-    an = g.ancestors(y, inclusive=True)
+        return dist.marginal_expr(names(y))
+    an = _reach(y, h._pa, ~v)
     if v != an:
-        return _id(y, x & an, dist.restricted(an), g.induced(an), order)
-    w = (v - x) - mutilate(g, cut_incoming=x).ancestors(y, inclusive=True)
+        return _id(y, x & an, dist.restricted(names(an)), an, h, order)
+    # the nodes outside x that reach y only through x
+    w = v & ~x & ~_reach(y, h._pa, ~v | x)
     if w:
-        return _id(y, x | w, dist, g, order)
-    comps = c_components(g.induced(v - x))
+        return _id(y, x | w, dist, v, h, order)
+    comps = _components(h, v & ~x)
     if len(comps) > 1:
-        bound = v - (y | x)
-        terms = [_id(s, v - s, dist, g, order) for s in comps]
-        return _sum(bound, _product(terms))
+        terms = [_id(s, v & ~s, dist, v, h, order) for s in comps]
+        return _sum(names(v & ~(y | x)), _product(terms))
     s_comp = comps[0]
-    g_comps = c_components(g)
+    g_comps = _components(h, v)
     if len(g_comps) == 1:
         raise _NotIdentifiable
-    pos = {n: i for i, n in enumerate(order)}
 
-    def factorized(comp: frozenset[str]) -> IdFormula:
+    def factorized(comp: int) -> IdFormula:
         """Product over comp of P(vi | its predecessors in the order)."""
-        return _product([dist.conditional_expr(vi, frozenset(n for n in v if pos[n] < pos[vi]))
-                         for vi in sorted(comp, key=pos.get)])
+        terms, prior = [], 0
+        for i in order:
+            if comp >> i & 1:
+                terms.append(dist.conditional_expr(h._names[i], names(prior & v)))
+            prior |= 1 << i
+        return _product(terms)
 
     if s_comp in g_comps:
-        return _sum(s_comp - y, factorized(s_comp))
+        return _sum(names(s_comp & ~y), factorized(s_comp))
     for comp in g_comps:
-        if s_comp < comp:
-            new_dist = _Dist(tuple(n for n in order if n in comp), factorized(comp))
-            return _id(y, x & comp, new_dist, g.induced(comp), order)
+        if not s_comp & ~comp:
+            new_dist = _Dist(tuple(h._names[i] for i in order if comp >> i & 1), factorized(comp))
+            return _id(y, x & comp, new_dist, comp, h, order)
     raise AssertionError("single component of G - x not inside any component of G")
 
 
@@ -250,7 +257,8 @@ def _identify_projected(h: CausalDiagram, action: str,
     action is observed and that the outcome is observed without it."""
     order = h.topological_order()
     try:
-        formula = _id(outcome, frozenset({action}), _Dist(order, None), h, order)
+        formula = _id(h._mask(outcome), h._mask({action}), _Dist(order, None), (1 << len(order)) - 1, h,
+                      tuple(h._bit[n] for n in order))
     except _NotIdentifiable:
         return None
     # the recursion may widen the do-set with variables the effect provably
@@ -287,8 +295,9 @@ def identify_policy(diagram: CausalDiagram, space: PolicySpace,
     if not outcome <= diagram.observed:
         return None
     h = project(diagram)
-    h_pi = manipulated(h, space)
-    anc = h_pi.ancestors(outcome, inclusive=True)
+    pa = list(h._pa)  # as in manipulated(h, space): the inputs are the action's parents
+    pa[h._bit[space.action]] = h._mask(space.inputs)
+    anc = h._names_of(_reach(h._mask(outcome), pa))
     if space.action not in anc:
         # the action cannot reach the outcome: the policy is irrelevant
         return Factor(tuple(sorted(outcome)))

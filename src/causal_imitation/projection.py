@@ -8,40 +8,36 @@ semi-Markovian: every node observed.
 """
 from __future__ import annotations
 
-from .diagram import CausalDiagram, _reach, require_valid
+from .diagram import CausalDiagram, _bits, _reach
 
 
 def project(diagram: CausalDiagram) -> CausalDiagram:
     """Project an arbitrary diagram onto its observed nodes."""
-    require_valid(diagram)
-    children, hidden = diagram._expanded()
-    latent = diagram.latent | hidden
-    obs = sorted(diagram.observed)
+    _pa, children = diagram._expanded()
+    obs = diagram._obs
+    latent = (1 << len(children)) - 1 & ~obs  # latent nodes and hidden forks
+    through = [m if latent >> i & 1 else 0 for i, m in enumerate(children)]
+    kept = _bits(obs)
+    rank = {i: k for k, i in enumerate(kept)}
 
-    def hits(start: str) -> set[str]:
-        """Observed ends of the directed paths out of ``start`` whose
-        interior nodes are all latent."""
-        return _reach(children[start], lambda n: children[n] if n in latent else ()) - latent
+    def hits(start: int) -> int:
+        """Observed ends, as a mask over the projection's nodes, of the
+        directed paths out of ``start`` whose interior nodes are all latent."""
+        out = 0
+        for i in _bits(_reach(children[start], through) & obs):
+            out |= 1 << rank[i]
+        return out
 
-    directed = set()
-    for s in obs:
-        for e in hits(s):
-            if e != s:
-                directed.add((s, e))
-
+    pa, sib = [0] * len(kept), [0] * len(kept)
+    for k, s in enumerate(kept):
+        for e in _bits(hits(s)):
+            pa[e] |= 1 << k
     # Any confounding pattern collapses to a latent fork once bidirected
     # edges are expanded: some latent root reaches both endpoints through
     # latent interiors.
-    bidirected = set()
-    for root in sorted(latent):
-        reach = sorted(hits(root))
-        for i, a in enumerate(reach):
-            for b in reach[i + 1 :]:
-                bidirected.add((a, b))
-
-    return CausalDiagram(
-        nodes=tuple(obs),
-        observed=frozenset(obs),
-        directed=frozenset(directed),
-        bidirected=frozenset(bidirected),
-    )
+    for root in _bits(latent):
+        ends = hits(root)
+        for e in _bits(ends):
+            sib[e] |= ends & ~(1 << e)
+    nodes = tuple(diagram._names[i] for i in kept)
+    return diagram._derive(tuple(pa), tuple(sib), frozenset(nodes), nodes)

@@ -35,7 +35,6 @@ from .diagram import (
     _read_text,
     manipulated,
     parse_diagram_text,
-    require_valid,
 )
 from .errors import ParseError, TooLargeError, UnsupportedConditionalError
 from .identify import (
@@ -282,7 +281,6 @@ class DiscreteSCM:
             raise ValueError("model tables have batch axes that do not broadcast together") from None
 
     def __post_init__(self):
-        require_valid(self.diagram)
         if not all(_increasing([name for name, _ in pairs]) for pairs in (self.domains, self.exogenous)):
             raise ValueError("domains and exogenous must be sorted by distinct name")
         dom = dict(self.domains)
@@ -490,7 +488,6 @@ def random_scm(diagram: CausalDiagram, seed, domains: int = 2) -> DiscreteSCM:
     """Random stochastic model for a diagram: one binary exogenous variable
     per bidirected edge, plus uniformly drawn mechanism rows; every node
     takes ``domains`` values."""
-    require_valid(diagram)
     rng = np.random.default_rng(seed)
     dom = dict.fromkeys(diagram.nodes, domains)
     exo: dict[str, np.ndarray] = {}

@@ -189,3 +189,27 @@ def test_everything_pruned_when_no_input_space_fails():
     for s in subsets(case.space.inputs):
         assert identify_policy(g_obs, PolicySpace.create("X", frozenset(s)), {"Y"}) is None
     assert list(list_id_subspaces(g_obs, case.space, {"Y"})) == []
+
+
+def test_instruments_ask_each_identification_once(monkeypatch):
+    # the last-resort surrogate {reward} of an observed reward is the query
+    # the subspace search has asked already, on the same diagram
+    from test_graph_layer import draw_problem
+
+    queries = []
+
+    def counted(diagram, space, outcome):
+        queries.append((diagram, space, frozenset(outcome)))
+        return identify_policy(diagram, space, outcome)
+
+    monkeypatch.setattr(enumerators, "identify_policy", counted)
+    problems = [(case.diagram, case.space, case.reward) for case in map(fig, fixtures.diagram_names())]
+    problems += [(d, PolicySpace.create(action, inputs), reward)
+                 for d, action, inputs, reward in map(draw_problem, range(150))]
+    reused = 0
+    for d, space, reward in problems:
+        queries.clear()
+        found = list(enumerators.instruments(d, space, reward))
+        assert len(queries) == len(set(queries)), (d, space, reward)
+        reused += sum(reward in d.observed and s == {reward} for _, s, _ in found)
+    assert reused > 20

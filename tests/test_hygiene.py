@@ -117,7 +117,6 @@ def test_no_unbounded_cache():
 # for the life of the process, built on first use
 ALLOWED_CACHES = {
     "imitate._highs",  # the one HiGHS solver every LP runs on
-    "diagram.CausalDiagram._adjacency",  # a diagram's parent, child and sibling sets
     "experiments.frontdoor_instrument",  # the study's one instrument, found once by the search
 }
 CACHES = {"cache", "lru_cache", "cached_property"}
@@ -282,3 +281,8 @@ def test_checks_live_in_the_constructors():
     assert {"scm:Policy.create", "scm:DiscreteSCM.create", "scm:intervene"} <= labels
     assert [f"{module}:{node.name}" for module, tree in TREES.items() for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == "_validate"] == []
+    # a diagram is checked once, when it is built: no other module checks one
+    rechecks = [f"{module}:{node.lineno}" for module, tree in TREES.items() if module != "diagram.py"
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and {getattr(node.func, "id", None), getattr(node.func, "attr", None)} & {"require_valid", "validate"}]
+    assert rechecks == []

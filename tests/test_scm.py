@@ -470,6 +470,8 @@ def test_mechanism_accepts_exactly_valid_arguments(seed, fault):
 
 # faults that create's mappings cannot hold: only the constructor gets them
 CONSTRUCTOR_FAULTS = ["unsorted-domains", "repeat-domain", "unsorted-exo", "repeat-exo"]
+# faults no diagram can hold: CausalDiagram's constructor refuses them
+DIAGRAM_FAULTS = ["cycle", "undeclared-edge-node"]
 MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "domain-outside", "mechanism-outside",
                 "missing-mechanism", "duplicate-mechanism", "small-domain", "missing-domain", "wrong-parents",
                 "unknown-exo", "exo-clash", "exo-rows", "exo-nan", "table-shape", "mechanism-rows", "unlicensed",
@@ -550,6 +552,11 @@ def _model_arguments(rng, fault):
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(MODEL_FAULTS))
 def test_model_create_and_constructor_agree(seed, fault):
+    if fault in DIAGRAM_FAULTS:
+        # the diagram's own constructor refuses these before a model exists
+        with pytest.raises(ValueError, match="invalid diagram"):
+            _model_arguments(np.random.default_rng(seed), fault)
+        return
     d, domains, exogenous, mechs = _model_arguments(np.random.default_rng(seed), fault)
 
     def via_constructor():
