@@ -39,6 +39,22 @@ if TYPE_CHECKING:
 _MAX_COUNT = 2**63 - 1  # numpy takes sample and row counts as 64-bit ints
 
 
+def _at_least(lo: int, hi: int | None = None) -> type[argparse.Action]:
+    """argparse action for an integer flag (``type=int``) of at least ``lo``
+    and, when given, at most ``hi``; a value outside is a usage error that
+    names the flag and the bound."""
+
+    class Bounded(argparse.Action):
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < lo:
+                parser.error(f"{option_string} must be >= {lo}")
+            if hi is not None and value > hi:
+                parser.error(f"{option_string} must be <= {hi}")
+            setattr(namespace, self.dest, value)
+
+    return Bounded
+
+
 def parse_distribution_text(text: str) -> JointTable:
     """Header of variable names, then one row of integer values plus the
     probability per configuration; all configurations must be present."""
@@ -199,11 +215,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     from . import experiments
 
-    # an unset flag is None; main refused every value these defaults could hide
     if args.study == "frontdoor-study":
-        text = experiments.frontdoor_study(args.models or 1000, args.samples or 0, args.seed, args.workers or 1)
+        text = experiments.frontdoor_study(args.models, args.samples, args.seed)
     else:
-        text = experiments.highway_binary_report(args.samples or 10000, args.seed)
+        text = experiments.highway_binary_report(args.samples, args.seed)
     _emit(args, text)
     return 0
 
@@ -270,27 +285,33 @@ def build_parser() -> argparse.ArgumentParser:
     table = p.add_mutually_exclusive_group(required=True)
     table.add_argument("--dist", help="observational distribution file")
     table.add_argument("--scm", help="model file or bundled model name")
-    p.add_argument("--samples", type=int, help="empirical table size from --scm (default or 0: exact)")
-    p.add_argument("--seed", type=int, help="empirical table seed, with --samples (default: 0)")
+    p.add_argument("--samples", type=int, action=_at_least(0, _MAX_COUNT),
+                   help="empirical table size from --scm (default or 0: exact)")
+    p.add_argument("--seed", type=int, action=_at_least(0), help="empirical table seed, with --samples (default: 0)")
     p.add_argument("--strict", action="store_true", help="nonzero exit when infeasible")
     p.set_defaults(func=_cmd_imitate)
 
     p = sub.add_parser("simulate", help="draw observed rows from a model")
     p.add_argument("--scm", required=True, help="model file or bundled model name")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, action=_at_least(1, _MAX_COUNT), required=True)
+    p.add_argument("--seed", type=int, action=_at_least(0), default=0)
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="bundled studies")
-    p.add_argument("study", choices=["frontdoor-study", "highway-binary"])
-    p.add_argument("--models", type=int, help="frontdoor-study models (default: 1000)")
-    p.add_argument("--samples", type=int,
-                   help="empirical table size (default: 0, exact, for frontdoor-study; 10000 for highway-binary)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, help="frontdoor-study worker processes (default: 1)")
-    p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_experiment)
+    studies = p.add_subparsers(dest="study", required=True)
+    frontdoor = studies.add_parser("frontdoor-study", help="random mediator chains: imitation versus behavior cloning")
+    frontdoor.add_argument("--models", type=int, action=_at_least(1), default=1000,
+                           help="random models (default: 1000)")
+    frontdoor.add_argument("--samples", type=int, action=_at_least(0, _MAX_COUNT), default=0,
+                           help="empirical table size (default: 0, exact)")
+    highway = studies.add_parser("highway-binary", help="the binary aerial-traffic model's cloning bias")
+    highway.add_argument("--samples", type=int, action=_at_least(1, _MAX_COUNT), default=10000,
+                         help="empirical table size (default: 10000)")
+    for q in (frontdoor, highway):
+        q.add_argument("--seed", type=int, action=_at_least(0), default=0)
+        q.add_argument("--out", help="output file (default: stdout)")
 
     p = sub.add_parser("fixture", help="bundled example files")
     which = p.add_mutually_exclusive_group(required=True)
@@ -304,32 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    samples = getattr(args, "samples", None)
-    if args.command == "simulate" and args.n < 1:
-        parser.error("--n must be >= 1")
-    if args.command == "simulate" and args.n > _MAX_COUNT:
-        parser.error(f"--n must be <= {_MAX_COUNT}")
-    if samples is not None and samples < 0:
-        parser.error("--samples must be >= 0")
-    if samples is not None and samples > _MAX_COUNT:
-        parser.error(f"--samples must be <= {_MAX_COUNT}")
-    if args.command == "imitate" and args.dist is not None and samples is not None:
+    if args.command == "imitate" and args.dist is not None and args.samples is not None:
         parser.error("--samples needs --scm, not --dist")
-    if args.command == "experiment":
-        if args.workers is not None and args.workers < 1:
-            parser.error("--workers must be >= 1")
-        if args.models is not None and args.models < 1:
-            parser.error("--models must be >= 1")
-        if args.study == "highway-binary":
-            for flag in ("models", "workers"):
-                if getattr(args, flag) is not None:
-                    parser.error(f"--{flag} needs frontdoor-study, not highway-binary")
-            if samples == 0:
-                parser.error("--samples must be >= 1 with highway-binary")
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        parser.error("--seed must be >= 0")
-    if args.command == "imitate" and seed is not None and not samples:
+    if args.command == "imitate" and args.seed is not None and not args.samples:
         parser.error("--seed needs --samples n with n >= 1")
     try:
         return args.func(args)

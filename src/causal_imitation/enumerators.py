@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .diagram import (CausalDiagram, PolicySpace, _bits, _moral_adjacency, _reach, _spread, augment_policy,
-                      d_separated, hat_name)
+                      d_separated, hat_name, require_valid_space)
 from .identify import IdFormula, identify_policy
 
 
@@ -106,6 +106,9 @@ def instruments(diagram: CausalDiagram, space: PolicySpace,
     """The instrument search: every identifiable policy subspace, then the
     minimal surrogates within each, yielding ``(subspace, surrogate,
     formula)`` for each pair whose surrogate distribution is identified."""
+    # the search stops when the empty space is not identifiable, before any
+    # query would check the inputs
+    require_valid_space(diagram, space)
     g_reward_obs = diagram.with_observed({reward})
     for subspace, reward_formula in _id_subspaces(g_reward_obs, space, frozenset({reward})):
         for surrogate in surrogate_candidates(diagram, subspace, reward):

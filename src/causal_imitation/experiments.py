@@ -2,16 +2,18 @@
 
 Both experiments are deterministic given their flags: per-instance seeds are
 spawned from the base seed by instance index, and reports are assembled in
-instance order regardless of worker count.
+instance order however the instances are batched and wherever they run.
 
 The frontdoor study finds its instrument once per process and cuts its
-instances once, into contiguous batches of at most ``_CHUNK`` instances,
-the same number of batches for every worker.  Each instance draws its
-numbers from its own seed, and a batch's models, joints, tables, linear
-systems, cloning policies and L1 distances are stacked along a leading axis
-and computed as array operations, each instance with the bits it would get
-alone.  Only the LPs run one instance at a time.  A batch returns its
-flags and L1 distances as three arrays, and the report is built from them.
+instances once, into ``ceil(models / _CHUNK)`` contiguous batches.  It runs
+them in its own process when there is one batch or one usable CPU, and
+otherwise on a pool of one process per usable CPU, at most one per batch.
+Each instance draws its numbers from its own seed, and a batch's models,
+joints, tables, linear systems, cloning policies and L1 distances are
+stacked along a leading axis and computed as array operations, each
+instance with the bits it would get alone.  Only the LPs run one instance
+at a time.  A batch returns its flags and L1 distances as three arrays, and
+the report is built from them.
 """
 from __future__ import annotations
 
@@ -21,13 +23,12 @@ from functools import lru_cache
 # scm comes first, ahead of numpy and the rest of the package, as in imitate.py
 from .scm import (
     Policy,
-    _frontdoor_draw,
-    _frontdoor_model,
     conditional_policy,
     empirical_observational,
     intervene,
     joint,
     observational,
+    random_frontdoor,
 )
 
 import numpy as np
@@ -62,15 +63,9 @@ def _frontdoor_batch(args: tuple[int, int, int, int]) -> tuple[np.ndarray, np.nd
     the solved policy (NaN when unsolved) and of behavior cloning.  A table
     on which the formula divides by an empty cell is unsolved."""
     base_seed, start, stop, samples = args
-    formula, surrogate, diagram = frontdoor_instrument()
+    formula, surrogate, _diagram = frontdoor_instrument()
     indices = range(start, stop)
-    n = len(indices)
-    draws = np.empty(n), np.empty((n, 2)), np.empty((n, 2, 2)), np.empty((n, 2))
-    for j, i in enumerate(indices):
-        drawn = _frontdoor_draw(np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)))
-        for column, value in zip(draws, drawn):
-            column[j] = value
-    models = _frontdoor_model(*draws, diagram)
+    models = random_frontdoor([np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)) for i in indices])
     # one exact joint gives the observed tables and the expert's reward
     full = joint(models)
     exact = full.marginal(models.diagram.observed)
@@ -91,26 +86,23 @@ def _frontdoor_batch(args: tuple[int, int, int, int]) -> tuple[np.ndarray, np.nd
     return p_imitable, np.where(found, l1_ci, np.nan), l1_bc
 
 
-def frontdoor_study(models: int, samples: int = 0, seed: int = 0, workers: int = 1) -> str:
+def frontdoor_study(models: int, samples: int = 0, seed: int = 0) -> str:
     """Random binary mediator-chain study: per-model p-imitability flag and
     the reward L1 of the solved policy versus behavior cloning."""
     if models < 1:
         raise ValueError("models must be >= 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    # contiguous batches of at most _CHUNK instances, the same number for
-    # every worker; more workers than models would only add empty batches
-    workers = min(workers, models)
-    count = workers * -(-models // (_CHUNK * workers))
+    count = -(-models // _CHUNK)
     cuts = [models * b // count for b in range(count + 1)]
     args = [(seed, start, stop, samples) for start, stop in zip(cuts, cuts[1:])]
-    if workers > 1:
-        # imported here, so that commands without a pool do not pay for it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    # a fork pool starts every process at once: no more than the usable
+    # CPUs, and none without a batch to run
+    processes = min(count, cpus)
+    if processes > 1:
+        # imported here, so that a study without a pool does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts every worker at once: no more than the usable CPUs
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-        with ProcessPoolExecutor(max_workers=min(workers, cpus)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             batches = list(pool.map(_frontdoor_batch, args))
     else:
         batches = list(map(_frontdoor_batch, args))

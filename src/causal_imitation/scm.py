@@ -443,27 +443,21 @@ def empirical_observational(scm: DiscreteSCM, n: int, seed) -> JointTable:
 
 def random_frontdoor(seed) -> DiscreteSCM:
     """Random binary instance of the ``frontdoor_latent`` fixture, the
-    mediator chain with an action/endpoint confounder: P(x), P(w|x),
-    P(s|x,w), P(y|s) each drawn uniformly.
+    mediator chain with an action/endpoint confounder: P(X=1), P(W=1 | X=x),
+    P(S=1 | X=x, W=w) and P(Y=1 | S=s), drawn uniformly in that order.  A
+    list of seeds gives the batch of their models, each drawn as it would be
+    alone.
 
     The confounder is realized by a shared exogenous variable carrying the
     action's value, so the observational joint factorizes exactly as drawn.
     """
     from .experiments import frontdoor_instrument  # experiments imports this module
 
-    return _frontdoor_model(*_frontdoor_draw(seed), frontdoor_instrument()[2])
-
-
-def _frontdoor_draw(seed) -> tuple[np.ndarray, ...]:
-    """One instance's P(X=1), P(W=1 | X=x), P(S=1 | X=x, W=w) and
-    P(Y=1 | S=s), drawn uniformly in that order."""
-    rng = np.random.default_rng(seed)
-    return np.asarray(rng.uniform()), rng.uniform(size=2), rng.uniform(size=(2, 2)), rng.uniform(size=2)
-
-
-def _frontdoor_model(p_x, p_w, p_s, p_y, diagram: CausalDiagram) -> DiscreteSCM:
-    """The mediator-chain model on the ``frontdoor_latent`` ``diagram`` with
-    the drawn parameters; leading axes shared by all four make a batch of models."""
+    # nine uniforms in one call are the draws above, bit for bit
+    draws = (np.stack([np.random.default_rng(s).uniform(size=9) for s in seed]) if isinstance(seed, list)
+             else np.random.default_rng(seed).uniform(size=9))
+    p_x, p_w, p_y = draws[..., 0], draws[..., 1:3], draws[..., 7:]
+    p_s = draws[..., 3:7].reshape(draws.shape[:-1] + (2, 2))
 
     def bern(p):
         return np.stack([1.0 - p, p], axis=-1)
@@ -477,7 +471,7 @@ def _frontdoor_model(p_x, p_w, p_s, p_y, diagram: CausalDiagram) -> DiscreteSCM:
         Mechanism("Y", ("S",), (), bern(p_y)),
     ]
     return DiscreteSCM.create(
-        diagram,
+        frontdoor_instrument()[2],
         domains={"X": 2, "W": 2, "S": 2, "Y": 2},
         exogenous={"U": bern(p_x)},
         mechanisms=mechs,

@@ -174,8 +174,9 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
     (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "-5"],
      "--samples must be >= 0"),
     (["experiment", "frontdoor-study", "--samples", "-1"], "--samples must be >= 0"),
-    (["experiment", "highway-binary", "--samples", "-1"], "--samples must be >= 0"),
-    (["experiment", "frontdoor-study", "--models", "2", "--workers", "0"], "--workers must be >= 1"),
+    (["experiment", "highway-binary", "--samples", "-1"], "--samples must be >= 1"),
+    # the study sizes its own pool
+    (["experiment", "frontdoor-study", "--models", "2", "--workers", "0"], "unrecognized arguments: --workers 0"),
     (["experiment", "frontdoor-study", "--models", "0"], "--models must be >= 1"),
     (["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "10",
       "--seed", "-1"], "--seed must be >= 0"),
@@ -207,11 +208,11 @@ def test_simulate_output_and_determinism(tmp_path, capsys):
     # --list silently won over --name
     (["fixture", "--list", "--name", "frontdoor_mix"], "argument --name: not allowed with argument --list"),
     # highway-binary ignored --models and --workers, and read --samples 0 as 10000
-    (["experiment", "highway-binary", "--samples", "0"], "--samples must be >= 1 with highway-binary"),
-    (["experiment", "highway-binary", "--models", "7"], "--models needs frontdoor-study, not highway-binary"),
-    (["experiment", "highway-binary", "--workers", "2"], "--workers needs frontdoor-study, not highway-binary"),
-    (["experiment", "highway-binary", "--samples", "0", "--workers", "2", "--models", "7"],
-     "--models needs frontdoor-study, not highway-binary"),
+    (["experiment", "highway-binary", "--samples", "0"], "--samples must be >= 1"),
+    (["experiment", "highway-binary", "--models", "7"], "unrecognized arguments: --models 7"),
+    (["experiment", "highway-binary", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["experiment", "highway-binary", "--workers", "2", "--models", "7"],
+     "unrecognized arguments: --workers 2 --models 7"),
 ])
 def test_bad_flags_rejected_by_parser(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -244,22 +245,20 @@ def test_simulate_rejects_zero_rows(capsys):
 def test_experiment_reports_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
     assert main(["experiment", "frontdoor-study", "--models", "12", "--out", str(out1)]) == 0
-    assert main(["experiment", "frontdoor-study", "--models", "12", "--workers", "2",
-                 "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    assert main(["experiment", "frontdoor-study", "--models", "12", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes() == experiments.frontdoor_study(12).encode()
 
 
-@pytest.mark.parametrize("cpus, workers, pool", [(2, 7, 2), (2, 2, 2), (64, 3, 3), (1, 5, 1)])
-def test_study_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus, workers, pool):
-    # a fork pool starts all its workers at once: --workers 5000 forked 5000
-    # processes; the batches stay one per worker, so the bytes do not change
+def _recorded_study(monkeypatch, cpus: int, chunk: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Patch the study to see ``cpus`` usable CPUs, to cut batches of at
+    most ``chunk`` and to run its pool in this process, so no process
+    starts.  Returns the lists to which the bounds of each batch run and the
+    size of each pool built are appended."""
     import concurrent.futures
 
-    sizes, batches = [], []
+    batches, sizes = [], []
 
     class InProcessPool:
-        """Records max_workers and maps in this process: no process starts."""
-
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -274,49 +273,49 @@ def test_study_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus, workers, poo
 
     batch = experiments._frontdoor_batch
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus))
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
     monkeypatch.setattr(experiments, "_frontdoor_batch", lambda args: batches.append(args[1:3]) or batch(args))
-    assert experiments.frontdoor_study(9, 1000, 4, workers) == experiments.frontdoor_study(9, 1000, 4)
-    assert sizes == [pool]
-    assert batches[:workers] == [(9 * w // workers, 9 * (w + 1) // workers) for w in range(workers)]
+    return batches, sizes
 
 
-@pytest.mark.parametrize("models, workers, cuts", [
-    (7, 1, (0, 2, 4, 7)),
-    (7, 2, (0, 1, 3, 5, 7)),
-    (9, 5, (0, 1, 3, 5, 7, 9)),
-    (3, 10**12, (0, 1, 2, 3)),
-])
-def test_study_cuts_its_instances_once(monkeypatch, models, workers, cuts):
-    # contiguous batches of at most _CHUNK instances, the same number for
-    # every worker, each computed by one _frontdoor_batch call
-    import concurrent.futures
-    from contextlib import nullcontext
-    from types import SimpleNamespace
-
+@pytest.mark.parametrize("cpus, models, processes", [(2, 7, 2), (2, 2, 2), (64, 3, 3), (1, 5, 1)])
+def test_study_pool_is_capped_at_the_usable_cpus(monkeypatch, cpus, models, processes):
+    # a fork pool starts all its processes at once: one per usable CPU, at
+    # most one per batch, and none on one CPU; the bytes do not change
     want = experiments.frontdoor_study(models, 1000, 4)
-    batches = []
-    batch = experiments._frontdoor_batch
-    monkeypatch.setattr(experiments, "_CHUNK", 3)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        lambda max_workers: nullcontext(SimpleNamespace(map=map)))
-    monkeypatch.setattr(experiments, "_frontdoor_batch", lambda args: batches.append(args[1:3]) or batch(args))
-    assert experiments.frontdoor_study(models, 1000, 4, workers) == want
+    batches, sizes = _recorded_study(monkeypatch, cpus, chunk=1)
+    assert experiments.frontdoor_study(models, 1000, 4) == want
+    assert sizes == ([processes] if processes > 1 else [])
+    assert batches == [(i, i + 1) for i in range(models)]
+
+
+@pytest.mark.parametrize("models, cpus, cuts", [
+    (7, 1, (0, 2, 4, 7)),
+    (7, 2, (0, 2, 4, 7)),
+    (9, 5, (0, 3, 6, 9)),
+    (3, 10**12, (0, 3)),
+])
+def test_study_cuts_its_instances_once(monkeypatch, models, cpus, cuts):
+    # ceil(models / _CHUNK) contiguous batches, whatever the usable CPUs,
+    # each computed by one _frontdoor_batch call; a CPU count past the
+    # batches builds nothing of its size
+    want = experiments.frontdoor_study(models, 1000, 4)
+    batches, _sizes = _recorded_study(monkeypatch, cpus, chunk=3)
+    assert experiments.frontdoor_study(models, 1000, 4) == want
     assert batches == list(zip(cuts, cuts[1:]))
 
 
-def test_study_workers_beyond_the_models_run_one_slice_each():
-    # --workers had no upper bound: 10**12 workers built a list of 10**12 + 1
-    # cut points before the empty slices were dropped
-    assert experiments.frontdoor_study(3, workers=10**12) == experiments.frontdoor_study(3, workers=1)
+def test_study_of_one_batch_builds_no_pool(monkeypatch):
+    # at most _CHUNK models are one batch, run in this process on any
+    # number of usable CPUs
+    import concurrent.futures
 
-
-@pytest.mark.parametrize("workers", [0, -1])
-def test_study_refuses_fewer_than_one_worker(workers):
-    # the CLI refuses these values, and the library does too, with a
-    # ValueError rather than a division by zero
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        experiments.frontdoor_study(3, workers=workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(64))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda *args, **kwargs: pytest.fail("a pool was built"))
+    for models in (1, experiments._CHUNK):
+        experiments.frontdoor_study(models)
 
 
 @pytest.mark.parametrize("kwargs, golden", [
@@ -363,7 +362,10 @@ def test_experiment_highway(capsys):
     (["fixture", "--name", "nope", "--out", "{tmp}/out"], "no bundled fixture named 'nope'"),
     # numpy's refusal to allocate 8 PiB of draws ended in a traceback
     (["simulate", "--scm", "frontdoor_mix", "--n", str(2**50)], "Unable to allocate"),
-], ids=["no-action", "no-fixture", "simulate-memory"])
+    # the search stopped at the empty space, before any query checked the inputs
+    (["instruments", "--graph", "highway_opaque", "--inputs", "L"], "invalid policy space: input L is latent"),
+    (["instruments", "--graph", "highway_opaque", "--inputs", "S"], "invalid policy space: unknown input 'S'"),
+], ids=["no-action", "no-fixture", "simulate-memory", "instruments-latent-input", "instruments-unknown-input"])
 def test_command_errors_return_one(tmp_path, capsys, argv, message):
     (tmp_path / "nopolicy.graph").write_text("node X obs\nnode Y obs\nedge X -> Y\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1
@@ -410,6 +412,8 @@ GUARDED = ("numpy", "scipy.optimize", "scipy.sparse", "scipy.linalg", "concurren
     (["experiment", "frontdoor-study", "--models", "4"], ["numpy"]),
     (["backdoor", "--graph", "highway_adjustable", "--minimal"], []),
     (["surrogates", "--graph", "frontdoor_observed"], []),
+    # the default study is one batch, so no process pool is loaded
+    (["experiment", "frontdoor-study"], ["numpy"]),
 ])
 def test_commands_import_only_what_they_use(argv, loaded):
     # a fresh interpreter per command: the modules a command loads are part

@@ -267,11 +267,7 @@ def _study_tables(models: int):
     """The exact and the 100000-sample tables of a frontdoor study's first
     ``models`` instances, drawn and stacked as its batches do, each with the
     study's tolerance."""
-    from causal_imitation.experiments import frontdoor_instrument
-    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
-
-    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(models)]
-    batch = _frontdoor_model(*(np.stack(column) for column in zip(*draws)), frontdoor_instrument()[2])
+    batch = random_frontdoor([np.random.SeedSequence(entropy=0, spawn_key=(i,)) for i in range(models)])
     seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(models)]
     return [(observational(batch), 1e-9),
             (empirical_observational(batch, 100_000, seeds), imitate._sampled_tolerance(100_000))]
@@ -371,11 +367,9 @@ def test_batch_answers_as_its_tables_alone(monkeypatch):
     # the cloning row elsewhere; the same residual bit for bit, NaN where it
     # has none
     from causal_imitation.experiments import frontdoor_instrument
-    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
 
-    formula, surrogate, diagram = frontdoor_instrument()
-    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(300)]
-    models = _frontdoor_model(*(np.stack(column) for column in zip(*draws)), diagram)
+    formula, surrogate, _diagram = frontdoor_instrument()
+    models = random_frontdoor([np.random.SeedSequence(entropy=0, spawn_key=(i,)) for i in range(300)])
     seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(300)]
     sampled, exact = empirical_observational(models, 20, seeds), observational(models)
     batch = JointTable(exact.variables, exact.domains, np.stack([sampled.probs, exact.probs]))
@@ -1050,8 +1044,10 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
     assert counts == [2 + (samples > 0)] * 2
 
     # 7 models in chunks of 3 are 3 chunks' worth of calls, and no joint
-    # sees more models than a chunk holds: the study's memory is bounded
+    # sees more models than a chunk holds: the study's memory is bounded.
+    # One usable CPU keeps the chunks in this process, where calls are counted
     monkeypatch.setattr(experiments, "_CHUNK", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls.clear()
     experiments.frontdoor_study(7, samples=samples)
     assert len(calls) == 3 * (2 + (samples > 0))
@@ -1129,6 +1125,7 @@ def test_study_finds_its_instrument_once_per_process(monkeypatch):
     queries.clear()
     parsed.clear()
     monkeypatch.setattr(experiments, "_CHUNK", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # no pool: the queries are seen here
     experiments.frontdoor_study(4)  # two batches
     assert queries == [] and parsed == []
     # random_frontdoor takes the diagram the study holds
@@ -1160,7 +1157,7 @@ STUDY_CASES = [
     *[(models, samples, 15, None) for models in (1, 4, 7) for samples in (0, 1000, 100_000)],
     (1, 100_000, 17_000_236, None),
     (4, 100_000, 17_000_236, None),
-    # batches of at most 3: one worker cuts at 2 and 4, two workers at 1, 3 and 5
+    # batches of at most 3, cut at 2 and 4
     *[(7, samples, 15, 3) for samples in (0, 1000)],
 ]
 
@@ -1171,17 +1168,20 @@ STUDY_CASES = [
 ])
 def test_study_matches_the_instance_loop(monkeypatch, models, samples, seed, chunk):
     # the batched study reports what a loop over single instances reports,
-    # byte for byte, with every L1 bit for bit, for one batch and one per
-    # worker, and across chunk boundaries
+    # byte for byte, with every L1 bit for bit: in this process on one CPU,
+    # with one batch or in chunks of ``chunk``, and on a pool of 2 CPUs
+    # with at least 2 batches wherever there are 2 models
     from causal_imitation import experiments
     from oracles import frontdoor_instance, frontdoor_study_loop
 
-    if chunk is not None:
-        monkeypatch.setattr(experiments, "_CHUNK", chunk)
     formula, surrogate, _diagram = experiments.frontdoor_instrument()
     want = frontdoor_study_loop(formula, surrogate, models, samples, seed)
-    for workers in (1, 2):
-        assert experiments.frontdoor_study(models, samples, seed, workers) == want
+    for cpus, batch_size in ((1, chunk), (2, chunk or max(1, models // 2))):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            if batch_size is not None:
+                patch.setattr(experiments, "_CHUNK", batch_size)
+            assert experiments.frontdoor_study(models, samples, seed) == want
     loop = _bits([frontdoor_instance(formula, surrogate, seed, i, samples) for i in range(models)])
     for cuts in ((0, models), (0, models // 2, models)):
         batches = [experiments._frontdoor_batch((seed, start, stop, samples))
@@ -1382,11 +1382,7 @@ def test_pipeline_refuses_a_batched_table(monkeypatch):
     # the pipeline decides one table: on a batch of two frontdoor tables it
     # would read instance 0's (None, residual) pair as a policy, so the
     # batch is refused before the graphical criteria run
-    from causal_imitation.experiments import frontdoor_instrument
-    from causal_imitation.scm import _frontdoor_draw, _frontdoor_model
-
-    draws = [_frontdoor_draw(np.random.SeedSequence(entropy=0, spawn_key=(i,))) for i in range(2)]
-    batch = _frontdoor_model(*(np.stack(column) for column in zip(*draws)), frontdoor_instrument()[2])
+    batch = random_frontdoor([np.random.SeedSequence(entropy=0, spawn_key=(i,)) for i in range(2)])
     case = fixtures.diagram_fixture("frontdoor_latent")
     monkeypatch.setattr(imitate, "graphical_verdict", lambda *args: pytest.fail("the criteria ran"))
     with pytest.raises(ValueError, match="one table, not a batch"):

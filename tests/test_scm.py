@@ -190,6 +190,29 @@ def test_random_frontdoor_reproduces_factored_conditionals():
         assert abs(got - p_y[s]) < 1e-12
 
 
+def test_random_frontdoor_batch_draws_each_model_alone():
+    # a list of seeds is the batch of their models, each bit for bit the
+    # model its seed draws alone, whose conditionals are the four draws
+    # made one after another
+    seeds = [0, 7, np.random.SeedSequence(entropy=3, spawn_key=(5,))]
+    batch = random_frontdoor(seeds)
+    assert batch.batch == (3,) and batch.diagram == random_frontdoor(0).diagram
+    for i, seed in enumerate(seeds):
+        alone = random_frontdoor(seed)
+        rng = np.random.default_rng(seed)
+        p_x, p_w, p_s, p_y = rng.uniform(), rng.uniform(size=2), rng.uniform(size=(2, 2)), rng.uniform(size=2)
+        assert alone.batch == ()
+        assert dict(alone.exogenous)["U"].tobytes() == np.array([1 - p_x, p_x]).tobytes()
+        tables = {m.node: m.table for m in alone.mechanisms}
+        assert tables["W"][:, 1].tobytes() == p_w.tobytes()
+        assert tables["S"][:, :, 1].tobytes() == p_s.T.copy().tobytes()
+        assert tables["Y"][:, 1].tobytes() == p_y.tobytes()
+        assert dict(batch.exogenous)["U"][i].tobytes() == dict(alone.exogenous)["U"].tobytes()
+        for got, want in zip(batch.mechanisms, alone.mechanisms, strict=True):
+            row = np.broadcast_to(got.table, batch.batch + want.table.shape)[i]  # X's table is shared
+            assert got.node == want.node and row.tobytes() == want.table.tobytes()
+
+
 def test_random_scm_respects_diagram():
     case = fixtures.diagram_fixture("highway_sideinfo")
     m = random_scm(case.diagram, seed=9)
