@@ -164,9 +164,6 @@ class CausalDiagram:
     def parents(self, node: str) -> frozenset[str]:
         return self._names_of(self._pa[self._bit[node]])
 
-    def children(self, node: str) -> frozenset[str]:
-        return self._names_of(self._ch[self._bit[node]])
-
     def siblings(self, node: str) -> frozenset[str]:
         """Nodes joined to ``node`` by a bidirected edge."""
         return self._names_of(self._sib[self._bit[node]])
@@ -189,9 +186,7 @@ class CausalDiagram:
     def with_observed(self, extra: Iterable[str]) -> "CausalDiagram":
         """Copy with the given nodes flagged observed."""
         xs = frozenset(extra)
-        unknown = xs - self._bit.keys()
-        if unknown:
-            raise ValueError(f"unknown nodes {sorted(unknown)}")
+        self._mask(sorted(xs))
         return self._derive(self._pa, self._sib, self.observed | xs)
 
     def topological_order(self) -> tuple[str, ...]:

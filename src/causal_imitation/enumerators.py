@@ -56,9 +56,12 @@ def list_min_separators(diagram: CausalDiagram, a: str, b: str,
         yield diagram._names_of(sep)
 
 
-def _id_subspaces(diagram: CausalDiagram, space: PolicySpace,
-                  target: frozenset[str]) -> Iterator[tuple[PolicySpace, IdFormula]]:
-    """``list_id_subspaces`` with each subspace's identifying formula."""
+def list_id_subspaces(diagram: CausalDiagram, space: PolicySpace,
+                      outcome: Iterable[str]) -> Iterator[tuple[PolicySpace, IdFormula]]:
+    """Yield every policy subspace whose interventional outcome distribution
+    is identifiable, with its identifying formula, exactly once,
+    include-branch first."""
+    target = frozenset(outcome)
 
     def helper(lower: frozenset[str], upper: frozenset[str], formula: IdFormula):
         # lower is known identifiable and the exclude branch keeps it, so
@@ -75,14 +78,6 @@ def _id_subspaces(diagram: CausalDiagram, space: PolicySpace,
     formula = identify_policy(diagram, PolicySpace(space.action, frozenset()), target)
     if formula is not None:
         yield from helper(frozenset(), space.inputs, formula)
-
-
-def list_id_subspaces(diagram: CausalDiagram, space: PolicySpace,
-                      outcome: Iterable[str]) -> Iterator[PolicySpace]:
-    """Yield every policy subspace whose interventional outcome distribution
-    is identifiable, exactly once, include-branch first."""
-    for subspace, _formula in _id_subspaces(diagram, space, frozenset(outcome)):
-        yield subspace
 
 
 def surrogate_candidates(diagram: CausalDiagram, subspace: PolicySpace,
@@ -110,7 +105,7 @@ def instruments(diagram: CausalDiagram, space: PolicySpace,
     # query would check the inputs
     require_valid_space(diagram, space)
     g_reward_obs = diagram.with_observed({reward})
-    for subspace, reward_formula in _id_subspaces(g_reward_obs, space, frozenset({reward})):
+    for subspace, reward_formula in list_id_subspaces(g_reward_obs, space, {reward}):
         for surrogate in surrogate_candidates(diagram, subspace, reward):
             if reward in diagram.observed and surrogate == {reward}:
                 # g_reward_obs is the diagram, so the subspace search has

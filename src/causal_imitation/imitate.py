@@ -22,7 +22,9 @@ residual from below by more than the tolerance, and the rounded policy's
 residual meets that bound to 1e-9, no policy fits and that residual is
 the LP's optimum (Boyd & Vandenberghe, Convex Optimization, sec. 5.2).
 Second, every other system runs the residual LP, then the tie-break LP,
-one table at a time through ``linprog``.
+one table at a time through ``linprog``.  Both steps pass arrays of policy
+cells; ``solve_policy`` builds one ``Policy`` per call, at the end, and
+answers one table and a batch of tables in the same shape.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ import numpy as np
 from .criteria import graphical_verdict
 from .diagram import CausalDiagram, PolicySpace, _format_instrument, _format_nodes
 from .enumerators import instruments
-from .identify import IdFormula, PolicyFactor, find_policy_factor, free_variables, has_policy_factor
+from .identify import IdFormula, find_policy_factor, free_variables, has_policy_factor
 
 DEFAULT_TOLERANCE = 1e-6
 
@@ -295,15 +297,15 @@ def _lp_closest(m: np.ndarray, b: np.ndarray, n_pi: int, ref: np.ndarray, cap: f
     return res.x[:n_pi]
 
 
-def _as_policy(raw: np.ndarray, ph: PolicyFactor, in_doms: tuple[int, ...], k: int) -> Policy:
-    """The policy of the cells ``raw``, with any leading batch axes: cells at
-    or below 1e-12 go to 0, where an LP's vertex has them, and cells above 1
-    to 1; each row is renormalised, and a row left all zero is uniform."""
-    table = np.clip(raw.reshape(raw.shape[:-1] + in_doms + (k,)), None, 1.0)
+def _rounded(raw: np.ndarray, k: int) -> np.ndarray:
+    """The policy cells ``raw``, with any leading batch axes, rounded onto
+    the simplex: cells at or below 1e-12 go to 0, where an LP's vertex has
+    them, and cells above 1 to 1; each row of ``k`` cells is renormalised,
+    and a row left all zero is uniform."""
+    table = np.clip(raw.reshape(raw.shape[:-1] + (-1, k)), None, 1.0)
     table = np.where(table <= 1e-12, 0.0, table)
     sums = table.sum(axis=-1, keepdims=True)
-    table = np.divide(table, sums, out=np.full_like(table, 1.0 / k), where=sums > 0)
-    return Policy(ph.action, ph.inputs, k, in_doms, table)
+    return np.divide(table, sums, out=np.full_like(table, 1.0 / k), where=sums > 0).reshape(raw.shape)
 
 
 def solve_policy(
@@ -311,23 +313,20 @@ def solve_policy(
     observational: JointTable,
     surrogate: Iterable[str],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[Policy | None, float | None] | tuple[Policy, np.ndarray, np.ndarray]:
-    """The policy making the formula's surrogate distribution match the
-    observed one within ``tolerance`` (L1), or ``None`` when none does,
-    together with the exact L1 residual: the policy's, or the minimal
-    achievable one.  Where the formula divides by an empty cell of the
-    table, it is undefined: no policy and no residual, ``(None, None)``.
-    Among the policies that match, the one closest in L1 to the
-    behavior-cloning conditional is returned, up to HiGHS's tolerance as
-    the module docstring says.  Each system takes the two steps set out
-    there: the closed-form fit or the duality certificate (``_certificate``)
-    over the whole batch at once, then the LPs (``_solve_system``) one
-    table at a time.
-
-    A batched table gives arrays with its batch axes in front: one
-    ``Policy``, with the cloning row where no policy matches; the
-    residuals, NaN where undefined; and the mask ``found`` of the tables
-    that match."""
+) -> tuple[Policy, np.ndarray, np.ndarray]:
+    """``(policy, residual, found)`` for the policy making the formula's
+    surrogate distribution match the observed one within ``tolerance``
+    (L1), each with the table's batch axes in front (none for one table).
+    ``found`` marks the tables that a policy matches; ``policy`` holds it
+    there and the behavior-cloning row elsewhere; ``residual`` is the exact
+    L1 residual of that policy, or the least achievable one.  Where the
+    formula divides by an empty cell of a table, it is undefined: not
+    found, with a NaN residual.  Among the policies that match, the one
+    closest in L1 to the behavior-cloning conditional is returned, up to
+    HiGHS's tolerance as the module docstring says.  Each system takes the
+    two steps set out there: the closed-form fit or the duality certificate
+    (``_certificate``) over the whole batch at once, then the LPs
+    (``_solve_system``) one table at a time."""
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
     coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
@@ -351,30 +350,29 @@ def solve_policy(
     # the closed form rounded onto the simplex, one candidate per system:
     # the answer where the system is pinned, its solution lies in the box
     # and the candidate fits to 1e-9, and the duality certificate's policy
-    candidate = _as_policy(closed, ph, in_doms, k)
-    lower, upper = _certificate(a2, t2, candidate)
+    candidate = _rounded(closed, k)
+    lower, upper = _certificate(a2, t2, candidate, k)
     in_box = ((closed >= -1e-12) & (closed <= 1 + 1e-12)).all(axis=-1)
     settled = (lower > tolerance) & (upper - lower <= 1e-9)
     # found is a mask of its own, not residual <= tolerance: a settled
     # system's upper bound can round to just below the tolerance
     found = ~settled & pinned & in_box & (upper <= min(tolerance, 1e-9))
-    probs = np.where(found[:, None], candidate.probs.reshape(len(a2), -1), refs)
+    probs = np.where(found[:, None], candidate, refs)
     residual = np.where(undefined, np.nan, upper)
     for i in np.flatnonzero(~(undefined | found | settled)):
-        policy, residual[i] = _solve_system(a2[i], m[i], b[i], refs[i], ph, in_doms, k, tolerance)
-        if policy is not None:
-            found[i], probs[i] = True, policy.probs.reshape(-1)
+        row, residual[i] = _solve_system(a2[i], m[i], b[i], refs[i], k, tolerance)
+        if row is not None:
+            found[i], probs[i] = True, row
     batch = observational.batch
     policy = Policy(ph.action, ph.inputs, k, in_doms, probs.reshape(batch + in_doms + (k,)))
-    if batch:
-        return policy, residual.reshape(batch), found.reshape(batch)
-    return policy if found[0] else None, None if undefined[0] else float(residual[0])
+    return policy, residual.reshape(batch), found.reshape(batch)
 
 
-def _certificate(a2: np.ndarray, t: np.ndarray, policy: Policy):
+def _certificate(a2: np.ndarray, t: np.ndarray, probs: np.ndarray, k: int):
     """Bounds ``(lower, upper)`` on the least L1 residual |A pi - t|_1 over
     the policies pi, one pair per system of the stack A = ``a2``, from
-    ``policy``, which holds one policy per system.
+    ``probs``, which holds the cells of one policy per system, in rows of
+    ``k``.
 
     ``upper`` is that policy's exact residual.  ``lower`` is weak LP
     duality's bound for y = sign(A pi - t) at that policy: any policy pi'
@@ -382,26 +380,23 @@ def _certificate(a2: np.ndarray, t: np.ndarray, policy: Policy):
     y^T t (Boyd & Vandenberghe, Convex Optimization, sec. 5.2).  The two
     meet where the policy puts its mass only on the cells that minimize
     A^T y in each row."""
-    probs = policy.probs.reshape(len(a2), -1, policy.action_domain)
-    gaps = (a2 @ probs.reshape(len(a2), -1, 1))[..., 0] - t
+    gaps = (a2 @ probs[..., None])[..., 0] - t
     y = np.sign(gaps)
-    dual = np.einsum("ns,nsi->ni", y, a2).reshape(probs.shape).min(axis=-1).sum(axis=-1)
+    dual = np.einsum("ns,nsi->ni", y, a2).reshape(len(a2), -1, k).min(axis=-1).sum(axis=-1)
     return dual - np.einsum("ns,ns->n", y, t), np.abs(gaps).sum(axis=-1)
 
 
-def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, ph: PolicyFactor,
-                  in_doms: tuple[int, ...], k: int, tolerance: float) -> tuple[Policy | None, float]:
+def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray, k: int,
+                  tolerance: float) -> tuple[np.ndarray | None, float]:
     """``solve_policy``'s LP path for one system A pi = t (``a2``, and ``m``,
-    ``b`` from ``_matching_system``), with ``ref`` the cloning policy: the
-    residual LP, then the tie-break LP among the policies that match."""
+    ``b`` from ``_matching_system``), with ``ref`` the cloning policy's
+    cells: the residual LP, then the tie-break LP among the policies that
+    match.  The answer is the matching policy's cells, or ``None``, with
+    the exact residual."""
     n_pi, t = a2.shape[1], b[:len(a2)]
-
-    def exact_residual(policy: Policy) -> float:
-        return float(np.abs(a2 @ policy.probs.reshape(-1) - t).sum())
-
     raw, objective = _lp_min_residual(m, b, n_pi)
-    best = _as_policy(raw, ph, in_doms, k)
-    best_res = exact_residual(best)
+    best = _rounded(raw, k)
+    best_res = float(np.abs(a2 @ best - t).sum())
     if best_res > tolerance:
         return None, best_res
     # an exactly feasible system keeps a hard matching constraint, so the
@@ -409,8 +404,8 @@ def _solve_system(a2: np.ndarray, m: np.ndarray, b: np.ndarray, ref: np.ndarray,
     cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
     raw2 = _lp_closest(m, b, n_pi, ref, cap)
     if raw2 is not None:
-        cand = _as_policy(raw2, ph, in_doms, k)
-        cand_res = exact_residual(cand)
+        cand = _rounded(raw2, k)
+        cand_res = float(np.abs(a2 @ cand - t).sum())
         if cand_res <= max(tolerance, best_res):
             return cand, cand_res
     return best, best_res
@@ -450,18 +445,19 @@ def imitate_pipeline(
         policy = conditional_policy(observational, space.action, witness)
         return ImitationResult("imitable-graphical", policy, frozenset(witness), 0.0)
 
-    best_residual: float | None = None
+    best_residual = math.inf
     for subspace, surrogate, formula in instruments(diagram, space, reward):
         if not has_policy_factor(formula):
             # the action cannot reach the surrogate: every policy works
             policy = conditional_policy(observational, space.action, subspace.inputs)
             return ImitationResult("p-imitable", policy, (surrogate, subspace), 0.0)
-        policy, residual = solve_policy(formula, observational, surrogate, tolerance)
-        if policy is not None:
-            return ImitationResult("p-imitable", policy, (surrogate, subspace), residual)
-        # an instrument undefined on this table has no residual
-        if residual is not None and (best_residual is None or residual < best_residual):
-            best_residual = residual
-    if best_residual is None:
+        policy, residual, found = solve_policy(formula, observational, surrogate, tolerance)
+        if found:
+            return ImitationResult("p-imitable", policy, (surrogate, subspace), float(residual))
+        # an instrument undefined on this table has a NaN residual, which
+        # is never the smaller
+        if residual < best_residual:
+            best_residual = float(residual)
+    if best_residual == math.inf:
         return ImitationResult("no-instrument-found", None, None, None)
     return ImitationResult("infeasible", None, None, best_residual)

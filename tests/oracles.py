@@ -24,12 +24,12 @@ from causal_imitation.diagram import CausalDiagram, PolicySpace, augment_policy,
 from causal_imitation.errors import TooLargeError
 from causal_imitation.identify import find_policy_factor, free_variables, identify_policy
 from causal_imitation.imitate import (
-    _as_policy,
     _l1_to_expert,
     _linear_system,
     _lp_closest,
     _lp_min_residual,
     _matching_system,
+    _rounded,
     _sampled_tolerance,
     solve_policy,
 )
@@ -342,6 +342,9 @@ def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance:
     n_pi = n_pa * k
     refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(-1, n_pi)
 
+    def as_policy(raw: np.ndarray) -> Policy:
+        return Policy(ph.action, ph.inputs, k, in_doms, _rounded(raw, k).reshape(in_doms + (k,)))
+
     def solve(a2, t, ref):
         m, b = _matching_system(a2, t, n_pa, k)
 
@@ -349,7 +352,7 @@ def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance:
             return float(np.abs(a2 @ np.asarray(policy.probs).reshape(-1) - t).sum())
 
         raw, objective = _lp_min_residual(m, b, n_pi)
-        best = _as_policy(raw, ph, in_doms, k)
+        best = as_policy(raw)
         best_res = exact_residual(best)
         if best_res > tolerance:
             return None, best_res
@@ -358,7 +361,7 @@ def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance:
         cap = 0.0 if best_res <= 1e-9 else max(objective, best_res) + 1e-10
         raw2 = _lp_closest(m, b, n_pi, ref, cap)
         if raw2 is not None:
-            cand = _as_policy(raw2, ph, in_doms, k)
+            cand = as_policy(raw2)
             cand_res = exact_residual(cand)
             if cand_res <= max(tolerance, best_res):
                 return cand, cand_res
@@ -374,7 +377,8 @@ def frontdoor_instance(formula, surrogate, base_seed: int, index: int, samples: 
     call per step: ``(p_imitable, l1_ci or None, l1_bc)``."""
 
     def solve(table, tolerance):
-        return solve_policy(formula, table, surrogate, tolerance)[0]
+        policy, _residual, found = solve_policy(formula, table, surrogate, tolerance)
+        return policy if found else None
 
     scm_i = random_frontdoor(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
     full = joint(scm_i)

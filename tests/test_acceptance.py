@@ -216,7 +216,7 @@ def test_criterion_8_enumerator_equivalence():
     for name in fixtures.diagram_names():
         case = fixtures.diagram_fixture(name)
         g_obs = case.diagram.with_observed({case.reward})
-        got = [s.inputs for s in list_id_subspaces(g_obs, case.space, {case.reward})]
+        got = [s.inputs for s, _ in list_id_subspaces(g_obs, case.space, {case.reward})]
         assert len(got) == len(set(got)), name
         assert sorted(got, key=lambda s: tuple(sorted(s))) == \
             brute_id_subspaces(g_obs, case.space, {case.reward}), name

@@ -365,7 +365,10 @@ def test_experiment_highway(capsys):
     # the search stopped at the empty space, before any query checked the inputs
     (["instruments", "--graph", "highway_opaque", "--inputs", "L"], "invalid policy space: input L is latent"),
     (["instruments", "--graph", "highway_opaque", "--inputs", "S"], "invalid policy space: unknown input 'S'"),
-], ids=["no-action", "no-fixture", "simulate-memory", "instruments-latent-input", "instruments-unknown-input"])
+    # the message check, surrogates and imitate give for an unknown node
+    (["instruments", "--graph", "frontdoor_latent", "--reward", "Q"], "unknown node 'Q'"),
+], ids=["no-action", "no-fixture", "simulate-memory", "instruments-latent-input", "instruments-unknown-input",
+        "instruments-unknown-reward"])
 def test_command_errors_return_one(tmp_path, capsys, argv, message):
     (tmp_path / "nopolicy.graph").write_text("node X obs\nnode Y obs\nedge X -> Y\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 1

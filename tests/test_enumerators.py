@@ -82,7 +82,7 @@ def test_random_diagrams_match_brute_force(seed):
 def test_confounded_covariate_prunes_full_space():
     case = fig("frontdoor_confounded")
     g_obs = case.diagram.with_observed({"Y"})
-    got = list(list_id_subspaces(g_obs, case.space, {"Y"}))
+    got = [s for s, _ in list_id_subspaces(g_obs, case.space, {"Y"})]
     assert got == [PolicySpace.create("X", ())]
 
 
@@ -92,18 +92,21 @@ def test_markovian_space_yields_every_subset():
         directed=[("A", "X"), ("B", "X"), ("X", "Y"), ("A", "Y"), ("B", "Y")],
     )
     space = PolicySpace.create("X", {"A", "B"})
-    got = list(list_id_subspaces(d, space, {"Y"}))
+    pairs = list(list_id_subspaces(d, space, {"Y"}))
+    got = [s for s, _ in pairs]
     assert len(got) == 4
     assert {s.inputs for s in got} == {frozenset(s) for s in subsets({"A", "B"})}
     # include-branch first: the full input set comes out first
     assert got[0].inputs == {"A", "B"}
+    # each subspace comes with the formula that identifies it
+    assert all(f == identify_policy(d, s, {"Y"}) for s, f in pairs)
 
 
 def test_subspaces_match_brute_force_on_fixtures():
     for name in fixtures.diagram_names():
         case = fig(name)
         g_obs = case.diagram.with_observed({case.reward})
-        got = [s.inputs for s in list_id_subspaces(g_obs, case.space, {case.reward})]
+        got = [s.inputs for s, _ in list_id_subspaces(g_obs, case.space, {case.reward})]
         assert len(got) == len(set(got)), name
         assert sorted(got, key=lambda s: tuple(sorted(s))) == \
             brute_id_subspaces(g_obs, case.space, {case.reward}), name
@@ -133,7 +136,7 @@ def test_subspaces_match_brute_force_random(seed):
     if problem is None:
         return
     d, space, outcome = problem
-    got = [s.inputs for s in list_id_subspaces(d, space, outcome)]
+    got = [s.inputs for s, _ in list_id_subspaces(d, space, outcome)]
     assert len(got) == len(set(got))
     assert sorted(got, key=lambda s: tuple(sorted(s))) == brute_id_subspaces(d, space, outcome)
 
@@ -153,7 +156,7 @@ def test_list_id_subspaces_identifies_each_subspace_once(monkeypatch):
     asked = 0
     for d, space, outcome in filter(None, problems):
         queries.clear()
-        got = [s.inputs for s in list_id_subspaces(d, space, outcome)]
+        got = [s.inputs for s, _ in list_id_subspaces(d, space, outcome)]
         assert len(queries) == len(set(queries)), (d, space)
         asked += len(queries)
         # include-branch first: a member's presence outranks its absence,
