@@ -66,6 +66,8 @@ def parse_distribution_text(text: str) -> JointTable:
     rows: dict[tuple[int, ...], float] = {}
     for lineno, _indented, tokens in _declarations(text):
         if header is None:
+            if len(set(tokens)) != len(tokens):
+                raise ParseError("duplicate variable in header", lineno)
             header = tokens
             continue
         if len(tokens) != len(header) + 1:
@@ -88,8 +90,6 @@ def parse_distribution_text(text: str) -> JointTable:
         raise ParseError("distribution file has no rows")
     order = sorted(range(len(header)), key=lambda i: header[i])
     variables = tuple(header[i] for i in order)
-    if len(set(variables)) != len(variables):
-        raise ParseError("duplicate variable in header")
     domains = tuple(max(c[i] for c in rows) + 1 for i in order)
     if math.prod(domains) != len(rows):
         raise ParseError("distribution file must enumerate every configuration")
@@ -99,7 +99,7 @@ def parse_distribution_text(text: str) -> JointTable:
     mass = float(probs.sum())
     if not abs(mass - 1.0) <= scm.MASS_TOL:
         raise ParseError(f"probabilities sum to {mass}, not 1")
-    return scm.JointTable(variables, domains, probs)
+    return scm.JointTable(variables, probs)
 
 
 def _load_graph(value: str) -> tuple[CausalDiagram, PolicySpace | None]:

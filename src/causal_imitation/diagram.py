@@ -66,14 +66,14 @@ def _reach(seeds: int, step: Sequence[int], stop: int = 0) -> int:
 
 @dataclass(frozen=True)
 class CausalDiagram:
-    """Acyclic mixed graph with observed/latent node flags."""
+    """Acyclic mixed graph with observed/latent node flags; ``nodes`` is
+    sorted and distinct."""
 
     nodes: tuple[str, ...]
     observed: frozenset[str]
     directed: frozenset[tuple[str, str]]
     bidirected: frozenset[tuple[str, str]]
-    # the index: sorted names, name -> bit, masks per bit, observed mask
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    # the index: name -> bit, masks per bit, observed mask
     _bit: dict[str, int] = field(init=False, repr=False, compare=False)
     _pa: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _ch: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -81,9 +81,8 @@ class CausalDiagram:
     _obs: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = tuple(sorted(set(self.nodes)))
-        bit = {n: i for i, n in enumerate(names)}
-        pa, sib = [0] * len(names), [0] * len(names)
+        bit = {n: i for i, n in enumerate(self.nodes)}
+        pa, sib = [0] * len(self.nodes), [0] * len(self.nodes)
         for a, b in self.directed:
             if a in bit and b in bit:
                 pa[bit[b]] |= 1 << bit[a]
@@ -91,18 +90,18 @@ class CausalDiagram:
             if a in bit and b in bit:
                 sib[bit[a]] |= 1 << bit[b]
                 sib[bit[b]] |= 1 << bit[a]
-        self._index(names, bit, tuple(pa), tuple(sib))
+        self._index(bit, tuple(pa), tuple(sib))
         problems = validate(self)
         if problems:
             raise ValueError(_INVALID + "; ".join(problems))
 
-    def _index(self, names, bit, pa: tuple[int, ...], sib: tuple[int, ...]) -> None:
-        ch = [0] * len(names)
+    def _index(self, bit: dict[str, int], pa: tuple[int, ...], sib: tuple[int, ...]) -> None:
+        ch = [0] * len(pa)
         for i, m in enumerate(pa):
             for p in _bits(m):
                 ch[p] |= 1 << i
         obs = sum(1 << bit[n] for n in self.observed if n in bit)
-        for name, value in (("_names", names), ("_bit", bit), ("_pa", pa), ("_ch", tuple(ch)),
+        for name, value in (("_bit", bit), ("_pa", pa), ("_ch", tuple(ch)),
                             ("_sib", sib), ("_obs", obs)):
             object.__setattr__(self, name, value)
 
@@ -110,16 +109,16 @@ class CausalDiagram:
                 nodes: tuple[str, ...] | None = None) -> "CausalDiagram":
         """The acyclic diagram with the edges of ``pa`` and ``sib`` over this
         one's nodes or the sorted ``nodes``: indexed from the masks, not checked."""
-        names, out = self._names if nodes is None else nodes, object.__new__(CausalDiagram)
+        names, out = self.nodes if nodes is None else nodes, object.__new__(CausalDiagram)
         directed = self.directed if pa is self._pa else frozenset(
             (names[p], names[i]) for i, m in enumerate(pa) for p in _bits(m))
         bidirected = self.bidirected if sib is self._sib else frozenset(
             (names[i], names[j]) for i, m in enumerate(sib) for j in _bits(m >> i + 1 << i + 1))
-        for name, value in (("nodes", self.nodes if nodes is None else nodes),
+        for name, value in (("nodes", names),
                             ("observed", self.observed if observed is None else observed),
                             ("directed", directed), ("bidirected", bidirected)):
             object.__setattr__(out, name, value)
-        out._index(names, self._bit if nodes is None else {n: i for i, n in enumerate(nodes)}, pa, sib)
+        out._index(self._bit if nodes is None else {n: i for i, n in enumerate(nodes)}, pa, sib)
         return out
 
     @staticmethod
@@ -147,7 +146,7 @@ class CausalDiagram:
         return m
 
     def _names_of(self, m: int) -> frozenset[str]:
-        return frozenset([self._names[i] for i in _bits(m)])
+        return frozenset([self.nodes[i] for i in _bits(m)])
 
     def _expanded(self) -> tuple[list[int], list[int]]:
         """Parent and child masks of the DAG in which each bidirected edge,
@@ -191,7 +190,7 @@ class CausalDiagram:
 
     def topological_order(self) -> tuple[str, ...]:
         """Topological order of the directed part, lexicographic among ties."""
-        out, done, todo = [], 0, list(range(len(self._names)))
+        out, done, todo = [], 0, list(range(len(self.nodes)))
         while todo:
             for k, i in enumerate(todo):
                 if not self._pa[i] & ~done:
@@ -200,7 +199,7 @@ class CausalDiagram:
                 raise ValueError("directed part contains a cycle")
             del todo[k]
             done |= 1 << i
-            out.append(self._names[i])
+            out.append(self.nodes[i])
         return tuple(out)
 
 
@@ -213,8 +212,8 @@ def validate(diagram: CausalDiagram) -> list[str]:
     raises on any, so a diagram that exists gives an empty list."""
     problems = []
     declared = set(diagram.nodes)
-    if len(diagram.nodes) != len(declared):
-        problems.append("duplicate node declaration")
+    if any(a >= b for a, b in zip(diagram.nodes, diagram.nodes[1:])):
+        problems.append("nodes must be sorted and distinct")
     for n in diagram.nodes:
         if not n:
             problems.append("empty node name")

@@ -52,7 +52,7 @@ def list_min_separators(diagram: CausalDiagram, a: str, b: str,
             if nxt not in seen_excl:
                 seen_excl.add(nxt)
                 stack.append(nxt)
-    for sep in sorted(found, key=lambda s: [diagram._names[i] for i in _bits(s)]):
+    for sep in sorted(found, key=lambda s: [diagram.nodes[i] for i in _bits(s)]):
         yield diagram._names_of(sep)
 
 

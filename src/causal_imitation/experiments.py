@@ -47,13 +47,14 @@ _CHUNK = 1024
 
 
 @lru_cache(maxsize=1)
-def frontdoor_instrument() -> tuple[IdFormula, frozenset[str], CausalDiagram]:
-    """Formula and surrogate of the first instrument the search finds for
-    the latent-reward mediator chain, and its diagram: the parse and the
-    search run once per process, for every instance of the study."""
+def frontdoor_instrument() -> tuple[IdFormula, CausalDiagram]:
+    """Formula of the first instrument the search finds for the
+    latent-reward mediator chain, whose free variables are its surrogate,
+    and its diagram: the parse and the search run once per process, for
+    every instance of the study."""
     case = fixtures.diagram_fixture("frontdoor_latent")
-    for _subspace, surrogate, formula in instruments(case.diagram, case.space, case.reward):
-        return formula, surrogate, case.diagram
+    for _subspace, _surrogate, formula in instruments(case.diagram, case.space, case.reward):
+        return formula, case.diagram
     raise RuntimeError("no instrument found for the mediator-chain fixture")
 
 
@@ -63,25 +64,24 @@ def _frontdoor_batch(args: tuple[int, int, int, int]) -> tuple[np.ndarray, np.nd
     the solved policy (NaN when unsolved) and of behavior cloning.  A table
     on which the formula divides by an empty cell is unsolved."""
     base_seed, start, stop, samples = args
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     indices = range(start, stop)
     models = random_frontdoor([np.random.SeedSequence(entropy=base_seed, spawn_key=(i,)) for i in indices])
     # one exact joint gives the observed tables and the expert's reward
     full = joint(models)
     exact = full.marginal(models.diagram.observed)
     expert = full.marginal(("Y",))
-    policy, _residual, p_imitable = solve_policy(formula, exact, surrogate, 1e-9)
+    policy, _residual, p_imitable = solve_policy(formula, exact, 1e-9)
     if samples:
         seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=(i, 1)) for i in indices]
         table = empirical_observational(models, samples, seeds)
-        policy, _residual, found = solve_policy(formula, table, surrogate, _sampled_tolerance(samples))
+        policy, _residual, found = solve_policy(formula, table, _sampled_tolerance(samples))
     else:
         table, found = exact, p_imitable
     cloning = conditional_policy(table, "X", ())
     # the solved policy, with the cloning row where unsolved, and the cloning
     # policy make one batch of shape (2, n) against the models' batch (n,)
-    both = Policy(cloning.action, cloning.inputs, cloning.action_domain, cloning.input_domains,
-                  np.stack([policy.probs, cloning.probs]))
+    both = Policy(cloning.action, cloning.inputs, np.stack([policy.probs, cloning.probs]))
     l1_ci, l1_bc = _l1_to_expert(models, expert, both)
     return p_imitable, np.where(found, l1_ci, np.nan), l1_bc
 

@@ -186,10 +186,7 @@ def _highway_xor(d: CausalDiagram) -> DiscreteSCM:
         Mechanism("X", ("L", "Z"), (), _det(b2, 2, lambda l, z: z ^ (1 - l))),
         Mechanism("Y", ("L", "X", "Z"), (), _det((2, 2, 2), 2, lambda l, x, z: x ^ z ^ l)),
     ]
-    return DiscreteSCM.create(
-        d, domains={n: 2 for n in d.nodes},
-        exogenous={"UZ": [0.5, 0.5], "U": [0.5, 0.5]}, mechanisms=mechs,
-    )
+    return DiscreteSCM.create(d, exogenous={"UZ": [0.5, 0.5], "U": [0.5, 0.5]}, mechanisms=mechs)
 
 
 def _parity_trap(d: CausalDiagram) -> DiscreteSCM:
@@ -200,10 +197,7 @@ def _parity_trap(d: CausalDiagram) -> DiscreteSCM:
         Mechanism("W", ("X",), (), _det((2,), 2, lambda x: x)),
         Mechanism("Y", ("W",), ("U",), _det((2, 2), 2, lambda w, u: u ^ (1 - w))),
     ]
-    return DiscreteSCM.create(
-        d, domains={n: 2 for n in d.nodes},
-        exogenous={"U": [0.5, 0.5]}, mechanisms=mechs,
-    )
+    return DiscreteSCM.create(d, exogenous={"U": [0.5, 0.5]}, mechanisms=mechs)
 
 
 def _frontdoor_mix(d: CausalDiagram, p_uw_one: float) -> DiscreteSCM:
@@ -215,13 +209,7 @@ def _frontdoor_mix(d: CausalDiagram, p_uw_one: float) -> DiscreteSCM:
         Mechanism("Y", ("W",), ("UY",), _det((2, 2), 2, lambda w, uy: w ^ uy)),
     ]
     return DiscreteSCM.create(
-        d, domains={n: 2 for n in d.nodes},
-        exogenous={
-            "UX": [0.1, 0.9],
-            "UY": [0.1, 0.9],
-            "UW": [1.0 - p_uw_one, p_uw_one],
-        },
-        mechanisms=mechs,
+        d, exogenous={"UX": [0.1, 0.9], "UY": [0.1, 0.9], "UW": [1.0 - p_uw_one, p_uw_one]}, mechanisms=mechs,
     )
 
 
@@ -235,10 +223,7 @@ def _highway_golden(d: CausalDiagram) -> DiscreteSCM:
         Mechanism("X", ("L",), (), _det((2,), 2, lambda l: l)),
         Mechanism("Y", ("X",), ("U",), _det((2, 2), 2, lambda x, u: x ^ u)),
     ]
-    return DiscreteSCM.create(
-        d, domains={n: 2 for n in d.nodes},
-        exogenous={"UL": [1.0 - g, g], "U": [1.0 - g, g]}, mechanisms=mechs,
-    )
+    return DiscreteSCM.create(d, exogenous={"UL": [1.0 - g, g], "U": [1.0 - g, g]}, mechanisms=mechs)
 
 
 # each builder receives the diagram that SCM_DIAGRAM names for its model

@@ -237,7 +237,7 @@ def _id(y: int, x: int, dist: _Dist, v: int, h: CausalDiagram, order: tuple[int,
         terms, prior = [], 0
         for i in order:
             if comp >> i & 1:
-                terms.append(dist.conditional_expr(h._names[i], names(prior & v)))
+                terms.append(dist.conditional_expr(h.nodes[i], names(prior & v)))
             prior |= 1 << i
         return _product(terms)
 
@@ -245,7 +245,7 @@ def _id(y: int, x: int, dist: _Dist, v: int, h: CausalDiagram, order: tuple[int,
         return _sum(names(s_comp & ~y), factorized(s_comp))
     for comp in g_comps:
         if not s_comp & ~comp:
-            new_dist = _Dist(tuple(h._names[i] for i in order if comp >> i & 1), factorized(comp))
+            new_dist = _Dist(tuple(h.nodes[i] for i in order if comp >> i & 1), factorized(comp))
             return _id(y, x & comp, new_dist, comp, h, order)
     raise AssertionError("single component of G - x not inside any component of G")
 

@@ -93,10 +93,10 @@ class ImitationResult:
         return "\n".join(lines) + "\n"
 
 
-def _linear_system(formula: IdFormula, observational: JointTable,
-                   surrogate: Iterable[str]):
+def _linear_system(formula: IdFormula, observational: JointTable):
     """Coefficients A[s, pa, x] and target t[s] of the affine system
-    sum_{pa,x} A[s,pa,x] pi[pa,x] = t[s].
+    sum_{pa,x} A[s,pa,x] pi[pa,x] = t[s], where the surrogate s ranges over
+    the formula's free variables.
 
     One evaluation gives every column: the policy slot is bound to the
     identity over the n_pa * k policy cells, stacked along an extra axis
@@ -108,9 +108,7 @@ def _linear_system(formula: IdFormula, observational: JointTable,
     ph = find_policy_factor(formula)
     if ph is None:
         raise ValueError("formula has no policy placeholder")
-    svars = tuple(sorted(frozenset(surrogate)))
-    if frozenset(free_variables(formula)) != frozenset(svars):
-        raise ValueError("formula free variables do not match the surrogate set")
+    svars = tuple(sorted(free_variables(formula)))
     domains = observational.domain_map()
     in_doms = tuple(domains[z] for z in ph.inputs)
     k = domains[ph.action]
@@ -311,25 +309,25 @@ def _rounded(raw: np.ndarray, k: int) -> np.ndarray:
 def solve_policy(
     formula: IdFormula,
     observational: JointTable,
-    surrogate: Iterable[str],
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> tuple[Policy, np.ndarray, np.ndarray]:
     """``(policy, residual, found)`` for the policy making the formula's
-    surrogate distribution match the observed one within ``tolerance``
-    (L1), each with the table's batch axes in front (none for one table).
-    ``found`` marks the tables that a policy matches; ``policy`` holds it
-    there and the behavior-cloning row elsewhere; ``residual`` is the exact
-    L1 residual of that policy, or the least achievable one.  Where the
-    formula divides by an empty cell of a table, it is undefined: not
-    found, with a NaN residual.  Among the policies that match, the one
-    closest in L1 to the behavior-cloning conditional is returned, up to
-    HiGHS's tolerance as the module docstring says.  Each system takes the
-    two steps set out there: the closed-form fit or the duality certificate
-    (``_certificate``) over the whole batch at once, then the LPs
-    (``_solve_system``) one table at a time."""
+    distribution over its free variables, the surrogate, match the observed
+    one within ``tolerance`` (L1), each with the table's batch axes in
+    front (none for one table).  ``found`` marks the tables that a policy
+    matches; ``policy`` holds it there and the behavior-cloning row
+    elsewhere; ``residual`` is the exact L1 residual of that policy, or the
+    least achievable one.  Where the formula divides by an empty cell of a
+    table, it is undefined: not found, with a NaN residual.  Among the
+    policies that match, the one closest in L1 to the behavior-cloning
+    conditional is returned, up to HiGHS's tolerance as the module
+    docstring says.  Each system takes the two steps set out there: the
+    closed-form fit or the duality certificate (``_certificate``) over the
+    whole batch at once, then the LPs (``_solve_system``) one table at a
+    time."""
     if not tolerance >= 0:
         raise ValueError("tolerance must be >= 0")
-    coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
+    coeff, t, ph, in_doms, k = _linear_system(formula, observational)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     n_pi = n_pa * k
     a2, t2 = coeff.reshape(-1, n_s, n_pi), t.reshape(-1, n_s)
@@ -364,7 +362,7 @@ def solve_policy(
         if row is not None:
             found[i], probs[i] = True, row
     batch = observational.batch
-    policy = Policy(ph.action, ph.inputs, k, in_doms, probs.reshape(batch + in_doms + (k,)))
+    policy = Policy(ph.action, ph.inputs, probs.reshape(batch + in_doms + (k,)))
     return policy, residual.reshape(batch), found.reshape(batch)
 
 
@@ -451,7 +449,7 @@ def imitate_pipeline(
             # the action cannot reach the surrogate: every policy works
             policy = conditional_policy(observational, space.action, subspace.inputs)
             return ImitationResult("p-imitable", policy, (surrogate, subspace), 0.0)
-        policy, residual, found = solve_policy(formula, observational, surrogate, tolerance)
+        policy, residual, found = solve_policy(formula, observational, tolerance)
         if found:
             return ImitationResult("p-imitable", policy, (surrogate, subspace), float(residual))
         # an instrument undefined on this table has a NaN residual, which

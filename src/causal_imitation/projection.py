@@ -39,5 +39,5 @@ def project(diagram: CausalDiagram) -> CausalDiagram:
         ends = hits(root)
         for e in _bits(ends):
             sib[e] |= ends & ~(1 << e)
-    nodes = tuple(diagram._names[i] for i in kept)
+    nodes = tuple(diagram.nodes[i] for i in kept)
     return diagram._derive(tuple(pa), tuple(sib), frozenset(nodes), nodes)

@@ -7,8 +7,11 @@ values are still exact: bit for bit those of a loop over single
 configurations.  Mechanisms are stochastic tables (deterministic
 functions are the 0/1 special case); bidirected edges in the diagram are
 realized by shared exogenous variables.  Each type checks its invariants
-in its constructor, so a model that ``intervene`` builds is checked too; a
-``create`` factory only sorts its arguments and sets their dtype.
+in its constructor, so a model that ``intervene`` builds is checked too.
+Each domain is stated once: ``JointTable`` and ``Policy`` read theirs off
+their arrays' trailing axes, and ``DiscreteSCM.create`` reads each node's
+off its mechanism's last axis.  Otherwise a ``create`` factory only sorts
+its arguments and sets their dtype.
 
 Tables may carry leading batch axes: a batch of models over one diagram,
 of their joints or of policies, one per index.  A batch is computed as
@@ -44,9 +47,9 @@ from .identify import (
     Product,
     Quotient,
     Sum,
+    find_policy_factor,
     format_formula,
     free_variables,
-    has_policy_factor,
 )
 
 CONFIG_CAP = 10**7
@@ -89,22 +92,20 @@ def _increasing(names: Sequence[str]) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Exact probability table over a sorted tuple of discrete variables.
+    """Exact probability table over a sorted tuple of discrete variables,
+    one trailing axis of ``probs`` per variable.
 
     ``probs`` may carry leading batch axes, one table per index; each table
     is checked, and marginals and distances keep the batch axes."""
 
     variables: tuple[str, ...]
-    domains: tuple[int, ...]
     probs: np.ndarray
 
     def __post_init__(self):
-        if len(self.variables) != len(self.domains):
-            raise ValueError(f"{len(self.variables)} variables but {len(self.domains)} domains")
         if not _increasing(self.variables):
             raise ValueError("variables must be sorted and distinct")
-        if self.probs.shape[self.probs.ndim - len(self.domains):] != self.domains:
-            raise ValueError("probability table shape does not match domains")
+        if self.probs.ndim < len(self.variables):
+            raise ValueError(f"probability table has {self.probs.ndim} axes for {len(self.variables)} variables")
         if (self.probs < -ROW_TOL).any():
             raise ValueError("negative probability")
         mass = self.probs.sum(axis=self._axes())
@@ -114,16 +115,18 @@ class JointTable:
         self.probs.setflags(write=False)
 
     @property
+    def domains(self) -> tuple[int, ...]:
+        """The variables' domain sizes: the trailing axes of ``probs``."""
+        return self.probs.shape[self.probs.ndim - len(self.variables):]
+
+    @property
     def batch(self) -> tuple[int, ...]:
         """The leading batch axes; empty for a single table."""
-        return _batch_of(self.probs, len(self.domains))
+        return _batch_of(self.probs, len(self.variables))
 
     def _axes(self) -> tuple[int, ...]:
         """The variables' axes, counted from the end."""
-        return tuple(range(-len(self.domains), 0))
-
-    def domain_of(self, var: str) -> int:
-        return self.domains[self.variables.index(var)]
+        return tuple(range(-len(self.variables), 0))
 
     def domain_map(self) -> dict[str, int]:
         return dict(zip(self.variables, self.domains))
@@ -135,8 +138,7 @@ class JointTable:
             raise ValueError(f"unknown variables {sorted(unknown)}")
         drop = tuple(i - len(self.variables) for i, v in enumerate(self.variables) if v not in ks)
         vs = tuple(v for v in self.variables if v in ks)
-        ds = tuple(d for v, d in zip(self.variables, self.domains) if v in ks)
-        return JointTable(vs, ds, self.probs.sum(axis=drop) if drop else self.probs.copy())
+        return JointTable(vs, self.probs.sum(axis=drop) if drop else self.probs.copy())
 
     def expectation(self, var: str) -> float:
         m = self.marginal([var])
@@ -153,44 +155,40 @@ class JointTable:
 
 @dataclass(frozen=True, eq=False)
 class Policy:
-    """Conditional table pi(action | inputs) over discrete domains, with
-    optional leading batch axes as in ``JointTable``."""
+    """Conditional table pi(action | inputs) over discrete domains: one axis
+    of ``probs`` per input, then the action's, with optional leading batch
+    axes as in ``JointTable``."""
 
     action: str
     inputs: tuple[str, ...]
-    action_domain: int
-    input_domains: tuple[int, ...]
     probs: np.ndarray
 
     def __post_init__(self):
-        if len(self.input_domains) != len(self.inputs):
-            raise ValueError(f"{len(self.inputs)} inputs but {len(self.input_domains)} input domains")
         if not _increasing(self.inputs):
             raise ValueError("inputs must be sorted and distinct")
         if self.action in self.inputs:
             raise ValueError(f"action {self.action} cannot be its own input")
-        cells = self.input_domains + (self.action_domain,)
-        if self.probs.shape[self.probs.ndim - len(cells):] != cells:
-            raise ValueError("policy table shape mismatch")
+        if self.probs.ndim <= len(self.inputs):
+            raise ValueError(f"policy table for {self.action} has too few axes")
         if _bad_rows(self.probs).any():
             raise ValueError(f"policy rows for {self.action} must be distributions")
         self.probs.setflags(write=False)
 
+    @property
+    def action_domain(self) -> int:
+        return self.probs.shape[-1]
+
+    @property
+    def input_domains(self) -> tuple[int, ...]:
+        return self.probs.shape[self.probs.ndim - 1 - len(self.inputs):-1]
+
     @staticmethod
-    def create(
-        action: str,
-        action_domain: int,
-        probs: np.ndarray,
-        inputs: Iterable[str] = (),
-        input_domains: Iterable[int] = (),
-    ) -> "Policy":
+    def create(action: str, probs: np.ndarray, inputs: Iterable[str] = ()) -> "Policy":
         ins = tuple(inputs)
-        doms = tuple(input_domains)
         order = sorted(range(len(ins)), key=lambda i: ins[i])
-        doms = tuple(doms[i] for i in order) if len(doms) == len(ins) else doms
         axes = range(-len(ins) - 1, -1)  # the input axes, counted from the end
         arr = np.moveaxis(np.ascontiguousarray(probs, dtype=float), [axes[i] for i in order], axes)
-        return Policy(action, tuple(ins[i] for i in order), action_domain, doms, arr)
+        return Policy(action, tuple(ins[i] for i in order), arr)
 
     def space(self) -> PolicySpace:
         return PolicySpace.create(self.action, self.inputs)
@@ -206,11 +204,9 @@ def conditional_policy(observational: JointTable, action: str, inputs: Iterable[
     m = observational.marginal(ins + (action,))
     num = np.moveaxis(m.probs, m.variables.index(action) - len(m.variables), -1)
     den = num.sum(axis=-1, keepdims=True)
-    k = observational.domain_of(action)
     safe = np.where(den > 0, den, 1.0)
-    rows = np.where(den > 0, num / safe, 1.0 / k)
-    doms = tuple(observational.domain_of(v) for v in ins)
-    return Policy(action, ins, k, doms, np.ascontiguousarray(rows))
+    rows = np.where(den > 0, num / safe, 1.0 / num.shape[-1])
+    return Policy(action, ins, np.ascontiguousarray(rows))
 
 
 def _bad_rows(table: np.ndarray) -> np.ndarray:
@@ -259,13 +255,13 @@ class DiscreteSCM:
     @staticmethod
     def create(
         diagram: CausalDiagram,
-        domains: Mapping[str, int],
         exogenous: Mapping[str, Sequence[float]],
         mechanisms: Iterable[Mechanism],
     ) -> "DiscreteSCM":
+        """The model whose node domains are its mechanisms' last axes."""
         mechs = tuple(sorted(mechanisms, key=lambda m: m.node))
         exo = tuple((name, np.ascontiguousarray(p, dtype=float)) for name, p in sorted(exogenous.items()))
-        return DiscreteSCM(diagram, tuple(sorted(domains.items())), exo, mechs)
+        return DiscreteSCM(diagram, tuple({m.node: m.table.shape[-1] for m in mechs}.items()), exo, mechs)
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -341,7 +337,7 @@ def joint(scm: DiscreteSCM) -> JointTable:
     gives the batch of their joints, each with the same bits.
     """
     dom = dict(scm.domains)
-    endo_vars = tuple(sorted(scm.diagram.nodes))
+    endo_vars = scm.diagram.nodes
     endo_count = math.prod(dom[v] for v in endo_vars)
     exo_dims = tuple(p.shape[-1] for _, p in scm.exogenous)
     exo_names = tuple(name for name, _ in scm.exogenous)
@@ -391,7 +387,7 @@ def joint(scm: DiscreteSCM) -> JointTable:
         # numpy reduces an outer axis row after row, but sums a lone reduced
         # axis (a one-cell table: no endogenous node, no batch) pairwise
         total = np.add.reduce(acc, axis=0) if total.size > 1 else np.add.accumulate(acc)[-1]
-    return JointTable(endo_vars, shape, total)
+    return JointTable(endo_vars, total)
 
 
 def observational(scm: DiscreteSCM) -> JointTable:
@@ -434,7 +430,7 @@ def empirical_observational(scm: DiscreteSCM, n: int, seed) -> JointTable:
     cells = obs.probs.reshape((-1, math.prod(obs.domains)))
     seeds = seed if obs.batch else [seed]
     counts = np.stack([np.random.default_rng(s).multinomial(n, p) for s, p in zip(seeds, cells, strict=True)])
-    return JointTable(obs.variables, obs.domains, counts.reshape(obs.probs.shape) / n)
+    return JointTable(obs.variables, counts.reshape(obs.probs.shape) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +466,7 @@ def random_frontdoor(seed) -> DiscreteSCM:
         Mechanism("S", ("W",), ("U",), bern(np.swapaxes(p_s, -1, -2))),
         Mechanism("Y", ("S",), (), bern(p_y)),
     ]
-    return DiscreteSCM.create(
-        frontdoor_instrument()[2],
-        domains={"X": 2, "W": 2, "S": 2, "Y": 2},
-        exogenous={"U": bern(p_x)},
-        mechanisms=mechs,
-    )
+    return DiscreteSCM.create(frontdoor_instrument()[1], exogenous={"U": bern(p_x)}, mechanisms=mechs)
 
 
 def random_scm(diagram: CausalDiagram, seed, domains: int = 2) -> DiscreteSCM:
@@ -483,7 +474,6 @@ def random_scm(diagram: CausalDiagram, seed, domains: int = 2) -> DiscreteSCM:
     per bidirected edge, plus uniformly drawn mechanism rows; every node
     takes ``domains`` values."""
     rng = np.random.default_rng(seed)
-    dom = dict.fromkeys(diagram.nodes, domains)
     exo: dict[str, np.ndarray] = {}
     attached: dict[str, list[str]] = {n: [] for n in diagram.nodes}
     for i, (a, b) in enumerate(sorted(diagram.bidirected)):
@@ -496,10 +486,10 @@ def random_scm(diagram: CausalDiagram, seed, domains: int = 2) -> DiscreteSCM:
     for node in diagram.nodes:
         parents = tuple(sorted(diagram.parents(node)))
         exo_names = tuple(sorted(attached[node]))
-        shape = tuple(dom[p] for p in parents) + tuple(2 for _ in exo_names) + (dom[node],)
+        shape = (domains,) * len(parents) + (2,) * len(exo_names) + (domains,)
         raw = rng.uniform(size=shape) + 1e-9
         mechs.append(Mechanism(node, parents, exo_names, raw / raw.sum(axis=-1, keepdims=True)))
-    return DiscreteSCM.create(diagram, dom, exo, mechs)
+    return DiscreteSCM.create(diagram, exo, mechs)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +576,6 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
                 raise ParseError(f"node {node} has no domain declaration", lineno)
             if not (_increasing(parents) and _increasing(exo)):
                 raise ParseError("mechanism parents and exo names must be sorted and distinct", lineno)
-            if not diagram.has_node(node):
-                raise ParseError(f"node {node} is not in the diagram", lineno)
             if parents != tuple(sorted(diagram.parents(node))):
                 raise ParseError(f"mechanism for {node} does not match the diagram parents", lineno)
             dom_sizes = tuple(domains[p] for p in parents) + tuple(len(exogenous[u]) for u in exo)
@@ -612,7 +600,7 @@ def parse_scm_text(text: str, diagram: CausalDiagram) -> DiscreteSCM:
         if rows and kind != "mech":
             raise ParseError("distribution row outside a mech block", rows[0][0])
     try:
-        return DiscreteSCM.create(diagram, domains, exogenous, mechanisms.values())
+        return DiscreteSCM.create(diagram, exogenous, mechanisms.values())
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -667,19 +655,12 @@ def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, i
         return policy_axes
     if isinstance(node, Sum):
         vs, arr = _eval(node.body, obs, policy_axes, domains)
-        # counted from the end, past any leading batch axes
-        drop = tuple(i - len(vs) for i, v in enumerate(vs) if v in node.bound)
-        scale = 1.0
         for b in node.bound:
             if b not in vs:
-                # summing a constant function over the variable's domain
-                if b not in domains:
-                    raise ValueError(f"no domain known for bound variable {b!r}")
-                scale *= domains[b]
-        out = arr.sum(axis=drop) if drop else arr
-        if scale != 1.0:
-            out = out * scale
-        return tuple(v for v in vs if v not in node.bound), out
+                raise ValueError(f"sum over {b!r}, which its body does not mention")
+        # counted from the end, past any leading batch axes
+        drop = tuple(i - len(vs) for i, v in enumerate(vs) if v in node.bound)
+        return tuple(v for v in vs if v not in node.bound), arr.sum(axis=drop)
     if isinstance(node, Product):
         vs: tuple[str, ...] = ()
         arr = np.asarray(1.0)
@@ -713,17 +694,22 @@ def evaluate(
     identified effect may be constant in the intervention value.  The result
     is a probability table over the remaining free variables and must total
     one; anything else raises, and a formula that divides by an empty cell
-    of the table raises ``UnsupportedConditionalError``.
+    of the table raises ``UnsupportedConditionalError``.  A policy must be
+    over the placeholder's action and read only inputs the placeholder
+    reads.
     """
     fixed = dict(fixed or {})
     domains = observational.domain_map()
-    has_pi = has_policy_factor(formula)
-    if has_pi and policy is None:
+    ph = find_policy_factor(formula)
+    if ph is not None and policy is None:
         raise ValueError("formula contains a policy placeholder; a policy is required")
-    if policy is not None and not has_pi:
+    if policy is not None and ph is None:
         raise ValueError("a policy was supplied but the formula has no placeholder")
     policy_axes = None
     if policy is not None:
+        if policy.action != ph.action or not set(policy.inputs) <= set(ph.inputs):
+            raise ValueError(f"policy {format_formula(PolicyFactor(policy.action, policy.inputs))} does not "
+                             f"fit the formula's placeholder {format_formula(ph)}")
         for z, k in zip(policy.inputs, policy.input_domains):
             if domains.get(z, k) != k:
                 raise ValueError(f"policy input domain for {z} does not match the table")
@@ -754,4 +740,4 @@ def evaluate(
         raise ValueError(
             f"evaluated table has mass {mass}; pin remaining do-variables via 'fixed'"
         )
-    return JointTable(vs, tuple(domains[v] for v in vs), np.ascontiguousarray(arr, dtype=float))
+    return JointTable(vs, np.ascontiguousarray(arr, dtype=float))

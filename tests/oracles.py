@@ -191,7 +191,7 @@ def do(scm: DiscreteSCM, node: str, value: int) -> DiscreteSCM:
     and a point mass at ``value``."""
     probs = np.zeros(dict(scm.domains)[node])
     probs[value] = 1.0
-    return intervene(scm, Policy.create(node, len(probs), probs))
+    return intervene(scm, Policy.create(node, probs))
 
 
 def joint_enumeration(scm: DiscreteSCM) -> JointTable:
@@ -220,19 +220,17 @@ def joint_enumeration(scm: DiscreteSCM) -> JointTable:
             sl = m.table[(slice(None),) * len(m.parents) + tuple(exo_value[u] for u in m.exo)]
             acc = acc * broadcast_to_vars(sl, m.parents + (node,), endo_vars)
         total += acc
-    return JointTable(endo_vars, shape, total)
+    return JointTable(endo_vars, total)
 
 
-def linear_system_by_basis(formula, observational: JointTable, surrogate):
+def linear_system_by_basis(formula, observational: JointTable):
     """Coefficients A[s, pa, x] and target t[s] of the policy formula's
     affine system, one evaluation per one-hot policy: the loop that
     ``imitate._linear_system`` replaces by a single evaluation."""
     ph = find_policy_factor(formula)
     if ph is None:
         raise ValueError("formula has no policy placeholder")
-    svars = tuple(sorted(frozenset(surrogate)))
-    if frozenset(free_variables(formula)) != frozenset(svars):
-        raise ValueError("formula free variables do not match the surrogate set")
+    svars = tuple(sorted(free_variables(formula)))
     domains = observational.domain_map()
     in_doms = tuple(domains[z] for z in ph.inputs)
     k = domains[ph.action]
@@ -284,7 +282,7 @@ def policy_joint_enumeration(scm: DiscreteSCM, policy: Policy) -> JointTable:
                 if p == 0.0:
                     break
             out[v_conf] += p
-    return JointTable(variables, shape, out)
+    return JointTable(variables, out)
 
 
 def conditionally_independent(table: JointTable, a_set, b_set, c_set, tol=1e-9) -> bool:
@@ -328,7 +326,7 @@ def random_diagram(rng: np.random.Generator, n_nodes: int, p_dir=0.35, p_bi=0.2,
     )
 
 
-def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance: float, skip: bool = True):
+def solve_policy_by_lp(formula, observational: JointTable, tolerance: float, skip: bool = True):
     """``imitate.solve_policy`` by linear programming alone, as it was before
     it solved pinned systems in closed form: the residual LP, then the
     tie-break LP.  With ``skip``, the tie-break LP is skipped where the
@@ -337,13 +335,13 @@ def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance:
     feasible system runs that LP, also when the exact system admits one
     policy only.  A batched table gives a list of pairs, one per table; a
     table on which the formula divides by an empty cell gives ``(None, None)``."""
-    coeff, t, ph, in_doms, k = _linear_system(formula, observational, surrogate)
+    coeff, t, ph, in_doms, k = _linear_system(formula, observational)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     n_pi = n_pa * k
     refs = conditional_policy(observational, ph.action, ph.inputs).probs.reshape(-1, n_pi)
 
     def as_policy(raw: np.ndarray) -> Policy:
-        return Policy(ph.action, ph.inputs, k, in_doms, _rounded(raw, k).reshape(in_doms + (k,)))
+        return Policy(ph.action, ph.inputs, _rounded(raw, k).reshape(in_doms + (k,)))
 
     def solve(a2, t, ref):
         m, b = _matching_system(a2, t, n_pa, k)
@@ -372,12 +370,12 @@ def solve_policy_by_lp(formula, observational: JointTable, surrogate, tolerance:
     return pairs if observational.batch else pairs[0]
 
 
-def frontdoor_instance(formula, surrogate, base_seed: int, index: int, samples: int):
+def frontdoor_instance(formula, base_seed: int, index: int, samples: int):
     """One instance of ``experiments.frontdoor_study``, with one library
     call per step: ``(p_imitable, l1_ci or None, l1_bc)``."""
 
     def solve(table, tolerance):
-        policy, _residual, found = solve_policy(formula, table, surrogate, tolerance)
+        policy, _residual, found = solve_policy(formula, table, tolerance)
         return policy if found else None
 
     scm_i = random_frontdoor(np.random.SeedSequence(entropy=base_seed, spawn_key=(index,)))
@@ -397,9 +395,9 @@ def frontdoor_instance(formula, surrogate, base_seed: int, index: int, samples: 
     return exact_solution is not None, l1_ci, l1_bc
 
 
-def frontdoor_study_loop(formula, surrogate, models: int, samples: int, seed: int) -> str:
+def frontdoor_study_loop(formula, models: int, samples: int, seed: int) -> str:
     """The report of ``experiments.frontdoor_study``, one instance at a time."""
-    rows = [frontdoor_instance(formula, surrogate, seed, i, samples) for i in range(models)]
+    rows = [frontdoor_instance(formula, seed, i, samples) for i in range(models)]
     lines = [
         f"# frontdoor-study models={models} samples={samples} seed={seed}",
         "# columns: instance p_imitable l1_ci l1_bc",

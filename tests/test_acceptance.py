@@ -60,7 +60,7 @@ def test_criterion_2_parity_trap_grid():
     scm = fixtures.scm_fixture("parity_trap")
     assert abs(joint(scm).expectation("Y") - 1.0) <= 1e-9
     for alpha in np.linspace(0.0, 1.0, 101):
-        pol = Policy.create("X", 2, np.array([1.0 - alpha, alpha]))
+        pol = Policy.create("X", np.array([1.0 - alpha, alpha]))
         assert abs(joint(intervene(scm, pol)).expectation("Y") - 0.5) <= 1e-9
     elapsed = time.time() - t0
     assert elapsed < 1.0
@@ -179,9 +179,9 @@ def test_criterion_7_identification_soundness():
                 doms = tuple(2 for _ in sorted(space.inputs))
                 for _ in range(10):
                     raw = rng.uniform(size=doms + (2,)) + 1e-6
-                    pol = Policy.create(case.space.action, 2,
+                    pol = Policy.create(case.space.action,
                                         raw / raw.sum(-1, keepdims=True),
-                                        tuple(sorted(space.inputs)), doms)
+                                        tuple(sorted(space.inputs)))
                     got = evaluate(formula, obs, policy=pol)
                     want = joint(intervene(scm, pol)).marginal([case.reward])
                     assert got.l1(want) <= 1e-9, (name, space.inputs, m)

@@ -494,6 +494,10 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     (4, "graph nothere.graph"),  # a header after the first declaration
     (4, "domain Q 2"),  # a node outside the diagram
     (2, "domain W 1"),
+    (5, "exo UW"),  # no probabilities
+    (8, "mech W X exo UW"),  # no 'given'
+    (8, "mech W given X W exo UW"),  # parents out of order
+    (8, "mech Q given X exo UW"),  # a node outside the diagram
 ])
 def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     case = fixtures.diagram_fixture("frontdoor_observed")
@@ -507,6 +511,20 @@ def test_scm_parse_errors_carry_line(tmp_path, capsys, line, bad):
     assert exc.value.line == line
     assert main(["simulate", "--scm", str(path), "--n", "1"]) == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# a comment alone\n", None, "missing 'graph <file>' header"),
+    ("# the header comes second\ndomain W 2\ngraph g.graph\n", 2, "fixture must start with a 'graph <file>' header"),
+])
+def test_scm_file_starts_with_its_graph_header(tmp_path, capsys, text, line, message):
+    path = tmp_path / "bad.scm"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_scm_file(path)
+    assert exc.value.line == line
+    assert main(["simulate", "--scm", str(path), "--n", "1"]) == 2
+    assert capsys.readouterr().err == f"parse error: {'' if line is None else f'line {line}: '}{message}\n"
 
 
 def test_scm_model_errors_are_parse_errors(tmp_path, capsys):
@@ -561,7 +579,7 @@ def test_distribution_roundtrip_random_tables(data):
     size = math.prod(domains)
     weights = np.array(data.draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size).filter(any)),
                        dtype=float)
-    table = JointTable(variables, domains, (weights / weights.sum()).reshape(domains))
+    table = JointTable(variables, (weights / weights.sum()).reshape(domains))
     again = parse_distribution_text(format_distribution(table))
     assert (again.variables, again.domains) == (table.variables, table.domains)
     assert again.probs.tobytes() == table.probs.tobytes()
@@ -727,6 +745,20 @@ def test_distribution_requires_a_row(tmp_path, capsys):
     path.write_text("A B\n")
     assert main(["imitate", "--graph", "highway_binary", "--dist", str(path)]) == 2
     assert "no rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("A B\n0 0 0.25\n0 1 0.25\n0 0 0.25\n1 1 0.25\n", 4, "duplicate configuration (0, 0)"),
+    ("# A twice\nA A\n0 0 0.5\n1 1 0.5\n", 2, "duplicate variable in header"),
+])
+def test_distribution_refuses_a_repeat(tmp_path, capsys, text, line, message):
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
+        parse_distribution_text(text)
+    assert exc.value.line == line
+    path = tmp_path / "repeat.dist"
+    path.write_text(text)
+    assert main(["imitate", "--graph", "highway_binary", "--dist", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: line {line}: {message}\n"
 
 
 def test_distribution_requires_all_rows():

@@ -53,6 +53,12 @@ def test_backdoor_requires_subset_of_inputs():
     assert not pi_backdoor_admissible(case.diagram, case.space, "Y", {"Z", "L"})
 
 
+def test_backdoor_refuses_an_unknown_reward():
+    case = fig("highway_adjustable")
+    with pytest.raises(ValueError, match="unknown reward node 'Q'"):
+        pi_backdoor_admissible(case.diagram, case.space, "Q", {"Z"})
+
+
 def test_backdoor_minimal_flag():
     # make the canonical candidate non-minimal: an extra input ancestor of Y
     d = CausalDiagram.create(

@@ -42,6 +42,14 @@ def test_validate_unknown_node():
                       directed=frozenset({("X", "Q")}), bidirected=frozenset())
 
 
+@pytest.mark.parametrize("nodes", [("Y", "X"), ("X", "X")])
+def test_validate_nodes_sorted_and_distinct(nodes):
+    # the index numbers the nodes in the order given, and every query reads
+    # that order as the sorted one
+    with pytest.raises(ValueError, match="invalid diagram: nodes must be sorted and distinct"):
+        CausalDiagram(nodes=nodes, observed=frozenset(nodes), directed=frozenset(), bidirected=frozenset())
+
+
 def test_validate_self_loop():
     with pytest.raises(ValueError, match="self-loop X -> X"):
         CausalDiagram(nodes=("X",), observed=frozenset("X"),

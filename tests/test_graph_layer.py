@@ -16,8 +16,9 @@ from unittest.mock import patch
 import numpy as np
 
 from causal_imitation import cli
-from causal_imitation.diagram import CausalDiagram, d_separated, format_diagram
-from causal_imitation.enumerators import list_min_separators
+from causal_imitation.diagram import CausalDiagram, PolicySpace, d_separated, format_diagram
+from causal_imitation.enumerators import instruments, list_min_separators
+from causal_imitation.identify import Product, Quotient, Sum, free_variables, identify_atomic
 from causal_imitation.projection import project
 
 from oracles import brute_descendants, random_diagram
@@ -67,6 +68,33 @@ def contract_lines(graph: Path) -> str:
 
 def test_graph_commands_match_the_golden_lines(tmp_path):
     assert contract_lines(tmp_path / "g.graph") == GOLDEN.read_text()
+
+
+def _sums(formula):
+    if isinstance(formula, Sum):
+        yield formula
+        yield from _sums(formula.body)
+    elif isinstance(formula, Product):
+        for term in formula.terms:
+            yield from _sums(term)
+    elif isinstance(formula, Quotient):
+        yield from _sums(formula.num)
+        yield from _sums(formula.den)
+
+
+def test_identified_sums_bind_only_their_bodies_variables():
+    # scm.evaluate refuses a sum over a variable its body does not mention;
+    # no formula the identifiers build has one
+    sums = 0
+    for index in range(COUNT):
+        d, action, inputs, reward = draw_problem(index)
+        formulas = [formula for *_, formula in instruments(d, PolicySpace.create(action, inputs), reward)]
+        formulas.append(identify_atomic(d, action, {reward}))
+        for formula in filter(None, formulas):
+            for s in _sums(formula):
+                assert set(s.bound) <= free_variables(s.body), index
+                sums += 1
+    assert sums > 3000
 
 
 def test_a_node_named_like_a_hidden_fork_keeps_its_edge():

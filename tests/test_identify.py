@@ -109,7 +109,7 @@ def test_bow_two_model_witness():
             Mechanism("S", ("X",), ("U",), _det((2, 2), lambda x, u: gs[2 * x + u])),
             Mechanism("X", (), ("U",), _det((2,), lambda u: fx[u])),
         ]
-        return DiscreteSCM.create(bow, {"X": 2, "S": 2}, {"U": [0.5, 0.5]}, mechs)
+        return DiscreteSCM.create(bow, {"U": [0.5, 0.5]}, mechs)
 
     entries = []
     for fx in product((0, 1), repeat=2):
@@ -138,6 +138,17 @@ def test_bow_two_model_witness():
 def test_atomic_latent_outcome_not_identifiable():
     case = fixtures.diagram_fixture("frontdoor_latent")
     assert identify_atomic(case.diagram, "X", {"Y"}) is None  # Y is latent
+
+
+def test_identification_refuses_the_action_in_the_outcome_or_a_latent_action():
+    d = fixtures.diagram_fixture("frontdoor_observed").diagram
+    with pytest.raises(ValueError, match="outcome must not contain the action"):
+        identify_atomic(d, "X", {"X", "Y"})
+    with pytest.raises(ValueError, match="outcome must not contain the action"):
+        identify_policy(d, PolicySpace.create("X", ()), {"X", "Y"})
+    latent = fixtures.diagram_fixture("highway_opaque").diagram  # L is latent
+    with pytest.raises(ValueError, match="action 'L' must be an observed node"):
+        identify_atomic(latent, "L", {"Z"})
 
 
 # ------------------------------------------------------------- policy identification
@@ -198,7 +209,7 @@ def test_evaluate_policy_assembly_matches_model():
     for seed in range(8):
         scm = random_scm(case.diagram.with_observed({"Y"}), seed=seed)
         obs = joint(scm).marginal(case.diagram.observed)
-        pol = Policy.create("X", 2, np.full(2, 0.5))
+        pol = Policy.create("X", np.full(2, 0.5))
         got = evaluate(formula, obs, policy=pol)
         want = joint(intervene(scm, pol)).marginal(["S"])
         assert got.l1(want) < 1e-9
@@ -233,11 +244,41 @@ def test_evaluate_argument_validation():
     with pytest.raises(ValueError, match="mass"):
         evaluate(formula, obs)  # the do-variable is left free
     with pytest.raises(ValueError, match="policy"):
-        evaluate(formula, obs, policy=Policy.create("X", 2, np.full(2, 0.5)), fixed={"X": 0})
+        evaluate(formula, obs, policy=Policy.create("X", np.full(2, 0.5)), fixed={"X": 0})
     case = fixtures.diagram_fixture("frontdoor_confounded")
     pf = identify_policy(case.diagram, PolicySpace.create("X", ()), {"S"})
     with pytest.raises(ValueError, match="policy"):
         evaluate(pf, obs)
+
+
+def test_evaluate_refuses_a_policy_the_placeholder_does_not_take():
+    # a policy over another action, or reading an input the placeholder
+    # does not read, was evaluated as if it fit: pi(X|W) against pi(X)
+    # ended in a table that does not total one, and pi(W) in a wrong one
+    case = fixtures.diagram_fixture("frontdoor_observed")
+    formula = identify_policy(case.diagram, case.space, {"Y"})
+    obs = observational(fixtures.scm_fixture("frontdoor_mix"))
+    for policy, name in [(Policy.create("X", np.array([[0.2, 0.8], [0.6, 0.4]]), ("W",)), r"pi\(X\|W\)"),
+                         (Policy.create("W", np.full(2, 0.5)), r"pi\(W\)")]:
+        with pytest.raises(ValueError, match=rf"policy {name} does not fit the formula's placeholder pi\(X\)"):
+            evaluate(formula, obs, policy)
+    # a policy over fewer inputs than the placeholder reads is one of its
+    # policies, constant in the others
+    case = fixtures.diagram_fixture("highway_adjustable")
+    g_obs = case.diagram.with_observed({"Y"})
+    scm = random_scm(g_obs, seed=0)
+    pol = Policy.create("X", np.array([0.3, 0.7]))
+    got = evaluate(identify_policy(g_obs, case.space, {"Y"}), observational(scm), pol)
+    assert got.l1(joint(intervene(scm, pol)).marginal(["Y"])) < 1e-12
+
+
+def test_evaluate_refuses_a_sum_over_a_variable_its_body_does_not_mention():
+    # the sum used to scale its body by the variable's domain size
+    from causal_imitation.identify import Sum
+
+    obs = observational(fixtures.scm_fixture("frontdoor_mix"))
+    with pytest.raises(ValueError, match="sum over 'X', which its body does not mention"):
+        evaluate(Sum(("X", "Y"), Factor(("Y",))), obs)
 
 
 def test_formula_is_linear_in_the_policy():
@@ -245,10 +286,10 @@ def test_formula_is_linear_in_the_policy():
     formula = identify_policy(case.diagram, PolicySpace.create("X", ()), {"S"})
     scm = random_scm(case.diagram.with_observed({"Y"}), seed=3)
     obs = joint(scm).marginal(case.diagram.observed)
-    p0 = Policy.create("X", 2, np.array([1.0, 0.0]))
-    p1 = Policy.create("X", 2, np.array([0.0, 1.0]))
+    p0 = Policy.create("X", np.array([1.0, 0.0]))
+    p1 = Policy.create("X", np.array([0.0, 1.0]))
     lam = 0.3
-    mix = Policy.create("X", 2, np.array([1.0 - lam, lam]))
+    mix = Policy.create("X", np.array([1.0 - lam, lam]))
     t0 = evaluate(formula, obs, policy=p0).probs
     t1 = evaluate(formula, obs, policy=p1).probs
     tm = evaluate(formula, obs, policy=mix).probs
@@ -338,8 +379,8 @@ def test_policy_identification_random_sweep():
             scm = random_scm(d, seed=(trial, m, 9))
             table = observational(scm)
             raw = rng.uniform(size=doms + (2,)) + 1e-6
-            pol = Policy.create(action, 2, raw / raw.sum(-1, keepdims=True),
-                                tuple(sorted(space.inputs)), doms)
+            pol = Policy.create(action, raw / raw.sum(-1, keepdims=True),
+                                tuple(sorted(space.inputs)))
             got = evaluate(formula, table,
                            policy=pol if has_policy_factor(formula) else None)
             want = joint(intervene(scm, pol)).marginal(sorted(outcome))
@@ -359,7 +400,7 @@ def test_identification_soundness_sample():
         scm = random_scm(g_obs, seed=seed)
         obs = observational(scm)
         raw = rng.uniform(size=(2, 2)) + 1e-6
-        pol = Policy.create("X", 2, raw / raw.sum(-1, keepdims=True), ("Z",), (2,))
+        pol = Policy.create("X", raw / raw.sum(-1, keepdims=True), ("Z",))
         got = evaluate(formula, obs, policy=pol)
         want = joint(intervene(scm, pol)).marginal(["Y"])
         assert got.l1(want) < 1e-9

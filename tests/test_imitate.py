@@ -59,7 +59,7 @@ def test_lp_agrees_with_closed_form():
         alpha = mix_alpha(scm)
         if not (0.0 <= alpha <= 1.0):
             continue
-        solved, residual, found = solve_policy(formula, observational(scm), {"S"}, 1e-9)
+        solved, residual, found = solve_policy(formula, observational(scm), 1e-9)
         assert found and residual <= 1e-9
         assert abs(solved.probs[1] - alpha) < 1e-9
         checked += 1
@@ -80,8 +80,7 @@ def _action_blind_frontdoor():
         ], axis=0)),
         Mechanism("Y", ("S",), (), np.array([[0.2, 0.8], [0.9, 0.1]])),
     ]
-    return DiscreteSCM.create(case.diagram, {n: 2 for n in case.diagram.nodes},
-                              {"U": [0.4, 0.6]}, mechs)
+    return DiscreteSCM.create(case.diagram, {"U": [0.4, 0.6]}, mechs)
 
 
 @pytest.mark.parametrize("seed, lps", [
@@ -94,7 +93,7 @@ def test_lps_go_through_module_linprog(monkeypatch, seed, lps):
     model = _action_blind_frontdoor() if seed is None else random_frontdoor(seed)
     result = []
     lps_run = _capture_lps(monkeypatch, lambda: result.append(
-        solve_policy(_frontdoor_formula(), observational(model), {"S"}, 1e-9)))
+        solve_policy(_frontdoor_formula(), observational(model), 1e-9)))
     [(_policy, _residual, found)] = result
     assert found == (seed != 0)
     assert len(lps_run) == lps
@@ -109,7 +108,7 @@ def test_sampled_table_off_the_exact_fit_keeps_the_tie_break_lp(monkeypatch):
         table = empirical_observational(model, 1000, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
         result = []
         lps = _capture_lps(monkeypatch, lambda: result.append(
-            solve_policy(formula, table, {"S"}, imitate._sampled_tolerance(1000))))
+            solve_policy(formula, table, imitate._sampled_tolerance(1000))))
         [(_policy, residual, found)] = result
         if found and residual > 1e-9:
             assert len(lps) == 2
@@ -117,11 +116,11 @@ def test_sampled_table_off_the_exact_fit_keeps_the_tie_break_lp(monkeypatch):
     raise AssertionError("no sampled table fits within its tolerance but not exactly")
 
 
-def _closed_form_fits(formula, table, surrogate) -> bool:
+def _closed_form_fits(formula, table) -> bool:
     """Whether the least-squares solution of the matching and simplex rows,
     from ``np.linalg.pinv``, lies in [0, 1] up to 1e-12 and fits the
     system to 1e-9: the systems whose policy needs no LP."""
-    m, b, n_pi, k = _lp_system(formula, table, surrogate)
+    m, b, n_pi, k = _lp_system(formula, table)
     n_s = len(b) - n_pi // k
     x = np.linalg.pinv(m[:, :n_pi]) @ b
     if not ((x >= -1e-12) & (x <= 1 + 1e-12)).all():
@@ -137,9 +136,9 @@ def test_study_solves_no_lp_on_exact_instances(monkeypatch):
     # other one not p-imitable, also without an LP
     from causal_imitation.experiments import frontdoor_instrument, frontdoor_study
 
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     turned_down = sum(not _closed_form_fits(formula, observational(random_frontdoor(
-        np.random.SeedSequence(entropy=0, spawn_key=(i,)))), surrogate) for i in range(200))
+        np.random.SeedSequence(entropy=0, spawn_key=(i,))))) for i in range(200))
     report = []
     lps = _capture_lps(monkeypatch, lambda: report.append(frontdoor_study(200)))
     assert 50 < turned_down < 150
@@ -185,22 +184,22 @@ def test_closed_form_returns_the_tie_break_policy():
             assert abs(residual - want_residual) <= 1e-12
         return policy is not None
 
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     tables = [observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
               for i in range(1000)]
-    batch = JointTable(tables[0].variables, tables[0].domains, np.stack([t.probs for t in tables]))
-    solved = sum(same(got, want) for got, want in zip(_pairs(solve_policy(formula, batch, surrogate, 1e-9)),
-                                                      solve_policy_by_lp(formula, batch, surrogate, 1e-9, skip=False),
+    batch = JointTable(tables[0].variables, np.stack([t.probs for t in tables]))
+    solved = sum(same(got, want) for got, want in zip(_pairs(solve_policy(formula, batch, 1e-9)),
+                                                      solve_policy_by_lp(formula, batch, 1e-9, skip=False),
                                                       strict=True))
     assert solved > 400
     checked = 0
     for diagram, space, reward, obs in _fixture_instrument_cases():
-        for surrogate, formula in _policy_instruments(diagram, space, reward):
-            [got] = _pairs(solve_policy(formula, obs, surrogate))
+        for formula in _policy_instruments(diagram, space, reward):
+            [got] = _pairs(solve_policy(formula, obs))
             if got == (None, None):
                 # the formula divides by an empty cell: there is no system to solve
                 continue
-            same(got, solve_policy_by_lp(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE, skip=False))
+            same(got, solve_policy_by_lp(formula, obs, imitate.DEFAULT_TOLERANCE, skip=False))
             checked += 1
     assert checked >= 10
 
@@ -210,12 +209,12 @@ def _pairs(answer) -> list:
     the oracle's shape: ``(Policy | None, float | None)``."""
     policy, residual, found = answer
     cells = policy.input_domains + (policy.action_domain,)
-    return [(Policy(policy.action, policy.inputs, policy.action_domain, policy.input_domains, row) if hit else None,
+    return [(Policy(policy.action, policy.inputs, row) if hit else None,
              None if np.isnan(res) else float(res))
             for row, res, hit in zip(policy.probs.reshape((-1,) + cells), residual.reshape(-1), found.reshape(-1))]
 
 
-def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
+def _solves_and_lps(monkeypatch, formula, table, tolerance):
     """``solve_policy``'s pairs on a table, one per table,
     each with the number of LPs its system ran, or ``None`` where the system
     did not reach ``_solve_system``: it is undefined, its closed form fits,
@@ -234,12 +233,12 @@ def _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance):
     with monkeypatch.context() as patch:
         patch.setattr(imitate, "_solve_system", record_system)
         patch.setattr(imitate, "linprog", record_lp)
-        answer = solve_policy(formula, table, surrogate, tolerance)
+        answer = solve_policy(formula, table, tolerance)
     pairs = _pairs(answer)
     # _solve_system takes the systems in batch order: each call belongs to
     # the first table after the previous call's whose matching system (m, b)
     # it got, bit for bit
-    m, b, *_ = _lp_system(formula, table, surrogate)
+    m, b, *_ = _lp_system(formula, table)
     m, b = m.reshape((-1,) + m.shape[-2:]), b.reshape(-1, b.shape[-1])
     lps, row = {}, 0
     for (got_m, got_b), count in zip(systems, counts, strict=True):
@@ -256,10 +255,10 @@ def _closed_form(pair, lps) -> bool:
     return lps is None and pair[0] is not None
 
 
-def _settled(monkeypatch, formula, table, surrogate, tolerance):
+def _settled(monkeypatch, formula, table, tolerance):
     """The systems of ``table`` that the duality certificate settled, as
     (index into the batch, pair); an unbatched table has index 0."""
-    return [(i, pair) for i, (pair, lps) in enumerate(_solves_and_lps(monkeypatch, formula, table, surrogate, tolerance))
+    return [(i, pair) for i, (pair, lps) in enumerate(_solves_and_lps(monkeypatch, formula, table, tolerance))
             if lps is None and pair[0] is None and pair[1] is not None]
 
 
@@ -283,16 +282,16 @@ def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
     from causal_imitation.experiments import frontdoor_instrument
     from oracles import solve_policy_by_lp
 
-    def check(formula, table, surrogate, tolerance, lp_path=False):
+    def check(formula, table, tolerance, lp_path=False):
         """The number of the table's systems (one per table of a batch)
         solved in closed form, each checked; with ``lp_path``, the systems
         that ran an LP are checked too."""
-        got = _solves_and_lps(monkeypatch, formula, table, surrogate, tolerance)
+        got = _solves_and_lps(monkeypatch, formula, table, tolerance)
         picked = [i for i, (pair, lps) in enumerate(got) if _closed_form(pair, lps) or lps and lp_path]
         if not picked:
             return 0
         probs = np.reshape(table.probs, (-1,) + table.domains)[picked]
-        wants = solve_policy_by_lp(formula, JointTable(table.variables, table.domains, probs), surrogate, tolerance)
+        wants = solve_policy_by_lp(formula, JointTable(table.variables, probs), tolerance)
         for i, (want_policy, want_residual) in zip(picked, wants, strict=True):
             (policy, residual), lps = got[i]
             if lps is not None:
@@ -309,12 +308,12 @@ def test_pinned_closed_form_matches_the_lp_oracle(monkeypatch):
 
     closed = 0
     for diagram, space, reward, obs in _fixture_instrument_cases(range(20)):
-        for surrogate, formula in _policy_instruments(diagram, space, reward):
-            closed += check(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE, lp_path=True)
+        for formula in _policy_instruments(diagram, space, reward):
+            closed += check(formula, obs, imitate.DEFAULT_TOLERANCE, lp_path=True)
     assert closed >= 100
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     for table, tolerance in _study_tables(2000):
-        assert check(formula, table, surrogate, tolerance) > 800
+        assert check(formula, table, tolerance) > 800
 
 
 def test_certificate_matches_the_lp_oracle(monkeypatch):
@@ -329,14 +328,14 @@ def test_certificate_matches_the_lp_oracle(monkeypatch):
 
     residuals = []
 
-    def check(formula, table, surrogate, tolerance):
+    def check(formula, table, tolerance):
         """The number of the table's systems (one per table of a batch)
         that the certificate settled, each checked."""
-        settled = _settled(monkeypatch, formula, table, surrogate, tolerance)
+        settled = _settled(monkeypatch, formula, table, tolerance)
         if not settled:
             return 0
         probs = np.reshape(table.probs, (-1,) + table.domains)[[i for i, _ in settled]]
-        wants = solve_policy_by_lp(formula, JointTable(table.variables, table.domains, probs), surrogate, tolerance)
+        wants = solve_policy_by_lp(formula, JointTable(table.variables, probs), tolerance)
         for (_, (policy, residual)), (want_policy, want_residual) in zip(settled, wants, strict=True):
             assert policy is None and want_policy is None
             assert residual > tolerance and abs(residual - want_residual) <= 1e-9
@@ -344,16 +343,16 @@ def test_certificate_matches_the_lp_oracle(monkeypatch):
         return len(settled)
 
     def check_instruments(cases):
-        return sum(check(formula, obs, surrogate, imitate.DEFAULT_TOLERANCE)
+        return sum(check(formula, obs, imitate.DEFAULT_TOLERANCE)
                    for diagram, space, reward, obs in cases
-                   for surrogate, formula in _policy_instruments(diagram, space, reward))
+                   for formula in _policy_instruments(diagram, space, reward))
 
     assert check_instruments(_fixture_instrument_cases(range(5), (20, 1000, 100_000))) >= 3
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     (exact, exact_tolerance), (sampled, sampled_tolerance) = _study_tables(2000)
     # every exact system the closed form turns down lies outside the box
-    assert check(formula, exact, surrogate, exact_tolerance) == 1040
-    assert check(formula, sampled, surrogate, sampled_tolerance) > 600
+    assert check(formula, exact, exact_tolerance) == 1040
+    assert check(formula, sampled, sampled_tolerance) > 600
     cases = list(_random_instrument_cases(300))
     assert len(cases) >= 200 and check_instruments(cases) > 0
     assert all(got == want for got, want in residuals)
@@ -369,23 +368,23 @@ def test_batch_answers_as_its_tables_alone(monkeypatch):
     # matches bit for bit
     from causal_imitation.experiments import frontdoor_instrument
 
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     models = random_frontdoor([np.random.SeedSequence(entropy=0, spawn_key=(i,)) for i in range(300)])
     seeds = [np.random.SeedSequence(entropy=0, spawn_key=(i, 1)) for i in range(300)]
     sampled, exact = empirical_observational(models, 20, seeds), observational(models)
-    batch = JointTable(exact.variables, exact.domains, np.stack([sampled.probs, exact.probs]))
+    batch = JointTable(exact.variables, np.stack([sampled.probs, exact.probs]))
     tolerance = imitate._sampled_tolerance(20)
     solve_system, lp_path = imitate._solve_system, []
     with monkeypatch.context() as patch:
         patch.setattr(imitate, "_solve_system", lambda *args: lp_path.append(1) or solve_system(*args))
-        policy, residual, found = solve_policy(formula, batch, surrogate, tolerance)
+        policy, residual, found = solve_policy(formula, batch, tolerance)
     assert residual.shape == found.shape == (2, 300) and found.dtype == bool
     assert policy.probs.shape == (2, 300) + policy.input_domains + (policy.action_domain,)
     cloning = conditional_policy(batch, policy.action, policy.inputs).probs
     undefined = 0
     for index in np.ndindex(2, 300):
-        alone = JointTable(batch.variables, batch.domains, batch.probs[index])
-        want_policy, want_residual, want_found = solve_policy(formula, alone, surrogate, tolerance)
+        alone = JointTable(batch.variables, batch.probs[index])
+        want_policy, want_residual, want_found = solve_policy(formula, alone, tolerance)
         assert want_residual.shape == want_found.shape == ()
         assert found[index] == want_found
         assert policy.probs[index].tobytes() == want_policy.probs.tobytes()
@@ -405,8 +404,8 @@ def test_one_table_answers_in_the_batch_shape():
              *[(case.diagram, case.space, case.reward, observational(random_frontdoor(seed))) for seed in (0, 4)]]
     statuses = set()
     for diagram, space, reward, obs in cases:
-        for surrogate, formula in _policy_instruments(diagram, space, reward):
-            policy, residual, found = solve_policy(formula, obs, surrogate)
+        for formula in _policy_instruments(diagram, space, reward):
+            policy, residual, found = solve_policy(formula, obs)
             assert residual.shape == found.shape == () and found.dtype == bool
             assert policy.probs.shape == policy.input_domains + (policy.action_domain,)
         result = imitate_pipeline(diagram, space, obs, reward)
@@ -421,18 +420,18 @@ def test_solve_policy_refuses_a_nan_or_negative_tolerance():
     # hand back a policy with residual 0.33, single table or batch
     from causal_imitation.experiments import frontdoor_instrument
 
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     table = observational(random_frontdoor(np.random.SeedSequence(1)))
-    batch = JointTable(table.variables, table.domains, np.stack([table.probs] * 2))
+    batch = JointTable(table.variables, np.stack([table.probs] * 2))
     for bad in (float("nan"), -1e-9, -np.inf):
         for obs in (table, batch):
             with pytest.raises(ValueError, match="tolerance must be >= 0"):
-                solve_policy(formula, obs, surrogate, bad)
+                solve_policy(formula, obs, bad)
     case = fixtures.diagram_fixture("frontdoor_observed")
     with pytest.raises(ValueError, match="tolerance must be >= 0"):
         imitate_pipeline(case.diagram, case.space, observational(fixtures.scm_fixture("frontdoor_mix")),
                          case.reward, float("nan"))
-    assert solve_policy(formula, table, surrogate, 0.0)[1] > 0.3
+    assert solve_policy(formula, table, 0.0)[1] > 0.3
 
 
 def test_certificate_lower_bound_holds_on_the_simplex():
@@ -448,8 +447,8 @@ def test_certificate_lower_bound_holds_on_the_simplex():
 
     rng = np.random.default_rng(0)
 
-    def check(formula, table, surrogate):
-        coeff, t, _ph, _in_doms, k = _linear_system(formula, table, surrogate)
+    def check(formula, table):
+        coeff, t, _ph, _in_doms, k = _linear_system(formula, table)
         n_s, n_pa = t.shape[-1], coeff.shape[-2]
         n_pi = n_pa * k
         a2, t2 = coeff.reshape(-1, n_s, n_pi), t.reshape(-1, n_s)
@@ -467,18 +466,18 @@ def test_certificate_lower_bound_holds_on_the_simplex():
             assert (lower[:, None] <= residuals + 1e-12).all()
         return len(a2)
 
-    formula, surrogate, _diagram = frontdoor_instrument()
-    assert sum(check(formula, table, surrogate) for table, _tolerance in _study_tables(200)) == 400
+    formula, _diagram = frontdoor_instrument()
+    assert sum(check(formula, table) for table, _tolerance in _study_tables(200)) == 400
     cases = [*_fixture_instrument_cases(), *_random_instrument_cases()]
-    assert sum(check(formula, obs, surrogate) for diagram, space, reward, obs in cases
-               for surrogate, formula in _policy_instruments(diagram, space, reward)) > 50
+    assert sum(check(formula, obs) for diagram, space, reward, obs in cases
+               for formula in _policy_instruments(diagram, space, reward)) > 50
 
 
 def test_point_mass_solution_for_mix_fixture():
     case = fixtures.diagram_fixture("frontdoor_observed")
     formula = identify_policy(case.diagram, PolicySpace.create("X", ()), {"Y"})
     obs = observational(fixtures.scm_fixture("frontdoor_mix"))
-    solved, _residual, found = solve_policy(formula, obs, {"Y"}, 1e-6)
+    solved, _residual, found = solve_policy(formula, obs, 1e-6)
     assert found
     assert abs(solved.probs[0] - 1.0) < 1e-6  # atomic do(X=0)
 
@@ -493,7 +492,7 @@ def test_infeasible_instances_match_grid_oracle():
             continue
         found += 1
         obs = observational(scm)
-        _policy, residual, matched = solve_policy(formula, obs, {"S"}, 1e-6)
+        _policy, residual, matched = solve_policy(formula, obs, 1e-6)
         assert not matched
         assert residual > 1e-6
         # brute-force grid over the policy simplex
@@ -512,10 +511,30 @@ def test_degenerate_system_returns_cloning_row():
     # the mediator ignores the action, so every policy induces the same
     # surrogate distribution; the tie-break must hand back P(x)
     obs = observational(_action_blind_frontdoor())
-    solved, _residual, found = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-6)
+    solved, _residual, found = solve_policy(_frontdoor_formula(), obs, 1e-6)
     assert found
     px = conditional_policy(obs, "X", ())
     assert np.allclose(solved.probs, px.probs, atol=1e-7)
+
+
+def test_failed_tie_break_lp_falls_back_to_the_residual_lp_policy(monkeypatch):
+    # where the tie-break LP fails after the residual LP matched the
+    # system, the residual LP's policy, rounded onto the simplex, is the
+    # answer, with its exact residual
+    formula, obs = _frontdoor_formula(), observational(_action_blind_frontdoor())
+    failed = []
+
+    def fail(*args):
+        failed.append(args)
+        return None
+
+    monkeypatch.setattr(imitate, "_lp_closest", fail)
+    policy, residual, found = solve_policy(formula, obs, 1e-9)
+    m, b, n_pi, k = _lp_system(formula, obs)
+    best = imitate._rounded(imitate._lp_min_residual(m, b, n_pi)[0], k)
+    assert len(failed) == 1 and found
+    assert policy.probs.tobytes() == best.tobytes()
+    assert residual == np.abs(m[:len(b) - n_pi // k, :n_pi] @ best - b[:len(b) - n_pi // k]).sum() <= 1e-9
 
 
 def test_solver_requires_placeholder():
@@ -523,17 +542,17 @@ def test_solver_requires_placeholder():
 
     obs = observational(fixtures.scm_fixture("frontdoor_mix"))
     with pytest.raises(ValueError, match="placeholder"):
-        solve_policy(Factor(("Y",)), obs, {"Y"})
+        solve_policy(Factor(("Y",)), obs)
 
 
 # ------------------------------------------------------------- tie-break LP
 
-def _lp_system(formula, obs, surrogate):
+def _lp_system(formula, obs):
     """The LPs' inputs: the matching system and its right-hand side, from
     ``_matching_system``, and the number of policy cells, plus k for
     rounding a solution onto the simplex.  A batched table gives one system
     per table, with its batch axes in front."""
-    coeff, t, _ph, _in_doms, k = _linear_system(formula, obs, surrogate)
+    coeff, t, _ph, _in_doms, k = _linear_system(formula, obs)
     n_s, n_pa = t.shape[-1], coeff.shape[-2]
     m, b = imitate._matching_system(coeff.reshape(t.shape[:-1] + (n_s, -1)), t, n_pa, k)
     return m, b, n_pa * k, k
@@ -549,11 +568,11 @@ def test_lp_closest_backdoor_segment():
     for seed in range(30):
         scm = random_scm(case.diagram, seed=seed)
         obs = observational(scm)
-        solved, _residual, found = solve_policy(formula, obs, {"Y"}, 1e-9)
+        solved, _residual, found = solve_policy(formula, obs, 1e-9)
         if not found:
             continue
         checked += 1
-        m, b, n_pi, k = _lp_system(formula, obs, {"Y"})
+        m, b, n_pi, k = _lp_system(formula, obs)
         # the solved policy itself must be recoverable at distance ~0
         solved_flat = np.asarray(solved.probs).reshape(-1)
         raw = imitate._lp_closest(m, b, n_pi, solved_flat, 1e-9)
@@ -563,8 +582,7 @@ def test_lp_closest_backdoor_segment():
         ref = rng.uniform(size=(2, 2)) + 1e-3
         ref = (ref / ref.sum(-1, keepdims=True)).reshape(-1)
         raw2 = imitate._lp_closest(m, b, n_pi, ref, 1e-9)
-        pol2 = Policy(solved.action, solved.inputs, k, solved.input_domains,
-                      imitate._rounded(raw2, k).reshape(solved.probs.shape))
+        pol2 = Policy(solved.action, solved.inputs, imitate._rounded(raw2, k).reshape(solved.probs.shape))
         assert evaluate(formula, obs, pol2).l1(obs.marginal(["Y"])) < 1e-7
         assert np.abs(raw2 - ref).sum() <= np.abs(solved_flat - ref).sum() + 1e-9
     assert checked > 5
@@ -609,8 +627,8 @@ def _fixture_instrument_cases(seeds=(0,), sizes=(1000,)):
 
 
 def _policy_instruments(diagram, space, reward):
-    """(surrogate, formula) of each instrument whose formula has a policy factor."""
-    return [(surrogate, formula) for _subspace, surrogate, formula in instruments(diagram, space, reward)
+    """The formula of each instrument that has a policy factor."""
+    return [formula for _subspace, _surrogate, formula in instruments(diagram, space, reward)
             if has_policy_factor(formula)]
 
 
@@ -623,10 +641,10 @@ def test_linear_system_bit_identical_to_basis_loop():
 
     undefined = 0
 
-    def assert_same(formula, obs, surrogate):
+    def assert_same(formula, obs):
         nonlocal undefined
-        want = linear_system_by_basis(formula, obs, surrogate)
-        got = _linear_system(formula, obs, surrogate)
+        want = linear_system_by_basis(formula, obs)
+        got = _linear_system(formula, obs)
         nan = np.isnan(want[0])
         assert np.array_equal(np.isnan(got[0]), nan)
         assert np.array_equal(got[0][~nan].view(np.uint64), want[0][~nan].view(np.uint64))
@@ -637,17 +655,17 @@ def test_linear_system_bit_identical_to_basis_loop():
     def check_instruments(cases) -> int:
         checked = 0
         for diagram, space, reward, obs in cases:
-            for surrogate, formula in _policy_instruments(diagram, space, reward):
-                assert_same(formula, obs, surrogate)
+            for formula in _policy_instruments(diagram, space, reward):
+                assert_same(formula, obs)
                 checked += 1
         return checked
 
-    formula, surrogate, _diagram = frontdoor_instrument()
+    formula, _diagram = frontdoor_instrument()
     for i in range(100):
         scm = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,)))
-        assert_same(formula, observational(scm), surrogate)
+        assert_same(formula, observational(scm))
         sampled = empirical_observational(scm, 100_000, np.random.SeedSequence(entropy=0, spawn_key=(i, 1)))
-        assert_same(formula, sampled, surrogate)
+        assert_same(formula, sampled)
 
     # with the column axis innermost in memory, 17 of these 48 systems
     # differ in their last bits
@@ -663,7 +681,7 @@ def test_lp_closest_infeasible_returns_none():
         if 0.0 <= mix_alpha(scm) <= 1.0:
             continue
         obs = observational(scm)
-        m, b, n_pi, _k = _lp_system(formula, obs, {"S"})
+        m, b, n_pi, _k = _lp_system(formula, obs)
         ref = np.asarray(conditional_policy(obs, "X", ()).probs)
         assert imitate._lp_closest(m, b, n_pi, ref, 1e-9) is None
         return
@@ -678,8 +696,8 @@ def test_lps_read_the_one_matching_system(monkeypatch):
     # only within its tolerance
     case = fixtures.diagram_fixture("frontdoor_observed")
     mix = empirical_observational(fixtures.scm_fixture("frontdoor_mix"), 100_000, np.random.SeedSequence(entropy=0))
-    cases = [(_frontdoor_formula(), observational(_action_blind_frontdoor()), {"S"}, 1e-9, False),
-             (identify_policy(case.diagram, PolicySpace.create("X", ()), {"Y"}), mix, {"Y"},
+    cases = [(_frontdoor_formula(), observational(_action_blind_frontdoor()), 1e-9, False),
+             (identify_policy(case.diagram, PolicySpace.create("X", ()), {"Y"}), mix,
               imitate._sampled_tolerance(100_000), True)]
     svd, read = np.linalg.svd, []
 
@@ -688,12 +706,12 @@ def test_lps_read_the_one_matching_system(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(imitate.np.linalg, "svd", record)
-    for formula, table, surrogate, tolerance, unique in cases:
+    for formula, table, tolerance, unique in cases:
         read.clear()
-        lps = _capture_lps(monkeypatch, lambda: solve_policy(formula, table, surrogate, tolerance))
+        lps = _capture_lps(monkeypatch, lambda: solve_policy(formula, table, tolerance))
         residual_lp, tie_break_lp = (inspect.signature(imitate.linprog).bind(*args, **kwargs).arguments["a"]
                                      for args, kwargs in lps)
-        m, b, n_pi, _k = _lp_system(formula, table, surrogate)
+        m, b, n_pi, _k = _lp_system(formula, table)
         assert np.array_equal(residual_lp, m)
         assert np.array_equal(tie_break_lp[1:1 + len(m)], np.pad(m, ((0, 0), (0, 2 * n_pi))))
         [policy_columns] = read
@@ -770,13 +788,13 @@ def _study_lps(monkeypatch):
     and the LPs the sampled study still runs (the exact one runs none)."""
     from causal_imitation.experiments import frontdoor_instrument, frontdoor_study
 
-    formula, surrogate, _diagram = frontdoor_instrument()
-    settled = [JointTable(table.variables, table.domains, table.probs[i]) for table, tolerance in _study_tables(150)
-               for i, _pair in _settled(monkeypatch, formula, table, surrogate, tolerance)]
+    formula, _diagram = frontdoor_instrument()
+    settled = [JointTable(table.variables, table.probs[i]) for table, tolerance in _study_tables(150)
+               for i, _pair in _settled(monkeypatch, formula, table, tolerance)]
 
     def residual_lps():
         for table in settled:
-            m, b, n_pi, _k = _lp_system(formula, table, surrogate)
+            m, b, n_pi, _k = _lp_system(formula, table)
             imitate._lp_min_residual(m, b, n_pi)
 
     return (_capture_lps(monkeypatch, residual_lps)
@@ -789,9 +807,9 @@ def _instrument_lps(monkeypatch, cases):
     directly, as the solve ran it before the certificate."""
     def run():
         for diagram, space, reward, obs in cases:
-            for surrogate, formula in _policy_instruments(diagram, space, reward):
-                if _settled(monkeypatch, formula, obs, surrogate, imitate.DEFAULT_TOLERANCE):
-                    m, b, n_pi, _k = _lp_system(formula, obs, surrogate)
+            for formula in _policy_instruments(diagram, space, reward):
+                if _settled(monkeypatch, formula, obs, imitate.DEFAULT_TOLERANCE):
+                    m, b, n_pi, _k = _lp_system(formula, obs)
                     imitate._lp_min_residual(m, b, n_pi)
 
     return _capture_lps(monkeypatch, run)
@@ -803,7 +821,7 @@ def _infeasible_tie_break_lp(monkeypatch):
         scm = random_frontdoor(seed)
         if not 0.0 <= mix_alpha(scm) <= 1.0:
             obs = observational(scm)
-            m, b, n_pi, _k = _lp_system(formula, obs, {"S"})
+            m, b, n_pi, _k = _lp_system(formula, obs)
             ref = np.asarray(conditional_policy(obs, "X", ()).probs)
             [lp] = _capture_lps(monkeypatch, lambda: imitate._lp_closest(m, b, n_pi, ref, 1e-9))
             return lp
@@ -853,7 +871,7 @@ def test_linprog_reused_solver_leaks_no_state(monkeypatch):
 def test_linprog_solver_keeps_the_linprog_highs_options():
     # the options scipy.optimize.linprog(method="highs") passes, still set
     # after the reused solver has been cleared and run
-    solve_policy(_frontdoor_formula(), observational(random_frontdoor(0)), {"S"})
+    solve_policy(_frontdoor_formula(), observational(random_frontdoor(0)))
     core, solver = imitate._highs()
     keys = ("presolve", "simplex_strategy", "highs_debug_level", "log_to_console", "output_flag")
     assert {key: solver.getOptionValue(key)[1] for key in keys} == {
@@ -942,11 +960,11 @@ def record(*args, **kwargs):
 imitate.linprog = record
 # the exact study runs no LP: the residual LPs of the instances the duality
 # certificate settles, built directly
-formula, surrogate, _diagram = frontdoor_instrument()
+formula, _diagram = frontdoor_instrument()
 for i in range(60):
     table = observational(random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(i,))))
-    if not solve_policy(formula, table, surrogate, 1e-9)[2]:
-        coeff, t, _ph, _in_doms, k = _linear_system(formula, table, surrogate)
+    if not solve_policy(formula, table, 1e-9)[2]:
+        coeff, t, _ph, _in_doms, k = _linear_system(formula, table)
         m, b = _matching_system(coeff.reshape(len(t), -1), t, coeff.shape[1], k)
         _lp_min_residual(m, b, coeff.shape[1] * k)
 case = fixtures.diagram_fixture("frontdoor_observed")
@@ -1075,14 +1093,14 @@ def test_study_joint_calls_do_not_grow_with_models(monkeypatch, samples):
     assert max(model.batch[-1] for model in calls) == 3
 
     # the study's L1 values are verify_policy's, bit for bit
-    formula, surrogate, _diagram = experiments.frontdoor_instrument()
+    formula, _diagram = experiments.frontdoor_instrument()
     rows = zip(*experiments._frontdoor_batch((0, 0, 20, samples)), strict=True)
     for index, (_flag, l1_ci, l1_bc) in enumerate(rows):
         model = random_frontdoor(np.random.SeedSequence(entropy=0, spawn_key=(index,)))
         table = (empirical_observational(model, samples, np.random.SeedSequence(entropy=0, spawn_key=(index, 1)))
                  if samples else observational(model))
         tolerance = imitate._sampled_tolerance(samples) if samples else 1e-9
-        solved, _residual, found = solve_policy(formula, table, surrogate, tolerance)
+        solved, _residual, found = solve_policy(formula, table, tolerance)
         assert l1_ci == verify_policy(model, solved, {"Y"}) if found else np.isnan(l1_ci)
         assert l1_bc == verify_policy(model, conditional_policy(table, "X", ()), {"Y"})
 
@@ -1195,15 +1213,15 @@ def test_study_matches_the_instance_loop(monkeypatch, models, samples, seed, chu
     from causal_imitation import experiments
     from oracles import frontdoor_instance, frontdoor_study_loop
 
-    formula, surrogate, _diagram = experiments.frontdoor_instrument()
-    want = frontdoor_study_loop(formula, surrogate, models, samples, seed)
+    formula, _diagram = experiments.frontdoor_instrument()
+    want = frontdoor_study_loop(formula, models, samples, seed)
     for cpus, batch_size in ((1, chunk), (2, chunk or max(1, models // 2))):
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             if batch_size is not None:
                 patch.setattr(experiments, "_CHUNK", batch_size)
             assert experiments.frontdoor_study(models, samples, seed) == want
-    loop = _bits([frontdoor_instance(formula, surrogate, seed, i, samples) for i in range(models)])
+    loop = _bits([frontdoor_instance(formula, seed, i, samples) for i in range(models)])
     for cuts in ((0, models), (0, models // 2, models)):
         batches = [experiments._frontdoor_batch((seed, start, stop, samples))
                    for start, stop in zip(cuts, cuts[1:]) if start < stop]
@@ -1216,10 +1234,10 @@ def test_study_reports_an_empty_cell_instance_as_unsolved():
     # instance reports no l1_ci, and the others carry on
     from causal_imitation import experiments
 
-    formula, surrogate, _diagram = experiments.frontdoor_instrument()
+    formula, _diagram = experiments.frontdoor_instrument()
     model = random_frontdoor(np.random.SeedSequence(entropy=17_000_236, spawn_key=(0,)))
     table = empirical_observational(model, 100_000, np.random.SeedSequence(entropy=17_000_236, spawn_key=(0, 1)))
-    _policy, residual, found = solve_policy(formula, table, surrogate, imitate._sampled_tolerance(100_000))
+    _policy, residual, found = solve_policy(formula, table, imitate._sampled_tolerance(100_000))
     assert not found and np.isnan(residual)
     # evaluate, where the formula is the answer, still raises, and names it
     with pytest.raises(UnsupportedConditionalError, match=re.escape(format_formula(formula))):
@@ -1346,8 +1364,8 @@ def test_surrogate_feasibility_is_monotone_under_subsets():
     small_only = 0
     for seed in range(40):
         obs = observational(random_frontdoor(seed))
-        _policy, _residual, r_small = solve_policy(f_small, obs, {"S"}, 1e-8)
-        _policy, _residual, r_big = solve_policy(f_big, obs, {"S", "W"}, 1e-8)
+        _policy, _residual, r_small = solve_policy(f_small, obs, 1e-8)
+        _policy, _residual, r_big = solve_policy(f_big, obs, 1e-8)
         if r_big:
             assert r_small
         if r_small and not r_big:
@@ -1360,7 +1378,7 @@ def test_surrogate_match_transfers_to_reward():
     for seed in range(40):
         scm = random_frontdoor(seed)
         obs = observational(scm)
-        solved, _residual, found = solve_policy(_frontdoor_formula(), obs, {"S"}, 1e-9)
+        solved, _residual, found = solve_policy(_frontdoor_formula(), obs, 1e-9)
         if found:
             assert verify_policy(scm, solved, {"Y"}) < 1e-8
 
@@ -1394,7 +1412,7 @@ def test_pipeline_passes_over_an_instrument_undefined_on_the_table():
     table = empirical_observational(random_scm(d, seed=746), 50, np.random.SeedSequence(746))
     tolerance = imitate._sampled_tolerance(50)
     (sub1, s1, f1), (sub2, s2, _f2) = instruments(d, space, "E")
-    _policy, residual, found = solve_policy(f1, table, s1, tolerance)
+    _policy, residual, found = solve_policy(f1, table, tolerance)
     assert sub1.inputs == {"F"} and not found and np.isnan(residual)
     res = imitate_pipeline(d, space, table, "E", tolerance)
     assert res.status == "p-imitable" and res.witness == (s2, sub2) and sub2.inputs == frozenset()

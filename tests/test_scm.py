@@ -57,7 +57,7 @@ def test_intro_highway_cloning_reward():
 def test_parity_trap_grid_of_policies():
     m = fixtures.scm_fixture("parity_trap")
     for alpha in np.linspace(0.0, 1.0, 21):
-        pol = Policy.create("X", 2, np.array([1.0 - alpha, alpha]))
+        pol = Policy.create("X", np.array([1.0 - alpha, alpha]))
         assert abs(joint(intervene(m, pol)).expectation("Y") - 0.5) < 1e-12
 
 
@@ -73,7 +73,7 @@ def test_policy_joint_matches_direct_enumeration():
     rng = np.random.default_rng(5)
     for name in fixtures.scm_names():
         m = fixtures.scm_fixture(name)
-        pol = Policy.create("X", 2, rng.dirichlet([1, 1]))
+        pol = Policy.create("X", rng.dirichlet([1, 1]))
         got = joint(intervene(m, pol))
         want = policy_joint_enumeration(m, pol)
         assert got.l1(want) < 1e-12, name
@@ -91,13 +91,13 @@ def test_joint_bit_identical_to_enumeration():
     # zero-weight exogenous configurations in the middle of the enumeration
     d = CausalDiagram.create(observed="AB", directed=[("A", "B")], bidirected=[("A", "B")])
     models.append(DiscreteSCM.create(
-        d, {"A": 2, "B": 3}, {"U": [0.25, 0.0, 0.75], "V": [0.0, 1.0]},
+        d, {"U": [0.25, 0.0, 0.75], "V": [0.0, 1.0]},
         [Mechanism("A", (), ("U", "V"), rng.dirichlet([1, 1], size=(3, 2))),
          Mechanism("B", ("A",), ("U",), rng.dirichlet([1, 1, 1], size=(2, 3)))],
     ))
     # no endogenous node: the joint is a single cell summing 16 weights
     models.append(DiscreteSCM.create(
-        CausalDiagram.create(observed=[]), {},
+        CausalDiagram.create(observed=[]),
         {f"U{i}": [p, 1.0 - p] for i, p in enumerate((0.1, 0.37, 0.5, 0.83))}, [],
     ))
     # 2**10 endogenous x 2**9 exogenous cells: more than one block
@@ -143,7 +143,7 @@ def test_sample_concentrates():
     m = fixtures.scm_fixture("frontdoor_mix")
     ds = sample(m, 100_000, seed=11)
     counts = np.bincount(np.ravel_multi_index(ds.rows.T, (2, 2, 2)), minlength=8)
-    emp = JointTable(ds.variables, (2, 2, 2), counts.reshape(2, 2, 2) / len(ds.rows))
+    emp = JointTable(ds.variables, counts.reshape(2, 2, 2) / len(ds.rows))
     assert emp.l1(observational(m)) < 0.01
 
 
@@ -229,7 +229,7 @@ def test_joint_size_cap():
 
 def test_joint_table_rejects_nan_mass():
     with pytest.raises(ValueError, match="table mass nan is not 1"):
-        JointTable(("A",), (2,), np.array([0.5, np.nan]))
+        JointTable(("A",), np.array([0.5, np.nan]))
 
 
 def test_undeclared_confounder_rejected():
@@ -239,7 +239,7 @@ def test_undeclared_confounder_rejected():
         Mechanism("B", (), ("U",), np.array([[1.0, 0.0], [0.0, 1.0]])),
     ]
     with pytest.raises(ValueError, match="bidirected"):
-        DiscreteSCM.create(d, {"A": 2, "B": 2}, {"U": [0.5, 0.5]}, mechs)
+        DiscreteSCM.create(d, {"U": [0.5, 0.5]}, mechs)
 
 
 def test_mechanism_parent_mismatch_rejected():
@@ -249,7 +249,7 @@ def test_mechanism_parent_mismatch_rejected():
         Mechanism("B", (), (), np.array([0.5, 0.5])),  # should condition on A
     ]
     with pytest.raises(ValueError, match="parents"):
-        DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
+        DiscreteSCM.create(d, {}, mechs)
 
 
 def test_duplicate_mechanism_rejected():
@@ -260,34 +260,30 @@ def test_duplicate_mechanism_rejected():
         Mechanism("B", ("A",), (), np.array([[1.0, 0.0], [0.0, 1.0]])),
     ]
     with pytest.raises(ValueError, match="duplicate mechanism for B"):
-        DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
+        DiscreteSCM.create(d, {}, mechs)
 
 
 def test_domain_outside_the_diagram_rejected():
     d = CausalDiagram.create(observed="AB", directed=[("A", "B")])
-    mechs = [
+    mechs = (
         Mechanism("A", (), (), np.array([0.5, 0.5])),
         Mechanism("B", ("A",), (), np.array([[0.5, 0.5], [0.5, 0.5]])),
-    ]
-    DiscreteSCM.create(d, {"A": 2, "B": 2}, {}, mechs)
+    )
+    assert DiscreteSCM.create(d, {}, mechs).domains == (("A", 2), ("B", 2))
     with pytest.raises(ValueError, match="domain for Q, which is not in the diagram"):
-        DiscreteSCM.create(d, {"A": 2, "B": 2, "Q": 2}, {}, mechs)
+        DiscreteSCM(d, (("A", 2), ("B", 2), ("Q", 2)), (), mechs)
+    # create reads a mechanism outside the diagram as a domain outside it
+    with pytest.raises(ValueError, match="domain for Q, which is not in the diagram"):
+        DiscreteSCM.create(d, {}, mechs + (Mechanism("Q", (), (), np.array([0.5, 0.5])),))
 
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        Policy.create("X", 2, np.array([0.7, 0.7]))
-    pol = Policy.create("X", 3, np.full(3, 1 / 3))
-    assert pol.probs.shape == (3,)
-    pm = Policy.create("X", 2, np.array([0.0, 1.0]))
+        Policy.create("X", np.array([0.7, 0.7]))
+    pol = Policy.create("X", np.full(3, 1 / 3))
+    assert pol.probs.shape == (3,) and (pol.action_domain, pol.input_domains) == (3, ())
+    pm = Policy.create("X", np.array([0.0, 1.0]))
     assert pm.probs[1] == 1.0
-
-
-@pytest.mark.parametrize("input_domains", [(), (2, 3)])
-def test_policy_create_needs_one_domain_per_input(input_domains):
-    # a shorter tuple raised IndexError, and a longer one was cut to fit
-    with pytest.raises(ValueError, match="1 inputs but"):
-        Policy.create("X", 2, np.full((2, 2), 0.5), inputs=("Z",), input_domains=input_domains)
 
 
 def test_scm_text_roundtrip():
@@ -314,22 +310,23 @@ def test_intervene_rejects_bad_domain():
     # not match the model as its mechanism's shape
     m = fixtures.scm_fixture("frontdoor_mix")
     with pytest.raises(ValueError, match=r"mechanism table for X has shape \(3,\), expected \(2,\)"):
-        intervene(m, Policy.create("X", 3, np.full(3, 1 / 3)))
+        intervene(m, Policy.create("X", np.full(3, 1 / 3)))
     m = fixtures.scm_fixture("highway_xor")
     with pytest.raises(ValueError, match=r"mechanism table for X has shape \(3, 2\), expected \(2, 2\)"):
-        intervene(m, Policy.create("X", 2, np.full((3, 2), 0.5), inputs=("Z",), input_domains=(3,)))
+        intervene(m, Policy.create("X", np.full((3, 2), 0.5), inputs=("Z",)))
 
 
 @pytest.mark.parametrize("build, message", [
-    pytest.param(lambda: JointTable(("X",), (2, 2), np.full((2, 2), 0.25)), "1 variables but 2 domains",
+    # a table has one domain per trailing axis: too few axes, too few domains
+    pytest.param(lambda: JointTable(("X", "Y"), np.full(2, 0.5)), "has 1 axes for 2 variables",
                  id="joint-table-domain-count"),
-    pytest.param(lambda: JointTable(("X", "X"), (2, 2), np.full((2, 2), 0.25)), "sorted and distinct",
+    pytest.param(lambda: JointTable(("X", "X"), np.full((2, 2), 0.25)), "sorted and distinct",
                  id="joint-table-repeated-variable"),
-    pytest.param(lambda: Policy("X", ("Z", "Z"), 2, (2, 2), np.full((2, 2, 2), 0.5)), "sorted and distinct",
+    pytest.param(lambda: Policy("X", ("Z", "Z"), np.full((2, 2, 2), 0.5)), "sorted and distinct",
                  id="policy-repeated-input"),
-    pytest.param(lambda: Policy("X", ("X",), 2, (2,), np.full((2, 2), 0.5)), "cannot be its own input",
+    pytest.param(lambda: Policy("X", ("X",), np.full((2, 2), 0.5)), "cannot be its own input",
                  id="policy-action-among-inputs"),
-    pytest.param(lambda: Policy("X", ("Z",), 2, (2, 3), np.full((2, 3, 2), 0.5)), "1 inputs but 2 input domains",
+    pytest.param(lambda: Policy("X", ("W", "Z"), np.full((2, 2), 0.5)), "policy table for X has too few axes",
                  id="policy-input-domain-count"),
     pytest.param(lambda: Mechanism("X", ("A", "A"), (), np.full((2, 2, 2), 0.5)), "sorted and distinct",
                  id="mechanism-repeated-parent"),
@@ -337,9 +334,9 @@ def test_intervene_rejects_bad_domain():
                  id="mechanism-repeated-exo"),
     pytest.param(lambda: Mechanism("X", ("A", "B"), (), np.full(2, 0.5)), "too few axes",
                  id="mechanism-too-few-axes"),
-    pytest.param(lambda: DiscreteSCM.create(
-        CausalDiagram.create(observed="AB", directed=[("B", "A")]), {"A": 2}, {},
-        [Mechanism("A", ("B",), (), np.full((2, 2), 0.5)), Mechanism("B", (), (), np.full(2, 0.5))]),
+    pytest.param(lambda: DiscreteSCM(
+        CausalDiagram.create(observed="AB", directed=[("B", "A")]), (("A", 2),), (),
+        (Mechanism("A", ("B",), (), np.full((2, 2), 0.5)), Mechanism("B", (), (), np.full(2, 0.5)))),
         "node B needs a domain", id="model-missing-parent-domain"),
     pytest.param(lambda: DiscreteSCM(
         CausalDiagram.create(observed="A"), (("A", 2),), (("U", np.full(2, 0.5)), ("U", np.array([0.1, 0.9]))),
@@ -402,40 +399,37 @@ VALUE_FAULTS = ["rows", "nan", "negative"]
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1),
-       fault=st.sampled_from([None, "length", "shape", "unsorted", "repeat", *VALUE_FAULTS]))
+       fault=st.sampled_from([None, "axes", "unsorted", "repeat", *VALUE_FAULTS]))
 def test_joint_table_accepts_exactly_valid_arguments(seed, fault):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     variables = tuple(sorted(_names(rng, n)))
     domains = tuple(int(k) for k in rng.integers(2, 4, n))
-    probs = _value_fault(fault, _table(rng, (2,) * int(rng.integers(0, 2)) + domains, axes=n), axes=n)
-    if fault == "length":
-        domains = domains[:-1] if rng.uniform() < 0.5 else domains + (2,)
-    elif fault == "shape":
-        domains = domains[:-1] + (domains[-1] + 1,)
+    batch = () if fault == "axes" else (2,) * int(rng.integers(0, 2))
+    probs = _value_fault(fault, _table(rng, batch + domains, axes=n), axes=n)
+    if fault == "axes":
+        probs = probs.reshape(-1)  # one axis for n variables
     elif fault == "unsorted":
         variables = variables[::-1]
     elif fault == "repeat":
         variables = (variables[0],) + variables[:-1]
-    assert _outcome(lambda: JointTable(variables, domains, probs)) == ("ok" if fault is None else "ValueError")
+    assert _outcome(lambda: JointTable(variables, probs)) == ("ok" if fault is None else "ValueError")
 
 
-def _policy_constructor_arguments(action, action_domain, probs, inputs, input_domains):
+def _policy_constructor_arguments(action, probs, inputs):
     """The arguments ``Policy.create`` passes to the constructor: inputs in
-    sorted order with their domains and table axes (where there is one per
-    input), as floats."""
+    sorted order with their table axes (where there is one per input), as
+    floats."""
     order = sorted(range(len(inputs)), key=lambda i: inputs[i])
-    if len(input_domains) == len(inputs):
-        input_domains = tuple(input_domains[i] for i in order)
     arr = np.ascontiguousarray(probs, dtype=float)
     if arr.ndim > len(inputs):
         arr = np.moveaxis(arr, [i - len(inputs) - 1 for i in order], range(-len(inputs) - 1, -1))
-    return action, tuple(inputs[i] for i in order), action_domain, input_domains, arr
+    return action, tuple(inputs[i] for i in order), arr
 
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1),
-       fault=st.sampled_from([None, "length", "shape", "axes", "repeat", "own-input", *VALUE_FAULTS]))
+       fault=st.sampled_from([None, "axes", "repeat", "own-input", *VALUE_FAULTS]))
 def test_policy_create_and_constructor_agree(seed, fault):
     rng = np.random.default_rng(seed)
     action, *pool = _names(rng, 4)
@@ -450,16 +444,16 @@ def test_policy_create_and_constructor_agree(seed, fault):
         input_domains.append(action_domain)
     batch = (2,) * int(rng.integers(0, 2))
     probs = _value_fault(fault, _table(rng, batch + tuple(input_domains) + (action_domain,)))
-    if fault == "length":
-        input_domains = input_domains[:-1] if input_domains and rng.uniform() < 0.5 else input_domains + [2]
-    elif fault == "shape":
-        action_domain += 1
-    elif fault == "axes":
+    if fault == "axes":
         probs = probs[(0,) * (len(batch) + 1)] if inputs else probs[..., None]
-    args = (action, action_domain, probs, tuple(inputs), tuple(input_domains))
+    args = (action, probs, tuple(inputs))
     via_create = _outcome(lambda: Policy.create(*args))
     assert via_create == _outcome(lambda: Policy(*_policy_constructor_arguments(*args)))
     assert via_create == ("ok" if fault is None else "ValueError")
+    if fault is None:
+        policy = Policy.create(*args)
+        assert policy.input_domains == tuple(input_domains[inputs.index(z)] for z in policy.inputs)
+        assert policy.action_domain == action_domain
 
 
 # each fault with the fewest parents and exogenous names it needs
@@ -491,19 +485,21 @@ def test_mechanism_accepts_exactly_valid_arguments(seed, fault):
     assert outcome == ("ok" if fault is None else "ValueError")
 
 
-# faults that create's mappings cannot hold: only the constructor gets them
-CONSTRUCTOR_FAULTS = ["unsorted-domains", "repeat-domain", "unsorted-exo", "repeat-exo"]
+# faults that create's arguments cannot hold, since it sorts its mappings and
+# reads the domains off the mechanisms: only the constructor gets them
+CONSTRUCTOR_FAULTS = ["unsorted-domains", "repeat-domain", "unsorted-exo", "repeat-exo", "domain-outside",
+                      "missing-domain", "domain-shape"]
 # faults no diagram can hold: CausalDiagram's constructor refuses them
 DIAGRAM_FAULTS = ["cycle", "undeclared-edge-node"]
-MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "domain-outside", "mechanism-outside",
-                "missing-mechanism", "duplicate-mechanism", "small-domain", "missing-domain", "wrong-parents",
+MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "mechanism-outside",
+                "missing-mechanism", "duplicate-mechanism", "small-domain", "wrong-parents",
                 "unknown-exo", "exo-clash", "exo-rows", "exo-nan", "table-shape", "mechanism-rows", "unlicensed",
                 "batch", *CONSTRUCTOR_FAULTS]
 
 
 def _model_arguments(rng, fault):
-    """Diagram, domains, exogenous distributions and mechanism specs of a
-    random model with ``fault`` in it."""
+    """Diagram, domains (the constructor's), exogenous distributions and
+    mechanism specs of a random model with ``fault`` in it."""
     d = random_diagram(rng, int(rng.integers(2, 6)), latent_fraction=0.3)
     a, b = d.nodes[:2]
     if fault == "cycle":
@@ -525,6 +521,10 @@ def _model_arguments(rng, fault):
         exogenous["S9"] = _table(rng, (2,))
         attached[a].append("S9")
         attached[b].append("S9")
+    elif fault == "table-shape" and not d.parents(a) and not attached[a]:
+        # a's table needs an axis before its own to lengthen
+        exogenous[f"E{a}"] = _table(rng, (2,))
+        attached[a].append(f"E{a}")
     batch = (2,) if fault != "batch" and rng.uniform() < 0.3 else ()
     mechs = {}
     for v in d.nodes:
@@ -550,6 +550,7 @@ def _model_arguments(rng, fault):
         mechs.append(list(mechs[int(rng.integers(len(mechs)))]))
     elif fault == "small-domain":
         domains[b] = 1
+        mechs[1][3] = np.ones(mechs[1][3].shape[:-1] + (1,))
     elif fault == "missing-domain":
         del domains[d.nodes[int(rng.integers(len(d.nodes)))]]
     elif fault == "exo-clash":
@@ -558,9 +559,12 @@ def _model_arguments(rng, fault):
         exogenous["V9"] = [0.3, 0.3]
     elif fault == "exo-nan":
         exogenous["V9"] = [np.nan, 1.0]
+    elif fault == "domain-shape":
+        domains[a] += 1
     elif fault == "table-shape":
+        # a's first parent or exogenous axis one entry longer than its domain
         table = mechs[0][3]
-        mechs[0][3] = np.concatenate([table, np.zeros(table.shape[:-1] + (1,))], axis=-1)
+        mechs[0][3] = np.concatenate([table, table[(slice(None),) * len(batch) + (slice(0, 1),)]], axis=len(batch))
     elif fault == "mechanism-rows":
         mechs[1][3] = _value_fault("rows", mechs[1][3])
     elif fault == "batch":
@@ -596,7 +600,12 @@ def test_model_create_and_constructor_agree(seed, fault):
             exo += exo[-1:]
         return DiscreteSCM(d, domain_pairs, exo, mechanisms)
 
+    def via_create():
+        return DiscreteSCM.create(d, exogenous, [Mechanism(*m) for m in mechs])
+
     outcome = _outcome(via_constructor)
     if fault not in CONSTRUCTOR_FAULTS:
-        assert _outcome(lambda: DiscreteSCM.create(d, domains, exogenous, [Mechanism(*m) for m in mechs])) == outcome
+        assert _outcome(via_create) == outcome
     assert outcome == ("ok" if fault is None else "ValueError")
+    if fault is None:
+        assert via_create().domains == via_constructor().domains
