@@ -137,8 +137,6 @@ def format_formula(formula: IdFormula) -> str:
                     nb += "'"
                 if nb != b:
                     ren2[b] = nb
-                elif b in ren2:
-                    del ren2[b]
                 used = used | {nb}
                 names.append(nb)
             return f"sum_{{{','.join(names)}}} ({fmt(node.body, ren2, used)})"

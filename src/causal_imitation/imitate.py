@@ -102,9 +102,10 @@ def _linear_system(formula: IdFormula, observational: JointTable):
     identity over the n_pa * k policy cells, stacked along an extra axis
     named ``""`` (it sorts first and cannot clash with a node).  That axis
     is outermost in memory, so each column is summed in the same order as
-    an evaluation at its own one-hot policy, bit for bit.  A batched table
-    gives A and t with its batch axes in front; its batch axes are outermost
-    in turn, so each table's system has the bits it would have alone."""
+    an evaluation at its own one-hot policy, bit for bit, and the
+    evaluation's cap counts it like any axis.  A batched table gives A and
+    t with its batch axes in front; its batch axes are outermost in turn,
+    so each table's system has the bits it would have alone."""
     ph = find_policy_factor(formula)
     if ph is None:
         raise ValueError("formula has no policy placeholder")
@@ -113,14 +114,12 @@ def _linear_system(formula: IdFormula, observational: JointTable):
     in_doms = tuple(domains[z] for z in ph.inputs)
     k = domains[ph.action]
     n_pa = math.prod(in_doms)
-    domains[""] = n_pa * k
     axes = ("",) + ph.inputs + (ph.action,)
     target_names = tuple(sorted(axes))
     basis = np.eye(n_pa * k).reshape((n_pa * k,) + in_doms + (k,))
     policy_axes = (target_names, broadcast_to_vars(basis, axes, target_names))
-    vs, arr = _eval(formula, observational, policy_axes, domains)
+    _, arr = _eval(formula, observational, policy_axes)
     batch = observational.batch
-    arr = np.broadcast_to(arr, batch + tuple(domains[v] for v in vs))
     t = observational.marginal(svars).probs.reshape(batch + (-1,))
     # C order, as the loop filled it: the residual's matrix product reads it
     coeff = np.ascontiguousarray(np.moveaxis(arr, len(batch), -1)).reshape(t.shape + (n_pa, k))

@@ -8,10 +8,11 @@ configurations.  Mechanisms are stochastic tables (deterministic
 functions are the 0/1 special case); bidirected edges in the diagram are
 realized by shared exogenous variables.  Each type checks its invariants
 in its constructor, so a model that ``intervene`` builds is checked too.
-Each domain is stated once: ``JointTable`` and ``Policy`` read theirs off
-their arrays' trailing axes, and ``DiscreteSCM.create`` reads each node's
-off its mechanism's last axis.  Otherwise a ``create`` factory only sorts
-its arguments and sets their dtype.
+Each domain is stated once, as an axis of an array: ``JointTable`` and
+``Policy`` read theirs off their arrays' trailing axes, ``DiscreteSCM``
+reads each node's off its mechanism's last axis, and formula evaluation
+reads each size off the arrays it multiplies.  A ``create`` factory only
+sorts its arguments and sets their dtype.
 
 Tables may carry leading batch axes: a batch of models over one diagram,
 of their joints or of policies, one per index.  A batch is computed as
@@ -20,7 +21,8 @@ in the same order, so its values are bit for bit those of the member on
 its own; sums run only over the axes after the batch.
 
 The numeric side of identification lives here too: ``evaluate`` computes
-an ``identify`` formula against an exact or empirical table.
+an ``identify`` formula against an exact or empirical table, or a batch
+of them.
 """
 from __future__ import annotations
 
@@ -140,9 +142,11 @@ class JointTable:
         vs = tuple(v for v in self.variables if v in ks)
         return JointTable(vs, self.probs.sum(axis=drop) if drop else self.probs.copy())
 
-    def expectation(self, var: str) -> float:
+    def expectation(self, var: str):
+        """Mean of ``var``: a float, or an array of one per batch index."""
         m = self.marginal([var])
-        return float(np.dot(m.probs, np.arange(m.domains[0])))
+        mean = np.dot(m.probs, np.arange(m.domains[0]))
+        return mean if mean.ndim else float(mean)
 
     def l1(self, other: "JointTable"):
         """L1 distance to ``other``: a float, or an array of one per batch
@@ -187,7 +191,9 @@ class Policy:
         ins = tuple(inputs)
         order = sorted(range(len(ins)), key=lambda i: ins[i])
         axes = range(-len(ins) - 1, -1)  # the input axes, counted from the end
-        arr = np.moveaxis(np.ascontiguousarray(probs, dtype=float), [axes[i] for i in order], axes)
+        arr = np.ascontiguousarray(probs, dtype=float)
+        if arr.ndim > len(ins):  # else the constructor refuses the table
+            arr = np.moveaxis(arr, [axes[i] for i in order], axes)
         return Policy(action, tuple(ins[i] for i in order), arr)
 
     def space(self) -> PolicySpace:
@@ -242,13 +248,14 @@ class Mechanism:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteSCM:
-    """Diagram + exogenous distributions + per-node stochastic tables.
+    """Diagram + exogenous distributions + per-node stochastic tables, one
+    mechanism per diagram node in the diagram's order.  Each node's domain
+    is its mechanism's last axis, and nowhere else.
 
     Tables with leading batch axes make a batch of models over one diagram;
     ``joint`` then gives a batched table."""
 
     diagram: CausalDiagram
-    domains: tuple[tuple[str, int], ...]
     exogenous: tuple[tuple[str, np.ndarray], ...]
     mechanisms: tuple[Mechanism, ...]
 
@@ -258,10 +265,14 @@ class DiscreteSCM:
         exogenous: Mapping[str, Sequence[float]],
         mechanisms: Iterable[Mechanism],
     ) -> "DiscreteSCM":
-        """The model whose node domains are its mechanisms' last axes."""
         mechs = tuple(sorted(mechanisms, key=lambda m: m.node))
         exo = tuple((name, np.ascontiguousarray(p, dtype=float)) for name, p in sorted(exogenous.items()))
-        return DiscreteSCM(diagram, tuple({m.node: m.table.shape[-1] for m in mechs}.items()), exo, mechs)
+        return DiscreteSCM(diagram, exo, mechs)
+
+    @property
+    def domains(self) -> tuple[tuple[str, int], ...]:
+        """``(node, size)`` per node, in order: each mechanism's last axis."""
+        return tuple((m.node, m.table.shape[-1]) for m in self.mechanisms)
 
     @property
     def batch(self) -> tuple[int, ...]:
@@ -277,12 +288,13 @@ class DiscreteSCM:
             raise ValueError("model tables have batch axes that do not broadcast together") from None
 
     def __post_init__(self):
-        if not all(_increasing([name for name, _ in pairs]) for pairs in (self.domains, self.exogenous)):
-            raise ValueError("domains and exogenous must be sorted by distinct name")
+        if not _increasing([name for name, _ in self.exogenous]):
+            raise ValueError("exogenous must be sorted by distinct name")
+        nodes = tuple(m.node for m in self.mechanisms)
+        if nodes != self.diagram.nodes:
+            raise ValueError(f"mechanisms for {list(nodes)} are not one per diagram node in its order "
+                             f"{list(self.diagram.nodes)}")
         dom = dict(self.domains)
-        outside = set(dom) - set(self.diagram.nodes)
-        if outside:
-            raise ValueError(f"domain for {min(outside)}, which is not in the diagram")
         exo_dom = {}
         for name, probs in self.exogenous:
             if _bad_rows(probs).any():
@@ -290,28 +302,19 @@ class DiscreteSCM:
             if name in dom:
                 raise ValueError(f"exogenous {name} clashes with an endogenous node")
             exo_dom[name] = probs.shape[-1]
-        by_node: dict[str, Mechanism] = {}
-        for m in self.mechanisms:
-            if m.node in by_node:
-                raise ValueError(f"duplicate mechanism for {m.node}")
-            by_node[m.node] = m
-        if set(by_node) != set(self.diagram.nodes):
-            raise ValueError("mechanisms must cover exactly the diagram nodes")
-        for node in self.diagram.nodes:
-            if dom.get(node, 0) < 2:
-                raise ValueError(f"node {node} needs a domain of size >= 2")
         attached: dict[str, list[str]] = {name: [] for name in exo_dom}
-        for node in self.diagram.nodes:
-            m = by_node[node]
-            if m.parents != tuple(sorted(self.diagram.parents(node))):
-                raise ValueError(f"mechanism for {node} does not match the diagram parents")
+        for m in self.mechanisms:
+            if dom[m.node] < 2:
+                raise ValueError(f"node {m.node} needs a domain of size >= 2")
+            if m.parents != tuple(sorted(self.diagram.parents(m.node))):
+                raise ValueError(f"mechanism for {m.node} does not match the diagram parents")
             for u in m.exo:
                 if u not in exo_dom:
-                    raise ValueError(f"mechanism for {node} references unknown exogenous {u}")
-                attached[u].append(node)
-            shape = tuple(dom[p] for p in m.parents) + tuple(exo_dom[u] for u in m.exo) + (dom[node],)
+                    raise ValueError(f"mechanism for {m.node} references unknown exogenous {u}")
+                attached[u].append(m.node)
+            shape = tuple(dom[p] for p in m.parents) + tuple(exo_dom[u] for u in m.exo) + (dom[m.node],)
             if m.table.shape[m.table.ndim - len(shape):] != shape:
-                raise ValueError(f"mechanism table for {node} has shape {m.table.shape}, expected {shape}")
+                raise ValueError(f"mechanism table for {m.node} has shape {m.table.shape}, expected {shape}")
         # shared exogenous parents must be licensed by declared bidirected edges
         for name, nodes in attached.items():
             for i, a in enumerate(nodes):
@@ -336,32 +339,28 @@ def joint(scm: DiscreteSCM) -> JointTable:
     loop may skip, adds zeros here and changes no value.  A batch of models
     gives the batch of their joints, each with the same bits.
     """
-    dom = dict(scm.domains)
     endo_vars = scm.diagram.nodes
-    endo_count = math.prod(dom[v] for v in endo_vars)
+    shape = tuple(m.table.shape[-1] for m in scm.mechanisms)
+    endo_count = math.prod(shape)
     exo_dims = tuple(p.shape[-1] for _, p in scm.exogenous)
     exo_names = tuple(name for name, _ in scm.exogenous)
     n_configs = math.prod(exo_dims)
     if endo_count * max(1, n_configs) > CONFIG_CAP:
         raise TooLargeError("joint enumeration exceeds the configuration cap")
-    shape = tuple(dom[v] for v in endo_vars)
-    exo_dom = dict(zip(exo_names, exo_dims))
-    mechs = {m.node: m for m in scm.mechanisms}
     # Each mechanism as (exo names, exo sizes, table): the endogenous axes are
     # aligned to endo_vars and the exogenous axes are folded into one last
     # axis, which a block indexes with its configurations.  "" names that
     # axis while aligning: it sorts first, and validation rejects empty node
     # names.
     factors = []
-    for node in endo_vars:
-        m = mechs[node]
+    for m in scm.mechanisms:
         k, e = len(m.parents), len(m.exo)
         lead = m.table.ndim - (k + e + 1)
         table = m.table.transpose(*range(lead), *range(lead + k, lead + k + e), *range(lead, lead + k),
                                   lead + k + e)
         table = table.reshape(table.shape[:lead] + (-1,) + table.shape[lead + e:])
-        table = broadcast_to_vars(table, ("",) + m.parents + (node,), ("",) + endo_vars)
-        factors.append((m.exo, tuple(exo_dom[u] for u in m.exo),
+        table = broadcast_to_vars(table, ("",) + m.parents + (m.node,), ("",) + endo_vars)
+        factors.append((m.exo, m.table.shape[lead + k:lead + k + e],
                         table.transpose(*range(lead), *range(lead + 1, table.ndim), lead)))
     batch = scm.batch
     step = max(1, _BLOCK_CELLS // endo_count)
@@ -400,7 +399,7 @@ def intervene(scm: DiscreteSCM, policy: Policy) -> DiscreteSCM:
     policy with no inputs and a point mass at x."""
     new_mech = Mechanism(policy.action, policy.inputs, (), np.array(policy.probs))
     mechs = tuple(new_mech if m.node == policy.action else m for m in scm.mechanisms)
-    return DiscreteSCM(manipulated(scm.diagram, policy.space()), scm.domains, scm.exogenous, mechs)
+    return DiscreteSCM(manipulated(scm.diagram, policy.space()), scm.exogenous, mechs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,10 +636,12 @@ def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=out, where=den > 0.0)
 
 
-def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, int]):
+def _eval(node: IdFormula, obs: JointTable, policy_axes):
     """``(names, array)``: the node's value with one axis per free variable,
-    sorted.  A batched table's leading axes stay in front of them, so a
-    division by an empty cell of one table puts NaN in that table only."""
+    sorted, each of its full size.  ``policy_axes`` is the ``(names, array)``
+    the policy slot takes.  A batched table's leading axes stay in front of
+    the named ones, so a division by an empty cell of one table puts NaN in
+    that table only.  Every size is read off the arrays themselves."""
     if isinstance(node, Factor):
         need = tuple(sorted(set(node.vars) | set(node.given)))
         marg = obs.marginal(need)
@@ -650,11 +651,9 @@ def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, i
             arr = _divide(arr, broadcast_to_vars(den.probs, den.variables, need))
         return need, arr
     if isinstance(node, PolicyFactor):
-        if policy_axes is None:
-            raise ValueError("formula contains a policy placeholder but no policy was supplied")
         return policy_axes
     if isinstance(node, Sum):
-        vs, arr = _eval(node.body, obs, policy_axes, domains)
+        vs, arr = _eval(node.body, obs, policy_axes)
         for b in node.bound:
             if b not in vs:
                 raise ValueError(f"sum over {b!r}, which its body does not mention")
@@ -665,17 +664,18 @@ def _eval(node: IdFormula, obs: JointTable, policy_axes, domains: Mapping[str, i
         vs: tuple[str, ...] = ()
         arr = np.asarray(1.0)
         for t in node.terms:
-            tvs, tarr = _eval(t, obs, policy_axes, domains)
+            tvs, tarr = _eval(t, obs, policy_axes)
             union = tuple(sorted(set(vs) | set(tvs)))
-            size = math.prod(domains[v] for v in union)
+            left, right = broadcast_to_vars(arr, vs, union), broadcast_to_vars(tarr, tvs, union)
+            # one table's cells: each named axis has its size in one of the two
+            size = math.prod(map(max, left.shape[left.ndim - len(union):], right.shape[right.ndim - len(union):]))
             if size > CONFIG_CAP:
                 raise TooLargeError("formula evaluation exceeds the configuration cap")
-            arr = broadcast_to_vars(arr, vs, union) * broadcast_to_vars(tarr, tvs, union)
-            vs = union
+            arr, vs = left * right, union
         return vs, arr
     if isinstance(node, Quotient):
-        nvs, narr = _eval(node.num, obs, policy_axes, domains)
-        dvs, darr = _eval(node.den, obs, policy_axes, domains)
+        nvs, narr = _eval(node.num, obs, policy_axes)
+        dvs, darr = _eval(node.den, obs, policy_axes)
         union = tuple(sorted(set(nvs) | set(dvs)))
         return union, _divide(broadcast_to_vars(narr, nvs, union), broadcast_to_vars(darr, dvs, union))
     raise TypeError(f"not a formula: {node!r}")
@@ -687,16 +687,18 @@ def evaluate(
     policy: Policy | None = None,
     fixed: Mapping[str, int] | None = None,
 ) -> JointTable:
-    """Evaluate a formula against an exact observational table.
+    """Evaluate a formula against an exact observational table, or a batch
+    of them: each result has the bits of its table alone, and one failing
+    table fails the call.
 
-    ``fixed`` pins free variables (the do-value of an atomic formula, say).
-    Pinning a known variable the formula does not mention is a no-op: an
-    identified effect may be constant in the intervention value.  The result
-    is a probability table over the remaining free variables and must total
-    one; anything else raises, and a formula that divides by an empty cell
-    of the table raises ``UnsupportedConditionalError``.  A policy must be
-    over the placeholder's action and read only inputs the placeholder
-    reads.
+    ``fixed`` pins free variables of the table (the do-value of an atomic
+    formula, say).  Pinning a variable the formula does not mention is a
+    no-op: an identified effect may be constant in the intervention value.
+    The result is a probability table over the remaining free variables
+    and must total one; anything else raises, and a formula that divides by
+    an empty cell of the table raises ``UnsupportedConditionalError``.  A
+    policy must be over the placeholder's action, read only inputs the
+    placeholder reads, and give the table's variables their table sizes.
     """
     fixed = dict(fixed or {})
     domains = observational.domain_map()
@@ -713,10 +715,8 @@ def evaluate(
         for z, k in zip(policy.inputs, policy.input_domains):
             if domains.get(z, k) != k:
                 raise ValueError(f"policy input domain for {z} does not match the table")
-            domains.setdefault(z, k)
         if domains.get(policy.action, policy.action_domain) != policy.action_domain:
             raise ValueError("policy action domain does not match the table")
-        domains.setdefault(policy.action, policy.action_domain)
         policy_axes = _policy_array(policy)
     free = free_variables(formula)
     for v, value in list(fixed.items()):
@@ -726,18 +726,17 @@ def evaluate(
             raise ValueError(f"fixed value {value!r} of {v!r} is not in range({domains[v]})")
         if v not in free:
             del fixed[v]
-    vs, arr = _eval(formula, observational, policy_axes, domains)
+    vs, arr = _eval(formula, observational, policy_axes)
     if np.isnan(arr).any():
         raise UnsupportedConditionalError(
             f"conditioning event of probability zero in {format_formula(formula)}"
         )
-    arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
+    # named axes counted from the end, past any leading batch axes
     for v in sorted(fixed, key=vs.index, reverse=True):
-        arr = np.take(arr, fixed[v], axis=vs.index(v))
+        arr = np.take(arr, fixed[v], axis=vs.index(v) - len(vs))
         vs = tuple(u for u in vs if u != v)
-    mass = float(arr.sum())
-    if abs(mass - 1.0) > 1e-9:
-        raise ValueError(
-            f"evaluated table has mass {mass}; pin remaining do-variables via 'fixed'"
-        )
+    mass = arr.sum(axis=tuple(range(-len(vs), 0)))
+    bad = np.abs(mass - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"evaluated table has mass {float(mass[bad][0])}; pin remaining do-variables via 'fixed'")
     return JointTable(vs, np.ascontiguousarray(arr, dtype=float))

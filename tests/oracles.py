@@ -244,7 +244,7 @@ def linear_system_by_basis(formula, observational: JointTable):
             basis = np.zeros(in_doms + (k,))
             basis[tuple(pa_config) + (x,)] = 1.0
             axes = (target_names, broadcast_to_vars(basis, ph.inputs + (ph.action,), target_names))
-            vs, arr = _eval(formula, observational, axes, domains)
+            vs, arr = _eval(formula, observational, axes)
             arr = np.broadcast_to(arr, tuple(domains[v] for v in vs))
             coeff[:, pa_i, x] = arr.reshape(-1)
     t = observational.marginal(svars).probs.reshape(-1)

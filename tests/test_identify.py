@@ -251,6 +251,95 @@ def test_evaluate_argument_validation():
         evaluate(pf, obs)
 
 
+def test_evaluate_refuses_sizes_and_names_the_table_does_not_have():
+    case = fixtures.diagram_fixture("backdoor_observed")
+    formula = identify_policy(case.diagram, case.space, {"Y"})
+    obs = observational(random_scm(case.diagram, seed=0))
+    assert obs.domains == (2, 2, 2)
+    with pytest.raises(ValueError, match="policy input domain for Z does not match the table"):
+        evaluate(formula, obs, Policy.create("X", np.full((3, 2), 0.5), ("Z",)))
+    with pytest.raises(ValueError, match="policy action domain does not match the table"):
+        evaluate(formula, obs, Policy.create("X", np.full((2, 3), 1 / 3), ("Z",)))
+    policy = Policy.create("X", np.full((2, 2), 0.5), ("Z",))
+    with pytest.raises(ValueError, match="fixed variable 'Q' is unknown"):
+        evaluate(formula, obs, policy, fixed={"Q": 0})
+    with pytest.raises(ValueError, match=r"fixed value 2 of 'Y' is not in range\(2\)"):
+        evaluate(formula, obs, policy, fixed={"Y": 2})
+
+
+def test_formula_evaluation_cap(monkeypatch):
+    # the cap counts one table's cells of each product, the policy cells'
+    # axis of the linear system included; unpatched it is 10**7 cells
+    from causal_imitation import scm
+    from causal_imitation.errors import TooLargeError
+    from causal_imitation.imitate import solve_policy
+
+    case = fixtures.diagram_fixture("backdoor_observed")
+    formula = identify_policy(case.diagram, case.space, {"Y"})
+    obs = observational(random_scm(case.diagram, seed=0, domains=3))
+    policy = Policy.create("X", np.full((3, 3), 1 / 3), ("Z",))
+    caps = range(1, 3**3 + 1)
+    least = next(cap for cap in caps if _under_cap(monkeypatch, cap, lambda: evaluate(formula, obs, policy)))
+    assert least == 3**3  # P(Y|X,Z) * pi(X|Z) spans X, Y and Z
+    monkeypatch.setattr(scm, "CONFIG_CAP", least - 1)
+    with pytest.raises(TooLargeError, match="formula evaluation exceeds the configuration cap"):
+        evaluate(formula, obs, policy)
+    # the linear system binds the policy slot to 9 policy cells at once
+    monkeypatch.setattr(scm, "CONFIG_CAP", least * 9 - 1)
+    with pytest.raises(TooLargeError, match="formula evaluation exceeds the configuration cap"):
+        solve_policy(formula, obs)
+    monkeypatch.setattr(scm, "CONFIG_CAP", least * 9)
+    assert solve_policy(formula, obs)[2]
+
+
+def _under_cap(monkeypatch, cap, run) -> bool:
+    """Whether ``run`` completes with the formula-evaluation cap at ``cap``."""
+    from causal_imitation import scm
+    from causal_imitation.errors import TooLargeError
+
+    monkeypatch.setattr(scm, "CONFIG_CAP", cap)
+    try:
+        run()
+    except TooLargeError:
+        return False
+    return True
+
+
+def test_evaluate_takes_a_batch_of_tables():
+    # each row of a batched evaluation is the evaluation of its own table,
+    # bit for bit; evaluate used to refuse a batch
+    from causal_imitation.experiments import frontdoor_instrument
+    from causal_imitation.scm import JointTable, random_frontdoor
+
+    formula, diagram = frontdoor_instrument()
+    atomic = identify_atomic(diagram, "X", {"S"})
+    seeds = list(range(60))
+    batch = observational(random_frontdoor(seeds))
+    alone = [observational(random_frontdoor(seed)) for seed in seeds]
+    policy = Policy.create("X", np.array([0.3, 0.7]))
+    policies = Policy.create("X", np.stack([np.linspace(0.1, 0.9, len(seeds)), np.linspace(0.9, 0.1, len(seeds))],
+                                           axis=-1))
+    for x in (0, 1):
+        got = evaluate(atomic, batch, fixed={"X": x})
+        assert got.variables == ("S",) and got.batch == (len(seeds),)
+        for table, row in zip(alone, got.probs):
+            assert np.array_equal(row, evaluate(atomic, table, fixed={"X": x}).probs)
+    got = evaluate(formula, batch, policy)
+    each = evaluate(formula, batch, policies)
+    for i, table in enumerate(alone):
+        assert np.array_equal(got.probs[i], evaluate(formula, table, policy).probs)
+        one = Policy.create("X", policies.probs[i])
+        assert np.array_equal(each.probs[i], evaluate(formula, table, one).probs)
+    # one table with P(X=0) = 0 leaves P(W|X) undefined: the batch raises
+    probs = batch.probs.copy()
+    probs[7, :, :, 1] += probs[7, :, :, 0]
+    probs[7, :, :, 0] = 0.0
+    with pytest.raises(UnsupportedConditionalError, match="conditioning event of probability zero"):
+        evaluate(formula, JointTable(batch.variables, probs), policy)
+    with pytest.raises(UnsupportedConditionalError, match="conditioning event of probability zero"):
+        evaluate(atomic, JointTable(batch.variables, probs), fixed={"X": 1})
+
+
 def test_evaluate_refuses_a_policy_the_placeholder_does_not_take():
     # a policy over another action, or reading an input the placeholder
     # does not read, was evaluated as if it fit: pi(X|W) against pi(X)

@@ -537,6 +537,27 @@ def test_failed_tie_break_lp_falls_back_to_the_residual_lp_policy(monkeypatch):
     assert residual == np.abs(m[:len(b) - n_pi // k, :n_pi] @ best - b[:len(b) - n_pi // k]).sum() <= 1e-9
 
 
+def test_failed_residual_lp_raises_and_the_cli_exits_1(monkeypatch, capsys):
+    # a system that neither the closed form nor the certificate settles runs
+    # the residual LP; its failure is an error, not an answer
+    from causal_imitation import cli
+
+    failed = []
+
+    def fail(*args):
+        failed.append(args)
+        return imitate._LPResult(x=None, fun=None, success=False, message="patched failure")
+
+    monkeypatch.setattr(imitate, "linprog", fail)
+    with pytest.raises(RuntimeError, match="residual LP failed: patched failure"):
+        solve_policy(_frontdoor_formula(), observational(_action_blind_frontdoor()), 1e-9)
+    # a sampled table on which the CLI's search reaches the LP path
+    argv = ["imitate", "--graph", "frontdoor_observed", "--scm", "frontdoor_mix", "--samples", "1000", "--seed", "3"]
+    assert cli.main(argv) == 1
+    assert len(failed) == 2
+    assert capsys.readouterr().err == "error: residual LP failed: patched failure\n"
+
+
 def test_solver_requires_placeholder():
     from causal_imitation.identify import Factor
 

@@ -259,7 +259,7 @@ def test_duplicate_mechanism_rejected():
         Mechanism("B", ("A",), (), np.array([[0.5, 0.5], [0.5, 0.5]])),
         Mechanism("B", ("A",), (), np.array([[1.0, 0.0], [0.0, 1.0]])),
     ]
-    with pytest.raises(ValueError, match="duplicate mechanism for B"):
+    with pytest.raises(ValueError, match=r"mechanisms for \['A', 'B', 'B'\] are not one per diagram node"):
         DiscreteSCM.create(d, {}, mechs)
 
 
@@ -270,10 +270,9 @@ def test_domain_outside_the_diagram_rejected():
         Mechanism("B", ("A",), (), np.array([[0.5, 0.5], [0.5, 0.5]])),
     )
     assert DiscreteSCM.create(d, {}, mechs).domains == (("A", 2), ("B", 2))
-    with pytest.raises(ValueError, match="domain for Q, which is not in the diagram"):
-        DiscreteSCM(d, (("A", 2), ("B", 2), ("Q", 2)), (), mechs)
-    # create reads a mechanism outside the diagram as a domain outside it
-    with pytest.raises(ValueError, match="domain for Q, which is not in the diagram"):
+    # a domain is a mechanism's last axis: one outside the diagram comes
+    # with a mechanism outside it
+    with pytest.raises(ValueError, match=r"mechanisms for \['A', 'B', 'Q'\] are not one per diagram node"):
         DiscreteSCM.create(d, {}, mechs + (Mechanism("Q", (), (), np.array([0.5, 0.5])),))
 
 
@@ -284,6 +283,42 @@ def test_policy_validation():
     assert pol.probs.shape == (3,) and (pol.action_domain, pol.input_domains) == (3, ())
     pm = Policy.create("X", np.array([0.0, 1.0]))
     assert pm.probs[1] == 1.0
+
+
+def test_policy_create_with_too_few_axes_reaches_the_constructor():
+    # create moved the input axes first, and numpy refused the move
+    with pytest.raises(ValueError, match="policy table for X has too few axes"):
+        Policy.create("X", np.full(2, 0.5), ("Z",))
+    with pytest.raises(ValueError, match="policy table for X has too few axes"):
+        Policy.create("X", np.full((2, 2), 0.5), ("Z", "W"))
+
+
+def test_expectation_of_a_batch_is_one_per_table():
+    # a batched table's expectation raised TypeError; it now reads as l1
+    # does, with each entry the bits of its table alone
+    rng = np.random.default_rng(0)
+    raw = rng.uniform(size=(6, 3, 2))
+    probs = raw / raw.sum(axis=(1, 2), keepdims=True)
+    batch = JointTable(("A", "B"), probs)
+    for var in ("A", "B"):
+        means = batch.expectation(var)
+        assert isinstance(means, np.ndarray) and means.shape == (6,)
+        alone = [JointTable(("A", "B"), p).expectation(var) for p in probs]
+        assert all(isinstance(m, float) for m in alone)
+        assert means.tolist() == alone
+
+
+def test_joint_table_refuses_unknown_and_mismatched_variables():
+    table = observational(fixtures.scm_fixture("frontdoor_mix"))
+    with pytest.raises(ValueError, match=r"unknown variables \['Q'\]"):
+        table.marginal(["Q", "X"])
+    with pytest.raises(ValueError, match="tables are over different variables"):
+        table.l1(table.marginal(["X"]))
+    # the same names over other domain sizes are other variables too
+    shape = (2,) * (len(table.variables) - 1) + (3,)
+    other = JointTable(table.variables, np.full(shape, 1.0 / np.prod(shape)))
+    with pytest.raises(ValueError, match="tables are over different variables"):
+        table.l1(other)
 
 
 def test_scm_text_roundtrip():
@@ -307,9 +342,11 @@ def test_scm_text_roundtrip_random_models(seed, n_nodes, k):
 
 def test_intervene_rejects_bad_domain():
     # the intervened model's constructor reports a policy domain that does
-    # not match the model as its mechanism's shape
+    # not match the model as a mechanism's shape: a wrong action size at the
+    # action's child, which reads the action's size off the policy, and a
+    # wrong input size at the action's own table
     m = fixtures.scm_fixture("frontdoor_mix")
-    with pytest.raises(ValueError, match=r"mechanism table for X has shape \(3,\), expected \(2,\)"):
+    with pytest.raises(ValueError, match=r"mechanism table for W has shape \(2, 2, 2\), expected \(3, 2, 2\)"):
         intervene(m, Policy.create("X", np.full(3, 1 / 3)))
     m = fixtures.scm_fixture("highway_xor")
     with pytest.raises(ValueError, match=r"mechanism table for X has shape \(3, 2\), expected \(2, 2\)"):
@@ -334,12 +371,19 @@ def test_intervene_rejects_bad_domain():
                  id="mechanism-repeated-exo"),
     pytest.param(lambda: Mechanism("X", ("A", "B"), (), np.full(2, 0.5)), "too few axes",
                  id="mechanism-too-few-axes"),
+    # a node's domain is its mechanism's last axis: a parent without a
+    # mechanism has none
     pytest.param(lambda: DiscreteSCM(
-        CausalDiagram.create(observed="AB", directed=[("B", "A")]), (("A", 2),), (),
-        (Mechanism("A", ("B",), (), np.full((2, 2), 0.5)), Mechanism("B", (), (), np.full(2, 0.5)))),
-        "node B needs a domain", id="model-missing-parent-domain"),
+        CausalDiagram.create(observed="AB", directed=[("B", "A")]), (),
+        (Mechanism("A", ("B",), (), np.full((2, 2), 0.5)),)),
+        "not one per diagram node", id="model-missing-parent-domain"),
     pytest.param(lambda: DiscreteSCM(
-        CausalDiagram.create(observed="A"), (("A", 2),), (("U", np.full(2, 0.5)), ("U", np.array([0.1, 0.9]))),
+        CausalDiagram.create(observed="AB", directed=[("B", "A")]), (),
+        (Mechanism("B", (), (), np.full(2, 0.5)), Mechanism("A", ("B",), (), np.full((2, 2), 0.5)))),
+        r"mechanisms for \['B', 'A'\] are not one per diagram node in its order \['A', 'B'\]",
+        id="model-mechanisms-out-of-order"),
+    pytest.param(lambda: DiscreteSCM(
+        CausalDiagram.create(observed="A"), (("U", np.full(2, 0.5)), ("U", np.array([0.1, 0.9]))),
         (Mechanism("A", (), ("U",), np.eye(2)),)), "sorted by distinct name", id="model-repeated-exo"),
 ])
 def test_constructor_refuses(build, message):
@@ -349,8 +393,8 @@ def test_constructor_refuses(build, message):
 
 def test_model_constructor_checks_what_create_checks():
     m = fixtures.scm_fixture("frontdoor_mix")
-    with pytest.raises(ValueError, match="mechanisms must cover exactly the diagram nodes"):
-        DiscreteSCM(m.diagram, m.domains, m.exogenous, m.mechanisms[:-1])
+    with pytest.raises(ValueError, match="not one per diagram node"):
+        DiscreteSCM(m.diagram, m.exogenous, m.mechanisms[:-1])
 
 
 # Each type, built from drawn arguments with at most one fault: the valid
@@ -485,10 +529,9 @@ def test_mechanism_accepts_exactly_valid_arguments(seed, fault):
     assert outcome == ("ok" if fault is None else "ValueError")
 
 
-# faults that create's arguments cannot hold, since it sorts its mappings and
-# reads the domains off the mechanisms: only the constructor gets them
-CONSTRUCTOR_FAULTS = ["unsorted-domains", "repeat-domain", "unsorted-exo", "repeat-exo", "domain-outside",
-                      "missing-domain", "domain-shape"]
+# faults that create's arguments cannot hold, since it sorts its mechanisms
+# and its mapping: only the constructor gets them
+CONSTRUCTOR_FAULTS = ["unsorted-mechanisms", "unsorted-exo", "repeat-exo"]
 # faults no diagram can hold: CausalDiagram's constructor refuses them
 DIAGRAM_FAULTS = ["cycle", "undeclared-edge-node"]
 MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "mechanism-outside",
@@ -498,8 +541,8 @@ MODEL_FAULTS = [None, "cycle", "undeclared-edge-node", "mechanism-outside",
 
 
 def _model_arguments(rng, fault):
-    """Diagram, domains (the constructor's), exogenous distributions and
-    mechanism specs of a random model with ``fault`` in it."""
+    """Diagram, exogenous distributions and mechanism specs of a random
+    model with ``fault`` in it."""
     d = random_diagram(rng, int(rng.integers(2, 6)), latent_fraction=0.3)
     a, b = d.nodes[:2]
     if fault == "cycle":
@@ -540,8 +583,6 @@ def _model_arguments(rng, fault):
     mechs = list(mechs.values())
     if fault == "undeclared-edge-node":
         d = CausalDiagram(d.nodes, d.observed, d.directed | {(a, "Q")}, d.bidirected)
-    elif fault == "domain-outside":
-        domains["Q"] = 2
     elif fault == "mechanism-outside":
         mechs.append(["Q", (), (), _table(rng, (2,))])
     elif fault == "missing-mechanism":
@@ -549,18 +590,13 @@ def _model_arguments(rng, fault):
     elif fault == "duplicate-mechanism":
         mechs.append(list(mechs[int(rng.integers(len(mechs)))]))
     elif fault == "small-domain":
-        domains[b] = 1
         mechs[1][3] = np.ones(mechs[1][3].shape[:-1] + (1,))
-    elif fault == "missing-domain":
-        del domains[d.nodes[int(rng.integers(len(d.nodes)))]]
     elif fault == "exo-clash":
         exogenous[a] = [0.5, 0.5]
     elif fault == "exo-rows":
         exogenous["V9"] = [0.3, 0.3]
     elif fault == "exo-nan":
         exogenous["V9"] = [np.nan, 1.0]
-    elif fault == "domain-shape":
-        domains[a] += 1
     elif fault == "table-shape":
         # a's first parent or exogenous axis one entry longer than its domain
         table = mechs[0][3]
@@ -573,7 +609,7 @@ def _model_arguments(rng, fault):
     elif fault in ("unsorted-exo", "repeat-exo"):
         # two unused entries: names to reorder or repeat in every draw
         exogenous["V8"] = exogenous["V9"] = _table(rng, (2,))
-    return d, domains, exogenous, mechs
+    return d, exogenous, mechs
 
 
 @settings(max_examples=200)
@@ -584,21 +620,18 @@ def test_model_create_and_constructor_agree(seed, fault):
         with pytest.raises(ValueError, match="invalid diagram"):
             _model_arguments(np.random.default_rng(seed), fault)
         return
-    d, domains, exogenous, mechs = _model_arguments(np.random.default_rng(seed), fault)
+    d, exogenous, mechs = _model_arguments(np.random.default_rng(seed), fault)
 
     def via_constructor():
         exo = tuple((name, np.ascontiguousarray(p, dtype=float)) for name, p in sorted(exogenous.items()))
         mechanisms = tuple(sorted((Mechanism(*m) for m in mechs), key=lambda m: m.node))
-        domain_pairs = tuple(sorted(domains.items()))
-        if fault == "unsorted-domains":
-            domain_pairs = domain_pairs[::-1]
-        elif fault == "repeat-domain":
-            domain_pairs += domain_pairs[-1:]
+        if fault == "unsorted-mechanisms":
+            mechanisms = mechanisms[::-1]
         elif fault == "unsorted-exo":
             exo = exo[::-1]
         elif fault == "repeat-exo":
             exo += exo[-1:]
-        return DiscreteSCM(d, domain_pairs, exo, mechanisms)
+        return DiscreteSCM(d, exo, mechanisms)
 
     def via_create():
         return DiscreteSCM.create(d, exogenous, [Mechanism(*m) for m in mechs])
